@@ -6,14 +6,20 @@ other only when their concepts are equal or related by ancestry, and
 parameters align only through equal effective concepts, never through
 names or positions. Structure then classifies the residue into
 mismatches, and a fixed penalty table turns the mismatch list into an
-exact rational score. Inside one concept group every injective slot
-assignment is tried, so the reported alignment is the best-scoring one
-and ties resolve deterministically.
+exact rational score. The reported alignment is the best-scoring one,
+found exactly in polynomial time: a min-cost assignment (the Hungarian
+method) inside each concept group gives the best alignment overall,
+and a dynamic program over provider slots the best one that keeps the
+consumer's parameter order; the better of the two, once a permuted one
+is charged the permutation penalty, wins. Ties resolve
+deterministically: fewest mismatches, then the lexicographically
+smallest slot assignment.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -233,6 +239,10 @@ def _best_alignment(
     config: MatchConfig,
     base: tuple[Mismatch, ...],
 ) -> tuple[tuple[Mismatch, ...], Fraction] | None:
+    """The classified alignment with the least key `(-score,
+    len(mismatches), slot_key)`, or None when no alignment is feasible.
+    `slot_key` lists, per provider slot in order, the consumer index the
+    slot takes, a filled slot ranking after every index."""
     # Synthesized param concepts resolve against the consumer's op
     # concept on both sides; explicit annotations stay absolute.
     req_concepts = required.param_concepts()
@@ -243,40 +253,190 @@ def _best_alignment(
         groups.setdefault(c, ([], []))[0].append(i)
     for j, c in enumerate(prov_concepts):
         groups.setdefault(c, ([], []))[1].append(j)
-    for c, (req_idx, prov_idx) in groups.items():
-        if len(req_idx) > len(prov_idx):
-            return None  # some required parameter has nowhere to go
+    if any(len(req_idx) > len(prov_idx) for req_idx, prov_idx in groups.values()):
+        return None  # some required parameter has nowhere to go
 
-    # Per concept group, all injective placements of required params
-    # into provider slots of the same concept.
-    per_group: list[list[list[tuple[int, int]]]] = []
-    for c, (req_idx, prov_idx) in sorted(groups.items(), key=lambda kv: kv[0].segments):
-        placements = [
-            list(zip(req_idx, chosen))
-            for chosen in itertools.permutations(prov_idx, len(req_idx))
-        ]
-        per_group.append(placements)
+    if any(len(prov_idx) > 1 for _, prov_idx in groups.values()):
+        assignment = _least_cost_alignment(required, provided, groups, conv, config)
+        if assignment is None:
+            return None
+    else:
+        # No slot has a rival, so there is one alignment to classify.
+        assignment = {
+            prov_idx[0]: req_idx[0] for req_idx, prov_idx in groups.values() if req_idx
+        }
+    return _classify_assignment(required, provided, assignment, conv, config, base)
 
-    best_key: tuple | None = None
-    best: tuple[tuple[Mismatch, ...], Fraction] | None = None
-    for combo in itertools.product(*per_group):
-        assignment: dict[int, int] = {}  # provider slot -> consumer index
-        for pairs in combo:
-            for req_i, prov_j in pairs:
-                assignment[prov_j] = req_i
-        outcome = _classify_assignment(required, provided, assignment, conv, config, base)
-        if outcome is None:
-            continue
-        mismatches, score = outcome
-        slot_key = tuple(
-            (0, assignment[j]) if j in assignment else (1,)
-            for j in range(len(provided.params))
-        )
-        key = (-score, len(mismatches), slot_key)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (mismatches, score)
-    return best
+
+def _least_cost_alignment(
+    required: OperationSig,
+    provided: OperationSig,
+    groups: dict[ConceptId, tuple[list[int], list[int]]],
+    conv: ConversionTable,
+    config: MatchConfig,
+) -> dict[int, int] | None:
+    """Provider slot -> consumer index of the winning alignment.
+
+    Fills number m - n on every alignment, so the key varies only with
+    the conversion count C and whether the order is permuted. A slot
+    costs `c * radix**m + rank * radix**(m-1-j)`, with radix = n + 1,
+    c = 1 for a conversion and rank the consumer index (n when the slot
+    is filled): summed costs order alignments by (C, slot_key) exactly,
+    and distinct alignments never tie. The least-cost alignment is
+    solved per concept group; when it is permuted, the least-cost
+    in-order alignment may still win once the permutation is charged.
+    """
+    n, m = len(required.params), len(provided.params)
+    radix = n + 1
+    weight = [radix ** (m - 1 - j) for j in range(m)]
+    per_conversion = radix**m
+    fill = [
+        n * weight[j] if p.default is not None else None
+        for j, p in enumerate(provided.params)
+    ]
+    # price[i][j]: cost of consumer i in slot j; None across concepts or
+    # when no rule bridges the ports.
+    price: list[list[int | None]] = [[None] * m for _ in range(n)]
+    for req_idx, prov_idx in groups.values():
+        for i in req_idx:
+            a = required.params[i]
+            for j in prov_idx:
+                b = provided.params[j]
+                if a.ty == b.ty and a.unit == b.unit:
+                    price[i][j] = i * weight[j]
+                elif conv.lookup(TypePort(a.ty, a.unit), TypePort(b.ty, b.unit)) is not None:
+                    price[i][j] = per_conversion + i * weight[j]
+
+    cost = 0
+    assignment: dict[int, int] = {}
+    blocked = per_conversion * radix  # above any feasible total
+    for req_idx, prov_idx in groups.values():
+        placed = _assign_group(req_idx, prov_idx, price, fill, blocked)
+        if placed is None:
+            return None
+        cost += placed[0]
+        assignment.update(placed[1])
+    if [assignment[j] for j in range(m) if j in assignment] == list(range(n)):
+        return assignment
+
+    monotone = _monotone_optimum(price, fill)
+    if monotone is None:
+        return assignment
+    # The in-order alignment needs `extra` >= 0 more conversions; the
+    # permuted one pays the permutation penalty and one more mismatch.
+    mono_conv, mono_slots = divmod(monotone[0], per_conversion)
+    perm_conv, perm_slots = divmod(cost, per_conversion)
+    extra = mono_conv - perm_conv
+    if (config.conversion_penalty * extra, extra, mono_slots) < (
+        config.permutation_penalty,
+        1,
+        perm_slots,
+    ):
+        return monotone[1]
+    return assignment
+
+
+def _assign_group(
+    req_idx: list[int],
+    prov_idx: list[int],
+    price: list[list[int | None]],
+    fill: list[int | None],
+    blocked: int,
+) -> tuple[int, dict[int, int]] | None:
+    """Least-cost placement of one concept group's required params onto
+    its provider slots; the slots left over are filled."""
+    # Square matrix: one row per required param, padded with identical
+    # "left unassigned" rows; infeasible entries cost `blocked`.
+    rows = []
+    for i in req_idx:
+        line = price[i]
+        rows.append([blocked if line[j] is None else line[j] for j in prov_idx])
+    dummy = [blocked if fill[j] is None else fill[j] for j in prov_idx]
+    rows += [dummy] * (len(prov_idx) - len(req_idx))
+    cols = _min_cost_assignment(rows)
+    total = sum([row[col] for row, col in zip(rows, cols)])
+    if total >= blocked:
+        return None
+    return total, {prov_idx[cols[r]]: i for r, i in enumerate(req_idx)}
+
+
+def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
+    """Column of each row in a least-total assignment of a square
+    matrix: the Hungarian method with potentials, O(k^3)."""
+    k = len(cost)
+    if k == 2:  # the two diagonals are the only candidates
+        return [0, 1] if cost[0][0] + cost[1][1] <= cost[0][1] + cost[1][0] else [1, 0]
+    u = [0] * (k + 1)
+    v = [0] * (k + 1)
+    owner = [0] * (k + 1)  # 1-based row holding each column; column 0 is scratch
+    way = [0] * (k + 1)
+    for row in range(1, k + 1):
+        owner[0] = row
+        col0 = 0
+        slack = [math.inf] * (k + 1)
+        used = [False] * (k + 1)
+        while owner[col0]:
+            used[col0] = True
+            r0 = owner[col0]
+            line, ur = cost[r0 - 1], u[r0]
+            delta, col1 = math.inf, 0
+            for col in range(1, k + 1):
+                if not used[col]:
+                    cur = line[col - 1] - ur - v[col]
+                    if cur < slack[col]:
+                        slack[col] = cur
+                        way[col] = col0
+                    if slack[col] < delta:
+                        delta, col1 = slack[col], col
+            for col in range(k + 1):
+                if used[col]:
+                    u[owner[col]] += delta
+                    v[col] -= delta
+                else:
+                    slack[col] -= delta
+            col0 = col1
+        while col0:
+            col1 = way[col0]
+            owner[col0] = owner[col1]
+            col0 = col1
+    cols = [0] * k
+    for col in range(1, k + 1):
+        cols[owner[col] - 1] = col - 1
+    return cols
+
+
+def _monotone_optimum(
+    price: list[list[int | None]], fill: list[int | None]
+) -> tuple[int, dict[int, int]] | None:
+    """Least-cost alignment that keeps consumer order, by dynamic
+    programming over provider slots: O(n*m)."""
+    n = len(price)
+    best: list[int | None] = [0] + [None] * n  # consumers 0..i-1 placed so far
+    took: list[list[bool]] = []
+    for j, free in enumerate(fill):
+        nxt: list[int | None] = [None] * (n + 1)
+        step = [False] * (n + 1)
+        for i, c in enumerate(best):
+            if c is None:
+                continue
+            if free is not None and (nxt[i] is None or c + free < nxt[i]):
+                nxt[i] = c + free
+                step[i] = False
+            p = price[i][j] if i < n else None
+            if p is not None and (nxt[i + 1] is None or c + p < nxt[i + 1]):
+                nxt[i + 1] = c + p
+                step[i + 1] = True
+        best = nxt
+        took.append(step)
+    if best[n] is None:
+        return None
+    assignment: dict[int, int] = {}
+    i = n
+    for j in range(len(fill) - 1, -1, -1):
+        if took[j][i]:
+            i -= 1
+            assignment[j] = i
+    return best[n], assignment
 
 
 def _classify_assignment(
@@ -298,12 +458,12 @@ def _classify_assignment(
 
     slot_mismatches: list[Mismatch] = []
     for j, prov_param in enumerate(provided.params):
-        to_port = TypePort(prov_param.ty, prov_param.unit)
         if j in assignment:
             req_param = required.params[assignment[j]]
-            from_port = TypePort(req_param.ty, req_param.unit)
-            if from_port == to_port:
+            if req_param.ty == prov_param.ty and req_param.unit == prov_param.unit:
                 continue
+            from_port = TypePort(req_param.ty, req_param.unit)
+            to_port = TypePort(prov_param.ty, prov_param.unit)
             rule = conv.lookup(from_port, to_port)
             if rule is None:
                 return None

@@ -9,7 +9,7 @@ the table so a corpus can tune them from the same rules file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -82,7 +82,12 @@ class ConversionTable:
 @dataclass(frozen=True)
 class MatchConfig:
     """Penalty per mismatch kind (CONCEPT_DISTANCE is per hop) and the
-    score threshold separating adaptable from incompatible."""
+    score threshold separating adaptable from incompatible.
+
+    Penalties are at least 0, so an extra mismatch never raises a score
+    (the matcher's exactness rests on this), and the threshold lies in
+    [0, 1].
+    """
 
     rename_penalty: Fraction = Fraction(0)
     permutation_penalty: Fraction = Fraction(1, 20)
@@ -90,6 +95,15 @@ class MatchConfig:
     fill_penalty: Fraction = Fraction(3, 20)
     concept_hop_penalty: Fraction = Fraction(1, 10)
     threshold: Fraction = Fraction(1, 2)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "threshold":
+                if not 0 <= value <= 1:
+                    raise ValueError(f"threshold must lie in [0, 1], got {value}")
+            elif value < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value}")
 
     def penalty(self, kind: str, hops: int = 1) -> Fraction:
         if kind == RENAME:
@@ -154,27 +168,26 @@ def parse_rules_text(text: str) -> tuple[ConversionTable, MatchConfig]:
             raise ParseError(E_SYNTAX, str(err), lineno, 1) from None
     config = DEFAULT_CONFIG
     if overrides:
-        from dataclasses import replace
-
         config = replace(DEFAULT_CONFIG, **overrides)  # type: ignore[arg-type]
     return table, config
 
 
 def _parse_directive(line: str, lineno: int, overrides: dict[str, Fraction]) -> None:
     parts = line.split()
+    if parts[0] == "threshold" and len(parts) == 2:
+        field_name: str | None = "threshold"
+    elif parts[0] == "penalty" and len(parts) == 3:
+        field_name = _PENALTY_FIELDS.get(parts[1])
+        if field_name is None:
+            raise ParseError(E_SYNTAX, f"unknown penalty kind {parts[1]!r}", lineno, 1)
+    else:
+        raise ParseError(E_SYNTAX, f"unrecognized directive {line!r}", lineno, 1)
     try:
-        if parts[0] == "threshold" and len(parts) == 2:
-            overrides["threshold"] = _fraction(parts[1])
-            return
-        if parts[0] == "penalty" and len(parts) == 3:
-            field_name = _PENALTY_FIELDS.get(parts[1])
-            if field_name is None:
-                raise ValueError(f"unknown penalty kind {parts[1]!r}")
-            overrides[field_name] = _fraction(parts[2])
-            return
+        value = _fraction(parts[-1])
+        replace(DEFAULT_CONFIG, **{field_name: value})  # range check, here for the line number
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(E_SYNTAX, str(err), lineno, 1) from None
-    raise ParseError(E_SYNTAX, f"unrecognized directive {line!r}", lineno, 1)
+    overrides[field_name] = value
 
 
 def _fraction(text: str) -> Fraction:

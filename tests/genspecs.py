@@ -222,3 +222,64 @@ def _derived_op_pair(
         concept=prov_concept,
     )
     return required, provided
+
+
+def enumerated_signatures() -> list[OperationSig]:
+    """Every signature of arity 0-2 over three numeric types, two
+    parameter concepts and optional defaults, under two op concepts one
+    hop apart and two return types, plus four shapes of arity 3-4: 272
+    signatures, so 73,984 ordered pairs."""
+    types = (I32, I64, F64)
+    c = {
+        1: ConceptId(("data", "k", "pone")),
+        2: ConceptId(("data", "k", "ptwo")),
+        3: ConceptId(("data", "k", "pthree")),
+        4: ConceptId(("data", "k", "pfour")),
+    }
+
+    def default_for(ty):
+        if ty.kind == "f64":
+            return Literal("float", 1.5)
+        return Literal("int", 7)
+
+    param_shapes: list[tuple] = [()]
+    for ty in types:
+        for tag in (1, 2):
+            for with_default in (False, True):
+                param_shapes.append(((ty, tag, with_default),))
+    for ty1 in types:
+        for ty2 in types:
+            for tags in ((1, 2), (2, 1), (1, 1)):
+                for with_default in (False, True):
+                    param_shapes.append(
+                        ((ty1, tags[0], False), (ty2, tags[1], with_default))
+                    )
+
+    sigs = []
+    for concept in (ConceptId(("data", "k")), ConceptId(("data", "k", "sub"))):
+        for returns in (I32, STRING):
+            for shape in param_shapes:
+                params = tuple(
+                    ParamSig(
+                        name=f"p{i}",
+                        ty=ty,
+                        concept=c[tag],
+                        default=default_for(ty) if with_default else None,
+                    )
+                    for i, (ty, tag, with_default) in enumerate(shape)
+                )
+                sigs.append(OperationSig("f", params, returns, concept))
+    # A handful of 3- and 4-parameter shapes to cover the stated bound.
+    wide = [
+        ((I32, 1), (I64, 2), (F64, 3)),
+        ((F64, 1), (I32, 2), (I64, 3)),
+        ((I32, 1), (I32, 2), (I64, 3), (F64, 4)),
+        ((I64, 4), (F64, 3), (I32, 2), (I32, 1)),
+    ]
+    for shape in wide:
+        params = tuple(
+            ParamSig(name=f"p{i}", ty=ty, concept=c[tag])
+            for i, (ty, tag) in enumerate(shape)
+        )
+        sigs.append(OperationSig("f", params, I32, ConceptId(("data", "k"))))
+    return sigs

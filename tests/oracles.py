@@ -1,10 +1,13 @@
 """Independent brute-force oracles the tests check the real code against.
 
-The matching oracle enumerates every injective placement of required
+The score oracle enumerates every injective placement of required
 parameters onto provider slots, with no concept-group shortcuts, and
 prices each valid placement straight from the penalty table. The
-composition oracle rebuilds provider calls directly from mismatch
-payloads. Neither shares alignment or execution code with the package.
+alignment oracle enumerates every injective placement inside each
+concept group and keeps the least `(-score, len(mismatches),
+slot_key)`; it shares only the classification of one fixed placement
+with the package, never the search. The composition oracle rebuilds
+provider calls directly from mismatch payloads.
 """
 
 from __future__ import annotations
@@ -13,8 +16,14 @@ import itertools
 from fractions import Fraction
 from typing import Any
 
-from adapterforge.analyser import OperationMatch
-from adapterforge.conversions import ConversionTable, MatchConfig, TypePort
+from adapterforge.analyser import Mismatch, OperationMatch, _classify_assignment
+from adapterforge.conversions import (
+    CONCEPT_DISTANCE,
+    RENAME,
+    ConversionTable,
+    MatchConfig,
+    TypePort,
+)
 from adapterforge.speclang import OperationSig, format_float
 
 
@@ -79,6 +88,77 @@ def oracle_best_score(
     if best is None or best < config.threshold:
         return None
     return best
+
+
+def oracle_best_alignment(
+    required: OperationSig,
+    provided: OperationSig,
+    conv: ConversionTable,
+    config: MatchConfig,
+) -> OperationMatch | None:
+    """The match `match_operation` must return, found by trying every
+    injective placement inside each concept group (factorial in group
+    size: keep arities small)."""
+    hops = required.concept.hops_to(provided.concept)
+    if hops is None:
+        return None
+    base: list[Mismatch] = []
+    if hops >= 1:
+        base.append(
+            Mismatch(
+                CONCEPT_DISTANCE,
+                location=("", required.name),
+                hops=hops,
+                concept=provided.concept,
+            )
+        )
+    if required.name != provided.name:
+        base.append(
+            Mismatch(
+                RENAME,
+                location=("", required.name),
+                renamed_from=required.name,
+                renamed_to=provided.name,
+            )
+        )
+
+    req_concepts = required.param_concepts()
+    prov_concepts = provided.param_concepts(base=required.concept)
+    groups: dict = {}
+    for i, c in enumerate(req_concepts):
+        groups.setdefault(c, ([], []))[0].append(i)
+    for j, c in enumerate(prov_concepts):
+        groups.setdefault(c, ([], []))[1].append(j)
+    if any(len(req_idx) > len(prov_idx) for req_idx, prov_idx in groups.values()):
+        return None
+    per_group = [
+        [
+            list(zip(req_idx, chosen))
+            for chosen in itertools.permutations(prov_idx, len(req_idx))
+        ]
+        for req_idx, prov_idx in groups.values()
+    ]
+
+    best_key: tuple | None = None
+    best = None
+    for combo in itertools.product(*per_group):
+        assignment = {prov_j: req_i for pairs in combo for req_i, prov_j in pairs}
+        outcome = _classify_assignment(
+            required, provided, assignment, conv, config, tuple(base)
+        )
+        if outcome is None:
+            continue
+        mismatches, score = outcome
+        slot_key = tuple(
+            (0, assignment[j]) if j in assignment else (1,)
+            for j in range(len(provided.params))
+        )
+        key = (-score, len(mismatches), slot_key)
+        if best_key is None or key < best_key:
+            best_key, best = key, outcome
+    if best is None or best[1] < config.threshold:
+        return None
+    return OperationMatch(required.name, provided.name, best[0], best[1])
 
 
 def oracle_convert(rule, value: Any, to_kind: str | None) -> Any:

@@ -44,19 +44,7 @@ from adapterforge.report import (
     workflow_result_from_json,
     workflow_result_to_json,
 )
-from adapterforge.speclang import (
-    F64,
-    I32,
-    I64,
-    STRING,
-    ConceptId,
-    Literal,
-    OperationSig,
-    ParamSig,
-    parse_any,
-    parse_component,
-    serialize,
-)
+from adapterforge.speclang import parse_any, parse_component, serialize
 
 CORPUS = Path(__file__).parent / "corpus"
 RULES = CORPUS / "conversions.rules"
@@ -117,66 +105,9 @@ def test_criterion_1_healing_loop(tmp_path: Path):
 # --- 2. Oracle equivalence -------------------------------------------
 
 
-def _enumerated_signatures() -> list[OperationSig]:
-    types = (I32, I64, F64)
-    c = {
-        1: ConceptId(("data", "k", "pone")),
-        2: ConceptId(("data", "k", "ptwo")),
-        3: ConceptId(("data", "k", "pthree")),
-        4: ConceptId(("data", "k", "pfour")),
-    }
-
-    def default_for(ty):
-        if ty.kind == "f64":
-            return Literal("float", 1.5)
-        return Literal("int", 7)
-
-    param_shapes: list[tuple] = [()]
-    for ty in types:
-        for tag in (1, 2):
-            for with_default in (False, True):
-                param_shapes.append(((ty, tag, with_default),))
-    for ty1 in types:
-        for ty2 in types:
-            for tags in ((1, 2), (2, 1), (1, 1)):
-                for with_default in (False, True):
-                    param_shapes.append(
-                        ((ty1, tags[0], False), (ty2, tags[1], with_default))
-                    )
-
-    sigs = []
-    for concept in (ConceptId(("data", "k")), ConceptId(("data", "k", "sub"))):
-        for returns in (I32, STRING):
-            for shape in param_shapes:
-                params = tuple(
-                    ParamSig(
-                        name=f"p{i}",
-                        ty=ty,
-                        concept=c[tag],
-                        default=default_for(ty) if with_default else None,
-                    )
-                    for i, (ty, tag, with_default) in enumerate(shape)
-                )
-                sigs.append(OperationSig("f", params, returns, concept))
-    # A handful of 3- and 4-parameter shapes to cover the stated bound.
-    wide = [
-        ((I32, 1), (I64, 2), (F64, 3)),
-        ((F64, 1), (I32, 2), (I64, 3)),
-        ((I32, 1), (I32, 2), (I64, 3), (F64, 4)),
-        ((I64, 4), (F64, 3), (I32, 2), (I32, 1)),
-    ]
-    for shape in wide:
-        params = tuple(
-            ParamSig(name=f"p{i}", ty=ty, concept=c[tag])
-            for i, (ty, tag) in enumerate(shape)
-        )
-        sigs.append(OperationSig("f", params, I32, ConceptId(("data", "k"))))
-    return sigs
-
-
 def test_criterion_2_oracle_equivalence():
     conv, config = load_rules(RULES)
-    sigs = _enumerated_signatures()
+    sigs = genspecs.enumerated_signatures()
     pairs = 0
     disagreements = []
     started = time.monotonic()

@@ -62,6 +62,17 @@ def test_check_malformed_spec_exit_3(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_check_out_of_range_rules_exit_3(capsys, tmp_path):
+    bad = tmp_path / "bad.rules"
+    bad.write_text("i32, -, i64, -, widen, 1, 1\npenalty param_permutation -1/20\n")
+    code, out, err = run(
+        capsys, "check", str(CORPUS / "exact" / "exactpair.pdl"), "--conversions", str(bad)
+    )
+    assert code == 3
+    assert out == ""
+    assert "E_SYNTAX" in err and "line 2" in err
+
+
 def test_check_structured_roundtrips(capsys):
     code, out, _ = run(
         capsys,

@@ -8,6 +8,7 @@ from adapterforge.conversions import (
     ConversionRule,
     ConversionTable,
     DEFAULT_CONFIG,
+    MatchConfig,
     TypePort,
     parse_rules_text,
 )
@@ -77,3 +78,48 @@ def test_rule_invariants_in_constructor():
     table = ConversionTable()
     with pytest.raises(ValueError):
         table.add(TypePort(I32), TypePort(I32), ConversionRule("WIDEN"))
+
+
+@pytest.mark.parametrize(
+    "directive",
+    [
+        "penalty rename -1/20",
+        "penalty param_permutation -1/20",
+        "penalty type_conversion -1",
+        "penalty default_fill -3/20",
+        "penalty concept_distance -1/10",
+        "threshold -1/2",
+        "threshold 3/2",
+    ],
+)
+def test_out_of_range_scoring_constants_rejected(directive):
+    with pytest.raises(ParseError) as err:
+        parse_rules_text("i32, -, i64, -, widen, 1, 1\n# scoring\n" + directive + "\n")
+    assert err.value.code == "E_SYNTAX"
+    assert err.value.line == 3
+
+
+def test_scoring_constant_bounds_accepted():
+    kinds = ("rename", "param_permutation", "type_conversion", "default_fill", "concept_distance")
+    text = "".join(f"penalty {kind} 0\n" for kind in kinds)
+    _, config = parse_rules_text(text + "threshold 0\n")
+    assert config == MatchConfig(*[Fraction(0)] * 6)
+    _, config = parse_rules_text("threshold 1\n")
+    assert config.threshold == 1
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"rename_penalty": Fraction(-1, 20)},
+        {"permutation_penalty": Fraction(-1, 20)},
+        {"conversion_penalty": Fraction(-1, 10)},
+        {"fill_penalty": Fraction(-3, 20)},
+        {"concept_hop_penalty": Fraction(-1, 10)},
+        {"threshold": Fraction(-1, 2)},
+        {"threshold": Fraction(11, 10)},
+    ],
+)
+def test_match_config_range_checked(overrides):
+    with pytest.raises(ValueError):
+        MatchConfig(**overrides)
