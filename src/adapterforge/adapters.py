@@ -54,6 +54,7 @@ E_NOT_ADAPTABLE = "E_NOT_ADAPTABLE"
 E_TEMPLATE = "E_TEMPLATE"
 E_NARROW = "E_NARROW"
 E_PARSE = "E_PARSE"
+E_DESCRIPTOR = "E_DESCRIPTOR"
 
 TAKE = "TAKE"
 CONVERT = "CONVERT"
@@ -290,25 +291,57 @@ def emit_descriptor(adapter: AdapterSpec) -> str:
 
 
 def parse_descriptor(text: str) -> AdapterSpec:
-    doc = canonjson.loads(text)
-    if doc.get("format") != "adapter/1":
-        raise AdapterGenError(E_TEMPLATE, "not an adapter descriptor")
+    """Rebuild an adapter from its descriptor. A document that is not a
+    well-formed `adapter/1` descriptor raises a coded error."""
+    try:
+        doc = canonjson.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise AdapterGenError(E_DESCRIPTOR, f"descriptor is not JSON: {err}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "adapter/1":
+        raise AdapterGenError(E_DESCRIPTOR, "not an adapter descriptor")
     from .speclang import parse_version
 
-    return AdapterSpec(
-        name=doc["name"],
-        version=parse_version(doc["version"]),
-        implements=_iface_from_json(doc["implements"], PROVIDED),
-        delegates_component=doc["delegates"]["component"],
-        delegates_version=parse_version(doc["delegates"]["version"]),
-        delegates_to=_iface_from_json(doc["delegates"]["interface"], REQUIRED),
-        mappings=tuple(_mapping_from_json(m) for m in doc["mappings"]),
-        provenance=Provenance(
-            project=doc["provenance"]["project"],
-            score=canonjson.fraction_from_text(doc["provenance"]["score"]),
-            tool=doc["provenance"]["tool"],
-        ),
-    )
+    delegates = _field(doc, "delegates", dict)
+    provenance = _field(doc, "provenance", dict)
+    try:
+        return AdapterSpec(
+            name=_field(doc, "name", str),
+            version=parse_version(_field(doc, "version", str)),
+            implements=_iface_from_json(_field(doc, "implements", dict), PROVIDED),
+            delegates_component=_field(delegates, "component", str),
+            delegates_version=parse_version(_field(delegates, "version", str)),
+            delegates_to=_iface_from_json(_field(delegates, "interface", dict), REQUIRED),
+            mappings=tuple(_mapping_from_json(m) for m in _objects(doc, "mappings")),
+            provenance=Provenance(
+                project=_field(provenance, "project", str),
+                score=canonjson.fraction_from_text(_field(provenance, "score", str)),
+                tool=_field(provenance, "tool", str),
+            ),
+        )
+    except (ValueError, ArithmeticError) as err:
+        raise AdapterGenError(E_DESCRIPTOR, f"malformed descriptor: {err}") from None
+
+
+def _field(doc: dict, key: str, kind: type | tuple[type, ...], optional: bool = False) -> Any:
+    """`doc[key]`, which must hold the given JSON type (a bool is never
+    a number); a missing or mistyped field is E_DESCRIPTOR."""
+    if key not in doc:
+        if optional:
+            return None
+        raise AdapterGenError(E_DESCRIPTOR, f"descriptor field {key!r} is missing")
+    value = doc[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise AdapterGenError(
+            E_DESCRIPTOR, f"descriptor field {key!r} has type {type(value).__name__}"
+        )
+    return value
+
+
+def _objects(doc: dict, key: str) -> list[dict]:
+    items = _field(doc, key, list)
+    if not all(isinstance(item, dict) for item in items):
+        raise AdapterGenError(E_DESCRIPTOR, f"descriptor field {key!r} holds a non-object")
+    return items
 
 
 def _iface_to_json(iface: InterfaceSpec) -> dict:
@@ -338,34 +371,49 @@ def _iface_to_json(iface: InterfaceSpec) -> dict:
 def _iface_from_json(doc: dict, direction: str) -> InterfaceSpec:
     ops = tuple(
         OperationSig(
-            name=op["name"],
+            name=_field(op, "name", str),
             params=tuple(
                 ParamSig(
-                    name=p["name"],
-                    ty=parse_type(p["type"]),
-                    concept=ConceptId(tuple(p["concept"].split("."))) if "concept" in p else None,
-                    unit=p.get("unit"),
+                    name=_field(p, "name", str),
+                    ty=parse_type(_field(p, "type", str)),
+                    concept=_concept_from_json(_field(p, "concept", str, optional=True)),
+                    unit=_field(p, "unit", str, optional=True),
                     default=_literal_from_json(p["default"]) if "default" in p else None,
                 )
-                for p in op["params"]
+                for p in _objects(op, "params")
             ),
-            returns=parse_type(op["returns"]),
-            concept=ConceptId(tuple(op["concept"].split("."))),
+            returns=parse_type(_field(op, "returns", str)),
+            concept=_concept_from_json(_field(op, "concept", str)),
         )
-        for op in doc["operations"]
+        for op in _objects(doc, "operations")
     )
-    return InterfaceSpec(doc["name"], direction, ops)
+    return InterfaceSpec(_field(doc, "name", str), direction, ops)
+
+
+def _concept_from_json(text: str | None) -> ConceptId | None:
+    return ConceptId(tuple(text.split("."))) if text is not None else None
 
 
 def _literal_to_json(lit: Literal) -> dict:
     return {"kind": lit.kind, "value": lit.value}
 
 
-def _literal_from_json(doc: dict) -> Literal:
-    value = doc["value"]
-    if doc["kind"] == "float":
+_LITERAL_JSON_TYPES: dict[str, type | tuple[type, ...]] = {
+    "int": int,
+    "float": (int, float),
+    "bool": bool,
+    "string": str,
+}
+
+
+def _literal_from_json(doc: Any) -> Literal:
+    if not isinstance(doc, dict):
+        raise AdapterGenError(E_DESCRIPTOR, "a literal must be an object")
+    kind = _field(doc, "kind", str)
+    value = _field(doc, "value", _LITERAL_JSON_TYPES.get(kind, object))
+    if kind == "float":
         value = float(value)
-    return Literal(doc["kind"], value)
+    return Literal(kind, value)
 
 
 def _port_to_json(port: TypePort | None) -> Any:
@@ -374,10 +422,8 @@ def _port_to_json(port: TypePort | None) -> Any:
     return {"type": str(port.ty), **({"unit": port.unit} if port.unit else {})}
 
 
-def _port_from_json(doc: Any) -> TypePort | None:
-    if doc is None:
-        return None
-    return TypePort(parse_type(doc["type"]), doc.get("unit"))
+def _port_from_json(doc: dict) -> TypePort:
+    return TypePort(parse_type(_field(doc, "type", str)), _field(doc, "unit", str, optional=True))
 
 
 def _rule_to_json(rule: ConversionRule | None) -> Any:
@@ -389,11 +435,20 @@ def _rule_to_json(rule: ConversionRule | None) -> Any:
     return out
 
 
-def _rule_from_json(doc: Any) -> ConversionRule | None:
-    if doc is None:
-        return None
-    factor = canonjson.fraction_from_text(doc["factor"]) if "factor" in doc else None
-    return ConversionRule(doc["kind"], factor)
+def _rule_from_json(doc: dict) -> ConversionRule:
+    factor = _field(doc, "factor", str, optional=True)
+    return ConversionRule(
+        _field(doc, "kind", str),
+        canonjson.fraction_from_text(factor) if factor is not None else None,
+    )
+
+
+def _conversion_from_json(doc: dict) -> tuple[ConversionRule, TypePort, TypePort]:
+    return (
+        _rule_from_json(_field(doc, "rule", dict)),
+        _port_from_json(_field(doc, "from", dict)),
+        _port_from_json(_field(doc, "to", dict)),
+    )
 
 
 def _mapping_to_json(mapping: OpMapping) -> dict:
@@ -425,31 +480,32 @@ def _mapping_to_json(mapping: OpMapping) -> dict:
     }
 
 
+def _slot_from_json(doc: dict) -> SlotAction:
+    kind = _field(doc, "kind", str)
+    if kind == TAKE:
+        return SlotAction(TAKE, index=_field(doc, "index", int))
+    if kind == CONVERT:
+        rule, from_port, to_port = _conversion_from_json(doc)
+        index = _field(doc, "index", int)
+        return SlotAction(CONVERT, index=index, rule=rule, from_port=from_port, to_port=to_port)
+    if kind == FILL:
+        return SlotAction(FILL, fill=_literal_from_json(doc.get("fill")))
+    raise AdapterGenError(E_DESCRIPTOR, f"unknown slot kind {kind!r}")
+
+
 def _mapping_from_json(doc: dict) -> OpMapping:
-    slots = []
-    for entry in doc["slots"]:
-        slots.append(
-            SlotAction(
-                kind=entry["kind"],
-                index=entry.get("index"),
-                rule=_rule_from_json(entry.get("rule")),
-                from_port=_port_from_json(entry.get("from")),
-                to_port=_port_from_json(entry.get("to")),
-                fill=_literal_from_json(entry["fill"]) if "fill" in entry else None,
-            )
-        )
-    ret_doc = doc["return"]
-    return_action = PASS
-    if ret_doc["kind"] == "CONVERT":
-        return_action = ReturnAction(
-            rule=_rule_from_json(ret_doc["rule"]),
-            from_port=_port_from_json(ret_doc["from"]),
-            to_port=_port_from_json(ret_doc["to"]),
-        )
+    ret_doc = _field(doc, "return", dict)
+    ret_kind = _field(ret_doc, "kind", str)
+    if ret_kind == "PASS":
+        return_action = PASS
+    elif ret_kind == CONVERT:
+        return_action = ReturnAction(*_conversion_from_json(ret_doc))
+    else:
+        raise AdapterGenError(E_DESCRIPTOR, f"unknown return kind {ret_kind!r}")
     return OpMapping(
-        from_op=doc["from"],
-        to_op=doc["to"],
-        slots=tuple(slots),
+        from_op=_field(doc, "from", str),
+        to_op=_field(doc, "to", str),
+        slots=tuple(_slot_from_json(slot) for slot in _objects(doc, "slots")),
         return_action=return_action,
     )
 

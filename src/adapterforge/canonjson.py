@@ -2,7 +2,8 @@
 
 One fixed encoding (sorted keys, ASCII, 2-space indent, trailing
 newline) so equal values always produce identical bytes; fingerprints
-and golden files depend on that.
+and golden files depend on that. Journal lines use the same keys and
+escaping with no whitespace, one value per line.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ def dumps(obj: Any) -> str:
 
 def dump_bytes(obj: Any) -> bytes:
     return dumps(obj).encode("utf-8")
+
+
+def dump_line(obj: Any) -> bytes:
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+    return (text + "\n").encode("ascii")
 
 
 def loads(text: str | bytes) -> Any:

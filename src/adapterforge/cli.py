@@ -198,10 +198,8 @@ def _cmd_pool(args: argparse.Namespace) -> int:
         demand = Demand(
             concept=_parse_concept(args.concept), shape=None, origin="query"
         )
-        results = pool_query(root, PoolQuery(demand, constraint), conv, config)
-        entries = dict(pool_list(root))
-        for fp, score in results:
-            sys.stdout.write(f"{fp} {float(score):.3f} {entries[fp].name}\n")
+        for c in pool_query(root, PoolQuery(demand, constraint), conv, config):
+            sys.stdout.write(f"{c.fingerprint} {float(c.score):.3f} {c.entry.name}\n")
         return EXIT_OK
     if args.pool_command == "list":
         for fp, entry in pool_list(root):

@@ -29,7 +29,7 @@ from .analyser import (
 )
 from .aslt import build_aslt, resolve_components
 from .conversions import DEFAULT_CONFIG, ConversionTable, MatchConfig
-from .pool import PoolQuery, init_pool, pool_add, pool_get, pool_query
+from .pool import PoolQuery, init_pool, pool_add, pool_query
 from .speclang import (
     PROVIDED,
     REQUIRED,
@@ -376,12 +376,12 @@ def _consult_pool(
     trace.add("query", f"{demand.concept} for {verdict.connection.label()}")
     ranked = pool_query(pool_root, PoolQuery(demand), conv, config)
     trace.add("return", f"{len(ranked)} candidate(s)")
-    for fp, score in ranked:
-        if score < config.threshold:
+    for candidate in ranked:
+        if candidate.score < config.threshold:
             break
-        candidate = pool_get(pool_root, fp)
-        if _healing_hit(candidate, consumer_iface, provider_iface):
-            return fp, candidate
+        value = candidate.load()
+        if _healing_hit(value, consumer_iface, provider_iface):
+            return candidate.fingerprint, value
     return None
 
 
@@ -391,11 +391,9 @@ def _query_demand(
     trace.add("query", f"{demand.concept} (project demand)")
     ranked = pool_query(pool_root, PoolQuery(demand), conv, config)
     trace.add("return", f"{len(ranked)} candidate(s)")
-    for fp, score in ranked:
-        if score < config.threshold:
-            break
-        return fp, pool_get(pool_root, fp)
-    return None
+    if not ranked or ranked[0].score < config.threshold:
+        return None
+    return ranked[0].fingerprint, ranked[0].load()
 
 
 def _connection_demands(

@@ -2,17 +2,27 @@
 
 Artifacts live under `components/` and `adapters/`, named by the
 SHA-256 of their canonical bytes, so equal canonical content always
-lands on the same path and identity is the hash. A single canonical
-JSON index document is rewritten whole under an advisory lockfile on
-every mutation; files are immutable once named, readers never lock,
-and loads re-hash the bytes so tampering cannot go unnoticed.
+lands on the same path and identity is the hash. The `index` is an
+append-only journal (`pool/2`): a header line, then one compact
+canonical JSON line per entry. A writer takes an advisory lockfile,
+renames the artifact into place and appends one line, so an add costs
+the same at any pool size. Readers never lock and fold the journal
+once per operation, ignoring an unterminated last line; a killed
+writer leaves at most that torn line (cut by the next writer) or an
+artifact with no line (reported by `pool_verify`). Files are immutable
+once named, and every artifact read re-hashes its bytes so tampering
+cannot go unnoticed. A `pool/1` index (one JSON document) stays
+readable and is rewritten as a journal by the first add.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
+import re
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -50,6 +60,14 @@ _LOCK_POLL = 0.01
 KIND_COMPONENT = "component"
 KIND_ADAPTER = "adapter"
 
+INDEX_HEADER = canonjson.dump_line({"format": "pool/2"})
+_ARTIFACT_DIRS = {KIND_COMPONENT: ("components", ".cdl"), KIND_ADAPTER: ("adapters", ".adapter")}
+_ENTRY_KEYS = frozenset({"kind", "name", "version", "provided_concepts", "path", "stored_at"})
+_LINE_KEYS = _ENTRY_KEYS | {"fingerprint"}
+_HEX_DIGITS = "0123456789abcdef"
+_VERSION_RE = re.compile(r"(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\Z")  # as parse_version
+_temp_counter = itertools.count()
+
 
 class PoolError(AdapterForgeError):
     pass
@@ -76,62 +94,172 @@ class PoolQuery:
 
 
 def init_pool(root: str | Path) -> Path:
-    """Create the pool layout if absent; idempotent."""
+    """Create the pool layout if absent; idempotent and safe to race."""
     root = Path(root)
     try:
         (root / "components").mkdir(parents=True, exist_ok=True)
         (root / "adapters").mkdir(parents=True, exist_ok=True)
         index = root / "index"
         if not index.exists():
-            _write_atomic(index, canonjson.dump_bytes({"entries": {}, "format": "pool/1"}))
+            tmp = _temp_path(index)
+            tmp.write_bytes(INDEX_HEADER)
+            try:
+                # A link, unlike a rename, never replaces an index that
+                # another process created (and appended to) meanwhile.
+                os.link(tmp, index)
+            except FileExistsError:
+                pass
+            finally:
+                tmp.unlink()
     except OSError as err:
         raise PoolError(E_IO, f"cannot initialize pool at {root}: {err}") from None
     return root
 
 
-def _load_index(root: Path) -> dict[str, IndexEntry]:
+def _artifact_path(kind: str, fp: str) -> str:
+    directory, suffix = _ARTIFACT_DIRS[kind]
+    return f"{directory}/{fp}{suffix}"
+
+
+def _entry_json(fp: str, entry: IndexEntry) -> dict:
+    return {
+        "fingerprint": fp,
+        "kind": entry.kind,
+        "name": entry.name,
+        "version": entry.version,
+        "provided_concepts": list(entry.provided_concepts),
+        "path": entry.path,
+        "stored_at": entry.stored_at,
+    }
+
+
+def _entry_from_json(fp: object, doc: object, keys: frozenset[str], where: str) -> IndexEntry:
+    """Check one decoded entry; any defect is E_CORRUPT."""
+    if not (
+        type(fp) is str
+        and len(fp) == 64
+        and not fp.strip(_HEX_DIGITS)
+        and type(doc) is dict
+        and doc.keys() == keys
+    ):
+        raise PoolError(E_CORRUPT, f"{where}: malformed pool index entry")
+    kind, name, version = doc["kind"], doc["name"], doc["version"]
+    path, stored_at, concepts = doc["path"], doc["stored_at"], doc["provided_concepts"]
+    if not (
+        type(kind) is str
+        and kind in _ARTIFACT_DIRS
+        and path == _artifact_path(kind, fp)
+        and type(name) is str
+        and type(version) is str
+        and _VERSION_RE.match(version)
+        and type(stored_at) is str
+        and type(concepts) is list
+        and all(type(c) is str for c in concepts)
+        and "" not in concepts
+    ):
+        raise PoolError(E_CORRUPT, f"{where}: malformed pool index entry {fp}")
+    return IndexEntry(kind, name, version, tuple(concepts), path, stored_at)
+
+
+def _read_index(root: Path) -> bytes:
     index_path = root / "index"
     try:
-        doc = canonjson.loads(index_path.read_bytes())
+        return index_path.read_bytes()
     except FileNotFoundError:
         raise PoolError(E_IO, f"{index_path} does not exist (pool not initialized?)") from None
-    except (OSError, json.JSONDecodeError) as err:
+    except OSError as err:
         raise PoolError(E_IO, f"cannot read pool index: {err}") from None
-    entries: dict[str, IndexEntry] = {}
-    for fp, entry in doc.get("entries", {}).items():
-        entries[fp] = IndexEntry(
-            kind=entry["kind"],
-            name=entry["name"],
-            version=entry["version"],
-            provided_concepts=tuple(entry["provided_concepts"]),
-            path=entry["path"],
-            stored_at=entry["stored_at"],
-        )
-    return entries
 
 
-def _store_index(root: Path, entries: dict[str, IndexEntry]) -> None:
-    doc = {
-        "format": "pool/1",
-        "entries": {
-            fp: {
-                "kind": e.kind,
-                "name": e.name,
-                "version": e.version,
-                "provided_concepts": list(e.provided_concepts),
-                "path": e.path,
-                "stored_at": e.stored_at,
-            }
-            for fp, e in entries.items()
-        },
+def _fold(data: bytes) -> tuple[dict[str, IndexEntry], int | None]:
+    """Fold index bytes into fingerprint -> entry.
+
+    Also returns where the journal's complete lines end, or None for a
+    `pool/1` document. An unterminated last line is a torn append and
+    is not part of the index.
+    """
+    if data.startswith(INDEX_HEADER):
+        end = data.rfind(b"\n") + 1
+        body = data[len(INDEX_HEADER) : end]
+        try:
+            docs = json.loads(b"[" + body[:-1].replace(b"\n", b",") + b"]")
+        except (ValueError, RecursionError) as err:
+            raise PoolError(E_CORRUPT, f"malformed pool index line: {err}") from None
+        if len(docs) != body.count(b"\n"):
+            raise PoolError(E_CORRUPT, "malformed pool index line: more than one value")
+        entries: dict[str, IndexEntry] = {}
+        for line, doc in enumerate(docs, 2):
+            fp = doc.get("fingerprint") if isinstance(doc, dict) else None
+            entry = _entry_from_json(fp, doc, _LINE_KEYS, f"index line {line}")
+            entries.setdefault(doc["fingerprint"], entry)
+        return entries, end
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError) as err:
+        raise PoolError(E_CORRUPT, f"unreadable pool index: {err}") from None
+    if not (
+        isinstance(doc, dict)
+        and doc.get("format") == "pool/1"
+        and isinstance(doc.get("entries"), dict)
+    ):
+        raise PoolError(E_CORRUPT, "pool index is neither pool/2 nor pool/1")
+    entries = {
+        fp: _entry_from_json(fp, entry, _ENTRY_KEYS, f"index entry {fp}")
+        for fp, entry in doc["entries"].items()
     }
-    _write_atomic(root / "index", canonjson.dump_bytes(doc))
+    return entries, None
+
+
+def _load_index(root: Path) -> dict[str, IndexEntry]:
+    return _fold(_read_index(root))[0]
+
+
+def _temp_path(path: Path) -> Path:
+    """A name no other writer uses, Maildir style: pid, thread, counter."""
+    unique = f"{os.getpid()}-{threading.get_ident()}-{next(_temp_counter)}"
+    return path.parent / f".tmp-{unique}-{path.name}"
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
-    tmp = path.parent / f".tmp-{os.getpid()}-{path.name}"
+    tmp = _temp_path(path)
     tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def _break_stale_lock(lock_path: Path) -> bool:
+    """Remove a lock whose holder is a process that no longer exists on
+    this host; True when the lock is gone."""
+    try:
+        with open(lock_path, "rb") as f:
+            body = f.read(32)
+            inode = os.fstat(f.fileno()).st_ino
+    except FileNotFoundError:
+        return True
+    except OSError:
+        return False
+    if not body.isdigit():
+        return False  # not a pid (or not written yet): wait for the timeout
+    try:
+        os.kill(int(body), 0)
+        return False
+    except ProcessLookupError:
+        pass
+    except (OSError, OverflowError):
+        return False
+    stale = _temp_path(lock_path)
+    try:
+        os.rename(lock_path, stale)
+    except OSError:
+        return False
+    try:
+        if os.stat(stale).st_ino != inode:
+            # A live writer took the lock after it was read: hand it back.
+            os.link(stale, lock_path)
+    except OSError:
+        pass
+    finally:
+        os.unlink(stale)
+    return True
 
 
 @contextmanager
@@ -143,6 +271,8 @@ def _index_lock(root: Path, timeout: float) -> Iterator[None]:
             fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             break
         except FileExistsError:
+            if _break_stale_lock(lock_path):
+                continue
             if time.monotonic() >= deadline:
                 raise PoolError(
                     E_LOCK, f"could not acquire {lock_path} within {timeout:.1f}s"
@@ -167,7 +297,7 @@ def _canonicalize(document: str) -> tuple[str, bytes, ComponentSpec | AdapterSpe
     if stripped.startswith("{"):
         try:
             adapter = parse_descriptor(document)
-        except (KeyError, ValueError, json.JSONDecodeError, AdapterForgeError) as err:
+        except AdapterForgeError as err:
             raise PoolError(E_INVALID_SPEC, f"not a valid adapter descriptor: {err}") from None
         component_form = adapter.to_component_spec()
         if validate(component_form):
@@ -193,40 +323,50 @@ def _entry_for(kind: str, fp: str, value: ComponentSpec | AdapterSpec) -> IndexE
         name=component.name,
         version=format_version(component.version),
         provided_concepts=tuple(str(c) for c in component.provided_concepts()),
-        path=f"{'adapters' if kind == KIND_ADAPTER else 'components'}/{fp}"
-        + (".adapter" if kind == KIND_ADAPTER else ".cdl"),
+        path=_artifact_path(kind, fp),
         stored_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
 
 
 def pool_add(root: str | Path, document: str, timeout: float = LOCK_TIMEOUT) -> str:
     """Store one document; returns its fingerprint. Re-adding existing
-    content is a no-op."""
+    content is a no-op that writes nothing."""
     root = Path(root)
     kind, data, value = _canonicalize(document)
     fp = fingerprint_of(data)
     entry = _entry_for(kind, fp, value)
+    index = root / "index"
     with _index_lock(root, timeout):
-        entries = _load_index(root)
+        journal = _read_index(root)
+        entries, end = _fold(journal)
         if fp in entries:
             return fp
-        target = root / entry.path
         try:
-            _write_atomic(target, data)
+            _write_atomic(root / entry.path, data)
+            if end is None:
+                entries[fp] = entry
+                lines = (canonjson.dump_line(_entry_json(f, e)) for f, e in sorted(entries.items()))
+                _write_atomic(index, INDEX_HEADER + b"".join(lines))
+            else:
+                with open(index, "ab") as f:
+                    if end < len(journal):
+                        f.truncate(end)  # a torn line from a killed writer
+                    f.write(canonjson.dump_line(_entry_json(fp, entry)))
         except OSError as err:
-            raise PoolError(E_IO, f"cannot write {target}: {err}") from None
-        entries[fp] = entry
-        _store_index(root, entries)
+            raise PoolError(E_IO, f"cannot write to pool {root}: {err}") from None
     return fp
 
 
 def pool_get(root: str | Path, fp: str) -> ComponentSpec | AdapterSpec:
     """Load and re-verify one stored artifact."""
     root = Path(root)
-    entries = _load_index(root)
-    entry = entries.get(fp)
+    entry = _load_index(root).get(fp)
     if entry is None:
         raise PoolError(E_NO_ENTRY, f"no pool entry {fp}")
+    return _read_artifact(root, fp, entry)
+
+
+def _read_artifact(root: Path, fp: str, entry: IndexEntry) -> ComponentSpec | AdapterSpec:
     path = root / entry.path
     try:
         data = path.read_bytes()
@@ -248,24 +388,61 @@ def pool_list(root: str | Path) -> list[tuple[str, IndexEntry]]:
     return sorted(entries.items())
 
 
+class Candidate(tuple):
+    """One `pool_query` result: a `(fingerprint, score)` pair that also
+    carries the index entry it was priced from and, once read, the
+    verified artifact, so callers need no second index read."""
+
+    entry: IndexEntry
+
+    def __new__(
+        cls,
+        root: Path,
+        fp: str,
+        score: Fraction,
+        entry: IndexEntry,
+        value: ComponentSpec | AdapterSpec | None = None,
+    ) -> Candidate:
+        self = super().__new__(cls, (fp, score))
+        self._root, self.entry, self._value = root, entry, value
+        return self
+
+    @property
+    def fingerprint(self) -> str:
+        return self[0]
+
+    @property
+    def score(self) -> Fraction:
+        return self[1]
+
+    def load(self) -> ComponentSpec | AdapterSpec:
+        """The artifact, re-hashed when read: a shaped query read every
+        candidate while pricing it, a bare one reads it here."""
+        if self._value is None:
+            self._value = _read_artifact(self._root, self.fingerprint, self.entry)
+        return self._value
+
+
 def pool_query(
     root: str | Path,
     query: PoolQuery,
     conv: ConversionTable | None = None,
     config: MatchConfig = DEFAULT_CONFIG,
-) -> list[tuple[str, Fraction]]:
+) -> list[Candidate]:
     """Fingerprints able to serve the demand, best first.
 
     Candidates provide a concept equal to or related by ancestry to the
-    demanded one. With a shaped demand each candidate is priced by its
-    best provided operation through the regular matcher; a bare concept
-    demand is priced by concept distance alone. An empty result is the
-    miss answer: nothing stored can serve the demand.
+    demanded one. With a shaped demand each candidate is read from the
+    one index fold and priced by its best provided operation through
+    the regular matcher; a bare concept demand is priced by concept
+    distance alone. An empty result is the miss answer: nothing stored
+    can serve the demand. Each result is a `(fingerprint, score)` pair.
     """
     root = Path(root)
     conv = conv if conv is not None else ConversionTable()
     demand = query.demand
-    results: list[tuple[str, Fraction]] = []
+    wanted = shape_as_operation(demand.concept, demand.shape) if demand.shape is not None else None
+    results: list[Candidate] = []
     for fp, entry in sorted(_load_index(root).items()):
         if query.constraint is not None and not query.constraint.satisfies(
             parse_version(entry.version)
@@ -278,14 +455,13 @@ def pool_query(
         ]
         if not related_hops:
             continue
-        if demand.shape is None:
+        if wanted is None:
             score = 1 - config.concept_hop_penalty * min(related_hops)
             if score >= config.threshold:
-                results.append((fp, score))
+                results.append(Candidate(root, fp, score, entry))
             continue
-        value = pool_get(root, fp)
+        value = _read_artifact(root, fp, entry)
         component = value.to_component_spec() if isinstance(value, AdapterSpec) else value
-        wanted = shape_as_operation(demand.concept, demand.shape)
         best: Fraction | None = None
         for iface in component.provided:
             for op in iface.operations:
@@ -293,8 +469,8 @@ def pool_query(
                 if match is not None and (best is None or match.score > best):
                     best = match.score
         if best is not None:
-            results.append((fp, best))
-    results.sort(key=lambda pair: (-pair[1], pair[0]))
+            results.append(Candidate(root, fp, best, entry, value))
+    results.sort(key=lambda c: (-c.score, c.fingerprint))
     return results
 
 
@@ -304,17 +480,19 @@ def _concept(text: str) -> ConceptId:
 
 @dataclass(frozen=True)
 class Finding:
-    kind: str  # hash_mismatch | dangling
+    kind: str  # hash_mismatch | dangling | orphan
     fingerprint: str
     path: str
     detail: str
 
 
 def pool_verify(root: str | Path) -> list[Finding]:
-    """Re-hash every stored artifact; empty result means healthy."""
+    """Re-hash every stored artifact and look for artifacts the index
+    does not name; empty result means healthy."""
     root = Path(root)
     findings: list[Finding] = []
-    for fp, entry in sorted(_load_index(root).items()):
+    entries = _load_index(root)
+    for fp, entry in sorted(entries.items()):
         path = root / entry.path
         try:
             data = path.read_bytes()
@@ -330,4 +508,16 @@ def pool_verify(root: str | Path) -> list[Finding]:
             findings.append(
                 Finding("hash_mismatch", fp, entry.path, f"content re-hashes to {actual}")
             )
+    indexed = {entry.path for entry in entries.values()}
+    for directory, _ in sorted(_ARTIFACT_DIRS.values()):
+        try:
+            names = sorted(os.listdir(root / directory))
+        except OSError as err:
+            raise PoolError(E_IO, f"cannot list {root / directory}: {err}") from None
+        for name in names:
+            path = f"{directory}/{name}"
+            if not name.startswith(".tmp-") and path not in indexed:
+                findings.append(
+                    Finding("orphan", name.partition(".")[0], path, "artifact has no index entry")
+                )
     return findings

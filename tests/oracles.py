@@ -7,7 +7,9 @@ alignment oracle enumerates every injective placement inside each
 concept group and keeps the least `(-score, len(mismatches),
 slot_key)`; it shares only the classification of one fixed placement
 with the package, never the search. The composition oracle rebuilds
-provider calls directly from mismatch payloads.
+provider calls directly from mismatch payloads. The pool-query oracle
+prices every related candidate through the public `pool_list` and
+`pool_get`, one index read per candidate.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ import itertools
 from fractions import Fraction
 from typing import Any
 
-from adapterforge.analyser import Mismatch, OperationMatch, _classify_assignment
+from adapterforge.adapters import AdapterSpec
+from adapterforge.analyser import (
+    Mismatch,
+    OperationMatch,
+    _classify_assignment,
+    match_operation,
+    shape_as_operation,
+)
 from adapterforge.conversions import (
     CONCEPT_DISTANCE,
     RENAME,
@@ -24,7 +33,8 @@ from adapterforge.conversions import (
     MatchConfig,
     TypePort,
 )
-from adapterforge.speclang import OperationSig, format_float
+from adapterforge.pool import PoolQuery, pool_get, pool_list
+from adapterforge.speclang import ConceptId, OperationSig, format_float, parse_version
 
 
 def oracle_best_score(
@@ -259,3 +269,42 @@ def fold_conservation_holds(tree, pattern) -> bool:
 
     roots = top_hidden(tree.root, False)
     return visible + sum(subtree_size(tree, r) for r in roots) == len(tree)
+
+
+def oracle_pool_query(
+    root, query: PoolQuery, conv: ConversionTable, config: MatchConfig
+) -> list[tuple[str, Fraction]]:
+    """`pool_query` as a scan: list the index, then read each related
+    candidate through `pool_get` and price it by its best provided op
+    (shaped demand) or by concept distance (bare demand)."""
+    demand = query.demand
+    results: list[tuple[str, Fraction]] = []
+    for fp, entry in pool_list(root):
+        if query.constraint is not None and not query.constraint.satisfies(
+            parse_version(entry.version)
+        ):
+            continue
+        hops = [
+            h
+            for text in entry.provided_concepts
+            if (h := demand.concept.hops_to(ConceptId.from_text(text))) is not None
+        ]
+        if not hops:
+            continue
+        if demand.shape is None:
+            score = 1 - config.concept_hop_penalty * min(hops)
+            if score >= config.threshold:
+                results.append((fp, score))
+            continue
+        value = pool_get(root, fp)
+        component = value.to_component_spec() if isinstance(value, AdapterSpec) else value
+        wanted = shape_as_operation(demand.concept, demand.shape)
+        scores = [
+            m.score
+            for iface in component.provided
+            for op in iface.operations
+            if (m := match_operation(wanted, op, conv, config)) is not None
+        ]
+        if scores:
+            results.append((fp, max(scores)))
+    return sorted(results, key=lambda pair: (-pair[1], pair[0]))

@@ -5,12 +5,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adapterforge import canonjson
 from adapterforge.adapters import (
     CONVERT,
     FILL,
     TAKE,
     AdapterGenError,
+    AdapterSpec,
     InterpretError,
     OpMapping,
     ReturnAction,
@@ -34,6 +38,8 @@ from adapterforge.speclang import (
     serialize,
     validate,
 )
+from adapterforge.pool import init_pool, pool_add
+from adapterforge.speclang.errors import AdapterForgeError
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
@@ -267,3 +273,85 @@ def test_interpret_parse_failure():
     with pytest.raises(InterpretError) as err:
         interpret_mapping(bad, ["not a number"], lambda x: x)
     assert err.value.code == "E_PARSE"
+
+
+# --- malformed descriptors ---------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every path to a subtree of a decoded JSON document."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, prefix + (i,))
+
+
+_GOLDEN_DOC = canonjson.loads((GOLDEN / "figure3.adapter").read_text())
+_GOLDEN_PATHS = list(_paths(_GOLDEN_DOC))[1:]
+
+
+@st.composite
+def descriptor_documents(draw):
+    """Arbitrary JSON, or the figure3 golden descriptor with one subtree
+    replaced by arbitrary JSON or deleted."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    doc = canonjson.loads(canonjson.dumps(_GOLDEN_DOC))
+    *parents, last = draw(st.sampled_from(_GOLDEN_PATHS))
+    target = doc
+    for key in parents:
+        target = target[key]
+    if draw(st.booleans()):
+        target[last] = draw(json_values)
+    else:
+        del target[last]
+    return doc
+
+
+@given(doc=descriptor_documents())
+@settings(max_examples=400, deadline=None)
+def test_error_totality_on_arbitrary_descriptors(tmp_path_factory, doc):
+    text = canonjson.dumps(doc)
+    try:
+        assert isinstance(parse_descriptor(text), AdapterSpec)
+    except AdapterForgeError:
+        pass
+    pool = init_pool(tmp_path_factory.mktemp("pool"))
+    try:
+        assert len(pool_add(pool, text)) == 64
+    except AdapterForgeError:
+        pass
+
+
+MALFORMED_DESCRIPTORS = {
+    "implements not an object": lambda d: d.update(implements=5),
+    "not an adapter": lambda d: d.update(format="adapter/2"),
+    "take without index": lambda d: d["mappings"][0]["slots"][0].pop("index"),
+    "index not an integer": lambda d: d["mappings"][0]["slots"][0].update(index=True),
+    "huge float fill": lambda d: d["mappings"][0]["slots"][1].update(
+        fill={"kind": "float", "value": 10**400}
+    ),
+    "unknown slot kind": lambda d: d["mappings"][0]["slots"][0].update(kind="SKIP"),
+    "unknown return kind": lambda d: d["mappings"][0]["return"].update(kind="DROP"),
+    "score divides by zero": lambda d: d["provenance"].update(score="1/0"),
+    "bad version": lambda d: d.update(version="1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DESCRIPTORS))
+def test_malformed_descriptor_is_coded(case: str):
+    doc = canonjson.loads((GOLDEN / "figure3.adapter").read_text())
+    MALFORMED_DESCRIPTORS[case](doc)
+    with pytest.raises(AdapterGenError) as err:
+        parse_descriptor(canonjson.dumps(doc))
+    assert err.value.code == "E_DESCRIPTOR"

@@ -382,3 +382,44 @@ def test_pool_add_accepts_adapter_descriptors(capsys, tmp_path):
     code, out, _ = run(capsys, "pool", "list", "--pool", str(other_pool))
     assert code == 0
     assert out.startswith(fp) and " adapter adapt_" in out
+
+
+def test_pool_subcommands_on_malformed_index_exit_3(capsys, tmp_path):
+    from adapterforge.pool import init_pool
+
+    pool = init_pool(tmp_path / "pool")
+    (pool / "index").write_text('{"entries": {"abc": {"kind": "component"}}, "format": "pool/1"}')
+    spec = CORPUS / "figure3" / "sortkit.cdl"
+    for argv in (
+        ["list"],
+        ["query", "data.sorting.sort"],
+        ["verify"],
+        ["add", str(spec)],
+    ):
+        code, out, err = run(capsys, "pool", *argv, "--pool", str(pool))
+        assert code == 3, argv
+        assert out == ""
+        assert err.startswith("error: E_CORRUPT: ") and err.count("\n") == 1
+
+
+def test_pool_add_malformed_descriptor_exit_3(capsys, tmp_path):
+    doc = canonjson.loads((Path(__file__).parent / "golden" / "figure3.adapter").read_text())
+    doc["implements"] = 5
+    bad = tmp_path / "bad.adapter"
+    bad.write_text(canonjson.dumps(doc))
+    code, out, err = run(capsys, "pool", "add", str(bad), "--pool", str(tmp_path / "pool"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: E_INVALID_SPEC: ") and err.count("\n") == 1
+
+
+def test_pool_verify_reports_orphan_exit_1(capsys, tmp_path):
+    from adapterforge.pool import init_pool
+
+    pool = init_pool(tmp_path / "pool")
+    orphan = pool / "components" / f"{'c' * 64}.cdl"
+    shutil.copy(CORPUS / "figure3" / "sortkit.cdl", orphan)
+    (pool / "components" / ".tmp-1-2-3-partial").write_bytes(b"half")
+    code, out, _ = run(capsys, "pool", "verify", "--pool", str(pool))
+    assert code == 1
+    assert out == f"orphan {'c' * 64} components/{'c' * 64}.cdl: artifact has no index entry\n"
