@@ -10,6 +10,7 @@ touch the filesystem.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -57,6 +58,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="adapterforge", description=__doc__)
     parser.add_argument("--version", action="version", version=f"adapterforge {__version__}")
@@ -278,6 +280,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except OSError as err:
         sys.stderr.write(f"error: E_IO: {err}\n")
+        return EXIT_ERROR
+    except Exception as err:  # a bug must not exit with a code CI reads as success
+        message = " ".join(str(err).split())
+        sys.stderr.write(f"error: E_INTERNAL: {type(err).__name__}: {message}\n")
         return EXIT_ERROR
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .speclang import SemType
 from .speclang.errors import E_SYNTAX, ParseError
-from .speclang.parser import parse_type
+from .speclang.parser import parse_type, read_spec_text
 
 WIDEN = "WIDEN"
 NARROW_CHECKED = "NARROW_CHECKED"
@@ -198,4 +198,4 @@ def _fraction(text: str) -> Fraction:
 
 
 def load_rules(path: str | Path) -> tuple[ConversionTable, MatchConfig]:
-    return parse_rules_text(Path(path).read_text(encoding="utf-8"))
+    return parse_rules_text(read_spec_text(path))

@@ -1,12 +1,16 @@
 """Tokenizer for the spec language.
 
-Whitespace-insensitive; `//` comments run to end of line. Every token
-carries its 1-based line and column for error reporting.
+One compiled pattern scans the source in one pass: each match is a run
+of whitespace and `//` comments, a token, or an error. Lexical classes
+are ASCII (docs/spec-language.md); a non-ASCII character outside a
+string literal or comment is an unexpected character. Every token
+carries its 1-based line and column for error reporting, taken from
+the offset of the last newline skipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import E_SYNTAX, ParseError
 
@@ -18,17 +22,44 @@ FLOAT = "FLOAT"
 PUNCT = "PUNCT"  # one of { } ( ) < > , : = . @ * -> >=
 EOF = "EOF"
 
-_PUNCT_SINGLE = "{}()<>,:=.@*"
-
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+# Alternatives are tried in order, so each error alternative sits
+# before the token it would otherwise be cut short into.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<SKIP>(?:[ \t\r\n]|//[^\n]*)+)
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<PUNCT>->|>=|[{}()<>,:=.@*])
+    | (?P<STRING>"(?:[^"\\\n]|\\[\\"ntr])*")
+    | (?P<BAD_NUMBER>-?[0-9]+\.(?![0-9]))
+    | (?P<BAD_EXPONENT>-?[0-9]+(?:\.[0-9]+)?[eE](?![+-]?[0-9]))
+    | (?P<FLOAT>-?[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
+    | (?P<INT>-?[0-9]+)
+    | (?P<STRAY_MINUS>-)
+    | (?P<BAD_STRING>")
+    | (?P<BAD_CHAR>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_PLAIN = frozenset({IDENT, PUNCT, INT, FLOAT})
+_ERRORS = {
+    "BAD_NUMBER": "malformed number",
+    "BAD_EXPONENT": "malformed exponent",
+    "STRAY_MINUS": "stray '-'",
+}
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
     def is_punct(self, text: str) -> bool:
         return self.kind == PUNCT and self.text == text
@@ -42,131 +73,41 @@ def tokenize(text: str) -> list[Token]:
     if text.startswith("﻿"):
         text = text[1:]
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP":
+            newlines = text.count("\n", m.start(), m.end())
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", m.start(), m.end()) + 1
             continue
-        if ch == "/" and text[i : i + 2] == "//":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            tokens.append(_lex_string(text, i, start_line, start_col))
-            advance(len(_raw_span(text, i)))
-            continue
-        if ch == "-":
-            if text[i : i + 2] == "->":
-                tokens.append(Token(PUNCT, "->", start_line, start_col))
-                advance(2)
-                continue
-            if i + 1 < n and text[i + 1].isdigit():
-                tok, width = _lex_number(text, i, start_line, start_col)
-                tokens.append(tok)
-                advance(width)
-                continue
-            raise ParseError(E_SYNTAX, "stray '-'", start_line, start_col)
-        if ch == ">" and text[i : i + 2] == ">=":
-            tokens.append(Token(PUNCT, ">=", start_line, start_col))
-            advance(2)
-            continue
-        if ch in _PUNCT_SINGLE:
-            tokens.append(Token(PUNCT, ch, start_line, start_col))
-            advance(1)
-            continue
-        if ch.isdigit():
-            tok, width = _lex_number(text, i, start_line, start_col)
-            tokens.append(tok)
-            advance(width)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token(IDENT, text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        raise ParseError(E_SYNTAX, f"unexpected character {ch!r}", start_line, start_col)
-
-    tokens.append(Token(EOF, "", line, col))
+        col = m.start() - line_start + 1
+        if kind in _PLAIN:
+            append(Token(kind, m.group(), line, col))
+        elif kind == STRING:
+            body = m.group()[1:-1]
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(lambda e: _UNESCAPES[e.group(1)], body)
+            append(Token(STRING, body, line, col))
+        elif kind == "BAD_STRING":
+            raise _string_error(text, m.start(), line, col)
+        else:
+            message = _ERRORS.get(kind) or f"unexpected character {m.group()!r}"
+            raise ParseError(E_SYNTAX, message, line, col)
+    append(Token(EOF, "", line, len(text) - line_start + 1))
     return tokens
 
 
-def _raw_span(text: str, start: int) -> str:
-    """The raw source slice of the string literal starting at `start`."""
+def _string_error(text: str, start: int, line: int, col: int) -> ParseError:
+    """The error for a `"` at `start` that opens no well-formed string."""
     i = start + 1
-    n = len(text)
-    while i < n:
+    while i < len(text) and text[i] != "\n":
         if text[i] == "\\":
+            if text[i + 1 : i + 2] not in _UNESCAPES:
+                return ParseError(E_SYNTAX, "bad string escape", line, col)
             i += 2
-            continue
-        if text[i] == '"':
-            return text[start : i + 1]
-        if text[i] == "\n":
-            break
-        i += 1
-    return text[start:]
-
-
-def _lex_string(text: str, start: int, line: int, col: int) -> Token:
-    out: list[str] = []
-    i = start + 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            return Token(STRING, "".join(out), line, col)
-        if ch == "\n":
-            break
-        if ch == "\\":
-            if i + 1 >= n or text[i + 1] not in _UNESCAPES:
-                raise ParseError(E_SYNTAX, "bad string escape", line, col)
-            out.append(_UNESCAPES[text[i + 1]])
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    raise ParseError(E_SYNTAX, "unterminated string", line, col)
-
-
-def _lex_number(text: str, start: int, line: int, col: int) -> tuple[Token, int]:
-    n = len(text)
-    i = start
-    if text[i] == "-":
-        i += 1
-    while i < n and text[i].isdigit():
-        i += 1
-    is_float = False
-    if i < n and text[i] == ".":
-        if i + 1 >= n or not text[i + 1].isdigit():
-            raise ParseError(E_SYNTAX, "malformed number", line, col)
-        is_float = True
-        i += 1
-        while i < n and text[i].isdigit():
+        else:
             i += 1
-    if i < n and text[i] in "eE":
-        j = i + 1
-        if j < n and text[j] in "+-":
-            j += 1
-        if j >= n or not text[j].isdigit():
-            raise ParseError(E_SYNTAX, "malformed exponent", line, col)
-        is_float = True
-        i = j
-        while i < n and text[i].isdigit():
-            i += 1
-    span = text[start:i]
-    return Token(FLOAT if is_float else INT, span, line, col), i - start
+    return ParseError(E_SYNTAX, "unterminated string", line, col)

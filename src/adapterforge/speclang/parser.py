@@ -53,10 +53,12 @@ class _TokenStream:
         self._pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        if ahead:
+            return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        return self._tokens[self._pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         if tok.kind != EOF:
             self._pos += 1
         return tok
@@ -87,7 +89,7 @@ def _syntax(message: str, tok: Token) -> ParseError:
 
 
 def read_spec_text(path: str | Path) -> str:
-    """Read a spec file, rejecting anything that is not UTF-8."""
+    """Read a spec or rules file, rejecting anything that is not UTF-8."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")

@@ -9,7 +9,9 @@ slot_key)`; it shares only the classification of one fixed placement
 with the package, never the search. The composition oracle rebuilds
 provider calls directly from mismatch payloads. The pool-query oracle
 prices every related candidate through the public `pool_list` and
-`pool_get`, one index read per candidate.
+`pool_get`, one index read per candidate. The tokenizer oracle walks the
+source one character at a time, tracking line and column per character,
+with ASCII character classes.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ from adapterforge.conversions import (
     TypePort,
 )
 from adapterforge.pool import PoolQuery, pool_get, pool_list
-from adapterforge.speclang import ConceptId, OperationSig, format_float, parse_version
+from adapterforge.speclang import (
+    E_SYNTAX,
+    ConceptId,
+    OperationSig,
+    ParseError,
+    format_float,
+    parse_version,
+)
 
 
 def oracle_best_score(
@@ -308,3 +317,143 @@ def oracle_pool_query(
         if scores:
             results.append((fp, max(scores)))
     return sorted(results, key=lambda pair: (-pair[1], pair[0]))
+
+
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_IDENT_CHARS = _LETTERS | _DIGITS | {"_"}
+_PUNCT_SINGLE = "{}()<>,:=.@*"
+_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+
+
+def oracle_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """`(kind, text, line, col)` for every token, EOF last, or ParseError."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    tokens: list[tuple[str, str, int, int]] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if ch == "/" and text[i : i + 2] == "//":
+            while i < n and text[i] != "\n":
+                advance(1)
+            continue
+        start_line, start_col = line, col
+        if ch == '"':
+            tokens.append(("STRING", _oracle_string(text, i, start_line, start_col), start_line, start_col))
+            advance(len(_oracle_raw_span(text, i)))
+            continue
+        if ch == "-":
+            if text[i : i + 2] == "->":
+                tokens.append(("PUNCT", "->", start_line, start_col))
+                advance(2)
+                continue
+            if i + 1 < n and text[i + 1] in _DIGITS:
+                kind, width = _oracle_number(text, i, start_line, start_col)
+                tokens.append((kind, text[i : i + width], start_line, start_col))
+                advance(width)
+                continue
+            raise ParseError(E_SYNTAX, "stray '-'", start_line, start_col)
+        if ch == ">" and text[i : i + 2] == ">=":
+            tokens.append(("PUNCT", ">=", start_line, start_col))
+            advance(2)
+            continue
+        if ch in _PUNCT_SINGLE:
+            tokens.append(("PUNCT", ch, start_line, start_col))
+            advance(1)
+            continue
+        if ch in _DIGITS:
+            kind, width = _oracle_number(text, i, start_line, start_col)
+            tokens.append((kind, text[i : i + width], start_line, start_col))
+            advance(width)
+            continue
+        if ch in _LETTERS or ch == "_":
+            j = i
+            while j < n and text[j] in _IDENT_CHARS:
+                j += 1
+            tokens.append(("IDENT", text[i:j], start_line, start_col))
+            advance(j - i)
+            continue
+        raise ParseError(E_SYNTAX, f"unexpected character {ch!r}", start_line, start_col)
+
+    tokens.append(("EOF", "", line, col))
+    return tokens
+
+
+def _oracle_raw_span(text: str, start: int) -> str:
+    i = start + 1
+    n = len(text)
+    while i < n:
+        if text[i] == "\\":
+            i += 2
+            continue
+        if text[i] == '"':
+            return text[start : i + 1]
+        if text[i] == "\n":
+            break
+        i += 1
+    return text[start:]
+
+
+def _oracle_string(text: str, start: int, line: int, col: int) -> str:
+    out: list[str] = []
+    i = start + 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == '"':
+            return "".join(out)
+        if ch == "\n":
+            break
+        if ch == "\\":
+            if i + 1 >= n or text[i + 1] not in _UNESCAPES:
+                raise ParseError(E_SYNTAX, "bad string escape", line, col)
+            out.append(_UNESCAPES[text[i + 1]])
+            i += 2
+            continue
+        out.append(ch)
+        i += 1
+    raise ParseError(E_SYNTAX, "unterminated string", line, col)
+
+
+def _oracle_number(text: str, start: int, line: int, col: int) -> tuple[str, int]:
+    n = len(text)
+    i = start
+    if text[i] == "-":
+        i += 1
+    while i < n and text[i] in _DIGITS:
+        i += 1
+    is_float = False
+    if i < n and text[i] == ".":
+        if i + 1 >= n or text[i + 1] not in _DIGITS:
+            raise ParseError(E_SYNTAX, "malformed number", line, col)
+        is_float = True
+        i += 1
+        while i < n and text[i] in _DIGITS:
+            i += 1
+    if i < n and text[i] in "eE":
+        j = i + 1
+        if j < n and text[j] in "+-":
+            j += 1
+        if j >= n or text[j] not in _DIGITS:
+            raise ParseError(E_SYNTAX, "malformed exponent", line, col)
+        is_float = True
+        i = j
+        while i < n and text[i] in _DIGITS:
+            i += 1
+    return ("FLOAT" if is_float else "INT"), i - start

@@ -423,3 +423,79 @@ def test_pool_verify_reports_orphan_exit_1(capsys, tmp_path):
     code, out, _ = run(capsys, "pool", "verify", "--pool", str(pool))
     assert code == 1
     assert out == f"orphan {'c' * 64} components/{'c' * 64}.cdl: artifact has no index entry\n"
+
+
+def test_repeated_main_calls_match_a_fresh_parser(capsys, tmp_path):
+    from adapterforge import cli
+
+    spec = tmp_path / "sortkit.cdl"
+    shutil.copy(CORPUS / "figure3" / "sortkit.cdl", spec)
+    pool = str(tmp_path / "pool")
+    figure3 = str(CORPUS / "figure3" / "figure3.pdl")
+    calls = [
+        ("check", figure3, "--conversions", RULES, "--format", "structured"),
+        ("check", figure3, "--conversions", RULES),
+        ("pool", "add", str(spec), "--pool", pool),
+        ("pool", "list", "--pool", pool),
+        ("--version",),
+        ("check", figure3, "--bogus"),
+    ]
+    cli._build_parser.cache_clear()
+    in_one_parser = [run(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    for argv, result in zip(calls, in_one_parser):
+        cli._build_parser.cache_clear()
+        assert run(capsys, *argv) == result
+    assert [code for code, _, _ in in_one_parser] == [1, 1, 0, 0, 0, 3]
+    assert in_one_parser[0][1].startswith("{") and not in_one_parser[1][1].startswith("{")
+
+
+_UNICODE_DIGIT_SPEC = (
+    'component "A" version "1.0.0" {\n'
+    "  provides interface I {\n"
+    "    op f(x: i32 = ²) -> i32 @concept a\n"
+    "  }\n"
+    "}\n"
+)
+
+
+def test_unicode_digit_spec_exit_3(capsys, tmp_path):
+    bad = tmp_path / "digits.cdl"
+    bad.write_text(_UNICODE_DIGIT_SPEC, encoding="utf-8")
+    project = tmp_path / "p.pdl"
+    project.write_text('project "p" { uses "A" * }\n')
+    for argv in (("fmt", str(bad)), ("check", str(project), "--specs", str(tmp_path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "digits.cdl: unexpected character '²' (line 3, column 19)" in err
+
+
+def test_non_utf8_rules_exit_3(capsys, tmp_path):
+    bad = tmp_path / "bad.rules"
+    bad.write_bytes(b"i32, -, i64, -, widen, 1, 1\n\xff\xfe\n")
+    figure3 = str(CORPUS / "figure3" / "figure3.pdl")
+    for argv in (
+        ("check", figure3, "--conversions", str(bad)),
+        ("adapt", figure3, "--conversions", str(bad), "--pool", str(tmp_path / "pool"),
+         "--emit", str(tmp_path / "out")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "E_SYNTAX" in err and "bad.rules" in err and "at byte 28" in err
+
+
+def test_unexpected_exception_exit_3(capsys, monkeypatch):
+    from adapterforge import cli
+
+    def broken(args):
+        raise TypeError("unsupported operand\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_check", broken)
+    code, out, err = run(capsys, "check", str(CORPUS / "exact" / "exactpair.pdl"))
+    assert code == 3
+    assert out == ""
+    assert err == "error: E_INTERNAL: TypeError: unsupported operand second line\n"

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 from adapterforge.conversions import (
     ConversionRule,
@@ -10,9 +12,10 @@ from adapterforge.conversions import (
     DEFAULT_CONFIG,
     MatchConfig,
     TypePort,
+    load_rules,
     parse_rules_text,
 )
-from adapterforge.speclang import F64, I32, I64, ParseError, list_of
+from adapterforge.speclang import F64, I32, I64, AdapterForgeError, ParseError, list_of
 
 
 def test_load_corpus_rules_table(corpus_dir):
@@ -123,3 +126,36 @@ def test_scoring_constant_bounds_accepted():
 def test_match_config_range_checked(overrides):
     with pytest.raises(ValueError):
         MatchConfig(**overrides)
+
+
+_RULE_PIECES = [
+    "i32", "i64", "f64", "bool", "string", "bytes", "unit", "list<", ">", "list<i32>",
+    "ms", "s", "-", "widen", "narrow_checked", "unit_scale", "parse", "format", "wat",
+    "0", "1", "20", "-1", "1/20", "1/0", "0/1", "3/2", "1e3", "1.5",
+    "penalty", "threshold", "rename", "param_permutation", "type_conversion",
+    "default_fill", "concept_distance", "#", ",", ", ", " ", "\t", "\n", "\r",
+    "\u0663", "\u00b2", "\u00bd", "\u00e9", "\x0b", "\ufeff", "\u2028",
+]
+_rules_lines = st.lists(st.sampled_from(_RULE_PIECES), max_size=16).map("".join)
+_rules_texts = st.lists(_rules_lines, max_size=4).map("\n".join) | st.text(max_size=80)
+
+
+@given(text=_rules_texts)
+@settings(max_examples=400, deadline=None)
+def test_error_totality_on_arbitrary_rules_text(text: str):
+    try:
+        table, config = parse_rules_text(text)
+    except AdapterForgeError:
+        return
+    assert isinstance(table, ConversionTable) and isinstance(config, MatchConfig)
+
+
+@given(data=st.binary(max_size=80) | _rules_texts.map(lambda t: t.encode("utf-8", "surrogatepass")))
+@settings(max_examples=200, deadline=None)
+def test_error_totality_on_arbitrary_rules_bytes(tmp_path_factory, data: bytes):
+    path = tmp_path_factory.mktemp("rules") / "f.rules"
+    path.write_bytes(data)
+    try:
+        load_rules(path)
+    except AdapterForgeError:
+        pass

@@ -29,7 +29,9 @@ from adapterforge.speclang import (
     validate,
 )
 from adapterforge.speclang import BOOL, F64, I32, I64, STRING, UNIT
+from adapterforge.speclang.lexer import tokenize
 from conftest import corpus_spec_paths
+from oracles import oracle_tokenize
 
 
 def test_parse_empty_component():
@@ -361,3 +363,81 @@ def test_error_totality_on_arbitrary_bytes(tmp_path_factory, data: bytes):
         parse_any(read_spec_text(path))
     except ParseError:
         pass
+
+
+def _op_line(fragment: str) -> str:
+    return (
+        'component "A" version "1.0.0" {\n'
+        "  provides interface I {\n"
+        f"    op f({fragment}) -> i32 @concept a\n"
+        "  }\n"
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "fragment,offender,message",
+    [
+        ("x: i32 = \u00b2", "\u00b2", "unexpected character '\u00b2'"),
+        ("x: i32 = 1\u00b2", "\u00b2", "unexpected character '\u00b2'"),
+        ("x: i32 = \u0663", "\u0663", "unexpected character '\u0663'"),
+        ("x: i32 = -\u0663", "-", "stray '-'"),
+        ("x: f64 = 1.5e\u0663", "1", "malformed exponent"),
+        ("caf\u00e9: i32", "\u00e9", "unexpected character '\u00e9'"),
+    ],
+)
+def test_non_ascii_digits_and_letters_rejected(fragment, offender, message):
+    # Lexical classes are ASCII: a Unicode digit or letter outside a
+    # string or comment is a syntax error at its own position, never an
+    # int() crash or a silently different value.
+    with pytest.raises(ParseError) as err:
+        parse_any(_op_line(fragment))
+    col = len("    op f(") + fragment.index(offender) + 1
+    assert (err.value.code, err.value.line, err.value.col) == ("E_SYNTAX", 3, col)
+    assert err.value.message == f"{message} (line 3, column {col})"
+
+
+def test_non_ascii_accepted_in_strings_and_comments():
+    spec = parse_component(
+        '// caf\u00e9 \u00b2\ncomponent "A" version "1.0.0" {\n'
+        '  meta note = "caf\u00e9 \u0663\u00bd" // \u0663\n}\n'
+    )
+    assert spec.meta[0].value == "caf\u00e9 \u0663\u00bd"
+
+
+_CORPUS_TEXTS = [p.read_text(encoding="utf-8") for p in corpus_spec_paths()]
+_LEX_PIECES = [
+    " ", "\t", "\r", "\n", "\r\n", "\x0b", "\ufeff", "//", "// x\n", "/",
+    "{", "}", "(", ")", "<", ">", ",", ":", "=", ".", "@", "*", "->", ">=", "-",
+    "0", "7", "12", "1.", "1.5", "1e", "1e5", "1E-3", "1.5e+", "-2", "-.",
+    "e", "E", "_", "a", "Z", "op", "i32", "list",
+    '"', '""', '"a"', '"\\n"', '"\\q"', '"\\', '\\',
+    "\u00e9", "\u00b2", "\u0663", "\u00bd", "\u00df", "\u2028", "\x00", "#", "!",
+]
+_fragments = st.lists(
+    st.sampled_from(_LEX_PIECES) | st.text(max_size=2), max_size=12
+).map("".join)
+
+
+@st.composite
+def _lexer_inputs(draw: st.DrawFn) -> str:
+    if draw(st.booleans()):
+        return draw(_fragments)
+    base = draw(st.sampled_from(_CORPUS_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(base)))
+        base = base[:at] + draw(_fragments) + base[at:]
+    return base
+
+
+def _lex_outcome(lex, text: str):
+    try:
+        return [t if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col) for t in lex(text)]
+    except ParseError as err:
+        return (err.code, err.message, err.line, err.col)
+
+
+@given(text=_lexer_inputs() | st.text(max_size=60))
+@settings(max_examples=1000, deadline=None)
+def test_tokenize_matches_oracle(text: str):
+    assert _lex_outcome(tokenize, text) == _lex_outcome(oracle_tokenize, text)
