@@ -44,7 +44,6 @@ from .linkage import (
     IntegratedProject,
     WorkflowResult,
     integrate,
-    report,
     run_workflow,
 )
 from .pool import (
@@ -127,7 +126,6 @@ __all__ = [
     "pool_list",
     "pool_query",
     "pool_verify",
-    "report",
     "run_workflow",
     "serialize",
     "traverse",

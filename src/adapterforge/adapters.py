@@ -11,6 +11,7 @@ byte-identical artifacts, and the descriptor is what the pool stores.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
@@ -413,6 +414,8 @@ def _literal_from_json(doc: Any) -> Literal:
     value = _field(doc, "value", _LITERAL_JSON_TYPES.get(kind, object))
     if kind == "float":
         value = float(value)
+        if not math.isfinite(value):  # a spec could not write it back
+            raise AdapterGenError(E_DESCRIPTOR, f"float literal {value} is not finite")
     return Literal(kind, value)
 
 

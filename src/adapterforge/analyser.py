@@ -1,6 +1,10 @@
 """Connection analysis: signature matching, mismatch classification,
 verdicts, and demand computation.
 
+Analysis works on the parsed specs themselves: it resolves the
+project's `uses` and reads the components directly. It builds no
+element tree; the ASLT (`aslt.py`) is an inspection view only.
+
 Matching is concept-first. Two operations are candidates for each
 other only when their concepts are equal or related by ancestry, and
 parameters align only through equal effective concepts, never through
@@ -23,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .aslt import Aslt, resolve_components
+from .aslt import resolve_components
 from .conversions import (
     CONCEPT_DISTANCE,
     DEFAULT_CONFIG,
@@ -509,16 +513,12 @@ def _classify_assignment(
 
 
 def analyse(
-    tree: Aslt,
     project: ProjectSpec,
     components: list[ComponentSpec],
     conv: ConversionTable,
     config: MatchConfig = DEFAULT_CONFIG,
 ) -> MatchReport:
     """Match every connection and compute unmet demand."""
-    root = tree.node(tree.root)
-    if root.kind != "project" or root.label != project.name:
-        raise AnalysisError(E_UNRESOLVED, "tree was not built from this project")
     resolved = resolve_components(project, components)
 
     verdicts = tuple(
@@ -650,11 +650,10 @@ def _best_candidate(
 
 
 def verify(
-    tree: Aslt,
     project: ProjectSpec,
     components: list[ComponentSpec],
     conv: ConversionTable,
     config: MatchConfig = DEFAULT_CONFIG,
 ) -> bool:
     """Re-run analysis; true iff every connection is EXACT."""
-    return analyse(tree, project, components, conv, config).all_exact()
+    return analyse(project, components, conv, config).all_exact()

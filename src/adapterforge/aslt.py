@@ -3,7 +3,9 @@
 Specs flatten into a tree of project / component / interface /
 operation / parameter nodes. Extended properties (concepts, units,
 defaults, version tags, project wiring) hang off their owners as meta
-nodes, so tooling can walk one homogeneous structure. Trees are
+nodes, so tooling can walk one homogeneous structure. The tree is the
+inspection view (`aslt dump`, source maps): `check` and `adapt` work
+on the specs and never build one. Trees are
 immutable; meta attachment returns a new tree, and folding is a
 non-destructive overlay.
 

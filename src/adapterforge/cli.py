@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .adapters import emit_descriptor
 from .analyser import ADAPTABLE, INCOMPATIBLE, Demand, analyse
 from .aslt import FoldPattern, build_aslt, build_component_aslt, dump, fold
 from .conversions import DEFAULT_CONFIG, ConversionTable, MatchConfig, load_rules
@@ -140,8 +139,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     conv, config = _load_rules(args)
     project = parse_spec_file(project_path, parse_project)
     components = load_specs_dir(_specs_dir(args, project_path))
-    tree = build_aslt(project, components)
-    report = analyse(tree, project, components, conv, config)
+    report = analyse(project, components, conv, config)
     sys.stdout.write(render_match_report(report, args.format))
     if report.demand or any(v.status == INCOMPATIBLE for v in report.verdicts):
         return EXIT_BLOCKED
@@ -171,10 +169,8 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             (emit_dir / f"{component.name}.cdl").write_text(
                 serialize(component), encoding="utf-8"
             )
-    for adapter in result.generated_adapters:
-        (emit_dir / f"{adapter.name}.adapter").write_text(
-            emit_descriptor(adapter), encoding="utf-8"
-        )
+    for adapter, descriptor in zip(result.generated_adapters, result.descriptors):
+        (emit_dir / f"{adapter.name}.adapter").write_text(descriptor, encoding="utf-8")
     sys.stdout.write(rendered)
     return {ALREADY_EXACT: EXIT_OK, ADAPTED: EXIT_FINDINGS}.get(result.outcome, EXIT_BLOCKED)
 

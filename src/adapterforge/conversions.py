@@ -9,6 +9,7 @@ the table so a corpus can tune them from the same rules file.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -161,7 +162,7 @@ def parse_rules_text(text: str) -> tuple[ConversionTable, MatchConfig]:
         if kind not in RULE_KINDS:
             raise ParseError(E_SYNTAX, f"unknown rule {rule_name!r}", lineno, 1)
         try:
-            factor = Fraction(int(num), int(den)) if kind == UNIT_SCALE else None
+            factor = Fraction(_int(num), _int(den)) if kind == UNIT_SCALE else None
             rule = ConversionRule(kind, factor)
             table.add(frm, to, rule)
         except (ValueError, ZeroDivisionError) as err:
@@ -190,11 +191,20 @@ def _parse_directive(line: str, lineno: int, overrides: dict[str, Fraction]) -> 
     overrides[field_name] = value
 
 
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """An ASCII decimal integer; `int()` alone would also take Unicode
+    digits, underscores and a `+` sign."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 def _fraction(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    return Fraction(_int(num), _int(den) if slash else 1)
 
 
 def load_rules(path: str | Path) -> tuple[ConversionTable, MatchConfig]:

@@ -27,9 +27,9 @@ from .analyser import (
     analyse,
     shape_of,
 )
-from .aslt import build_aslt, resolve_components
+from .aslt import resolve_components
 from .conversions import DEFAULT_CONFIG, ConversionTable, MatchConfig
-from .pool import PoolQuery, init_pool, pool_add, pool_query
+from .pool import PoolQuery, init_pool, pool_add_generated, pool_query
 from .speclang import (
     PROVIDED,
     REQUIRED,
@@ -109,6 +109,11 @@ class WorkflowResult:
     added_components: tuple[ComponentSpec, ...]
     generated_adapters: tuple[AdapterSpec, ...]
     diagnostics: tuple[str, ...] = ()
+    descriptors: tuple[str, ...] = ()  # emit_descriptor text per generated adapter
+
+    def __post_init__(self) -> None:
+        if len(self.descriptors) != len(self.generated_adapters):
+            raise ValueError("a workflow result needs one descriptor per generated adapter")
 
 
 @dataclass
@@ -244,14 +249,14 @@ def run_workflow(
     if options.auto_init_pool:
         init_pool(pool_root)
 
-    tree = build_aslt(project, components)
-    report = analyse(tree, project, components, conv, config)
+    report = analyse(project, components, conv, config)
     trace.add("compare", f"{len(report.verdicts)} connection(s), {len(report.demand)} demand(s)")
 
     resolved = resolve_components(project, components)
     current = project
     added: list[ComponentSpec] = []
     generated: list[AdapterSpec] = []
+    descriptors: list[str] = []
     integrations: list[Integration] = []
     unresolved: list[Demand] = []
     diagnostics: list[str] = []
@@ -276,7 +281,7 @@ def run_workflow(
                 if isinstance(candidate, AdapterSpec)
                 else candidate
             )
-            current = _apply_integration(current, conn, component)
+            current = integrate(current, conn, component).project
             added.append(component)
             integrations.append(
                 Integration(conn.label(), POOL_HIT, fp, component.name)
@@ -289,10 +294,13 @@ def run_workflow(
             adapter = generate_adapter(verdict, consumer, provider, project.name)
             trace.add("generate", adapter.name)
             component = adapter.to_component_spec()
-            current = _apply_integration(current, conn, component)
+            current = integrate(current, conn, component).project
             added.append(component)
             generated.append(adapter)
-            fp = pool_add(pool_root, emit_descriptor(adapter), timeout=options.lock_timeout)
+            descriptors.append(emit_descriptor(adapter))
+            fp = pool_add_generated(
+                pool_root, adapter, descriptors[-1], timeout=options.lock_timeout
+            )
             trace.add("store", f"{adapter.name} as {fp}")
             integrations.append(Integration(conn.label(), GENERATED, fp, adapter.name))
             trace.add("integrate", f"{adapter.name} into {conn.label()}")
@@ -328,8 +336,7 @@ def run_workflow(
         trace.add("integrate", f"{component.name} for demand {demand.concept}")
 
     all_components = components + added
-    final_tree = build_aslt(current, all_components)
-    final_report = analyse(final_tree, current, all_components, conv, config)
+    final_report = analyse(current, all_components, conv, config)
     verified = final_report.all_exact() and not final_report.demand
     trace.add("verify", "exact" if verified else "not exact")
 
@@ -353,13 +360,8 @@ def run_workflow(
         added_components=tuple(added),
         generated_adapters=tuple(generated),
         diagnostics=tuple(diagnostics),
+        descriptors=tuple(descriptors),
     )
-
-
-def _apply_integration(
-    project: ProjectSpec, connection: Connection, component: ComponentSpec
-) -> ProjectSpec:
-    return integrate(project, connection, component).project
 
 
 def _consult_pool(
@@ -409,9 +411,3 @@ def _connection_demands(
         for op in consumer_iface.operations
     ]
 
-
-def report(result: WorkflowResult, format: str = "human") -> str:
-    """Render a workflow result; see adapterforge.report for formats."""
-    from .report import render_workflow
-
-    return render_workflow(result, format)

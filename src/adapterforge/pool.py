@@ -32,12 +32,11 @@ from pathlib import Path
 from typing import Iterator
 
 from . import canonjson
-from .adapters import AdapterSpec, emit_descriptor, parse_descriptor
+from .adapters import AdapterSpec, _concept_from_json, emit_descriptor, parse_descriptor
 from .analyser import Demand, match_operation, shape_as_operation
 from .conversions import DEFAULT_CONFIG, ConversionTable, MatchConfig
 from .speclang import (
     ComponentSpec,
-    ConceptId,
     ParseError,
     VersionConstraint,
     format_version,
@@ -299,9 +298,7 @@ def _canonicalize(document: str) -> tuple[str, bytes, ComponentSpec | AdapterSpe
             adapter = parse_descriptor(document)
         except AdapterForgeError as err:
             raise PoolError(E_INVALID_SPEC, f"not a valid adapter descriptor: {err}") from None
-        component_form = adapter.to_component_spec()
-        if validate(component_form):
-            raise PoolError(E_INVALID_SPEC, f"adapter {adapter.name} fails validation")
+        _validate_adapter(adapter)
         return KIND_ADAPTER, emit_descriptor(adapter).encode("utf-8"), adapter
     try:
         spec = parse_component(document)
@@ -314,6 +311,12 @@ def _canonicalize(document: str) -> tuple[str, bytes, ComponentSpec | AdapterSpe
             f"spec {spec.name} has violations: " + "; ".join(v.code for v in violations),
         )
     return KIND_COMPONENT, serialize(spec).encode("utf-8"), spec
+
+
+def _validate_adapter(adapter: AdapterSpec) -> None:
+    """The check every stored adapter passes, read or generated."""
+    if validate(adapter.to_component_spec()):
+        raise PoolError(E_INVALID_SPEC, f"adapter {adapter.name} fails validation")
 
 
 def _entry_for(kind: str, fp: str, value: ComponentSpec | AdapterSpec) -> IndexEntry:
@@ -331,8 +334,22 @@ def _entry_for(kind: str, fp: str, value: ComponentSpec | AdapterSpec) -> IndexE
 def pool_add(root: str | Path, document: str, timeout: float = LOCK_TIMEOUT) -> str:
     """Store one document; returns its fingerprint. Re-adding existing
     content is a no-op that writes nothing."""
-    root = Path(root)
-    kind, data, value = _canonicalize(document)
+    return _store(Path(root), *_canonicalize(document), timeout)
+
+
+def pool_add_generated(
+    root: str | Path, adapter: AdapterSpec, descriptor: str, timeout: float = LOCK_TIMEOUT
+) -> str:
+    """Store a generated adapter; `descriptor` must be its
+    `emit_descriptor` text, which is already canonical. The same store
+    and validation as `pool_add`, without parsing the text back."""
+    _validate_adapter(adapter)
+    return _store(Path(root), KIND_ADAPTER, descriptor.encode("utf-8"), adapter, timeout)
+
+
+def _store(
+    root: Path, kind: str, data: bytes, value: ComponentSpec | AdapterSpec, timeout: float
+) -> str:
     fp = fingerprint_of(data)
     entry = _entry_for(kind, fp, value)
     index = root / "index"
@@ -451,7 +468,7 @@ def pool_query(
         related_hops = [
             hops
             for concept_text in entry.provided_concepts
-            if (hops := demand.concept.hops_to(_concept(concept_text))) is not None
+            if (hops := demand.concept.hops_to(_concept_from_json(concept_text))) is not None
         ]
         if not related_hops:
             continue
@@ -472,10 +489,6 @@ def pool_query(
             results.append(Candidate(root, fp, best, entry, value))
     results.sort(key=lambda c: (-c.score, c.fingerprint))
     return results
-
-
-def _concept(text: str) -> ConceptId:
-    return ConceptId(tuple(text.split(".")))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,16 @@ from fractions import Fraction
 from typing import Any
 
 from . import canonjson
-from .adapters import emit_descriptor, parse_descriptor
+from .adapters import (
+    _concept_from_json,
+    _literal_from_json,
+    _literal_to_json,
+    _port_from_json,
+    _port_to_json,
+    _rule_from_json,
+    _rule_to_json,
+    parse_descriptor,
+)
 from .analyser import (
     ConnectionVerdict,
     Demand,
@@ -21,16 +30,13 @@ from .analyser import (
     OperationMatch,
     OperationShape,
 )
-from .conversions import ConversionRule, TypePort
 from .linkage import (
     Integration,
     StepRecord,
     WorkflowResult,
 )
 from .speclang import (
-    ConceptId,
     Connection,
-    Literal,
     parse_component,
     parse_project,
     serialize,
@@ -90,45 +96,6 @@ def render_workflow(result: WorkflowResult, format: str = HUMAN) -> str:
 # --- JSON encoding ---
 
 
-def _concept_text(concept: ConceptId) -> str:
-    return str(concept)
-
-
-def _concept(text: str) -> ConceptId:
-    return ConceptId(tuple(text.split(".")))
-
-
-def _port_json(port: TypePort | None) -> Any:
-    if port is None:
-        return None
-    doc: dict[str, Any] = {"type": str(port.ty)}
-    if port.unit:
-        doc["unit"] = port.unit
-    return doc
-
-
-def _port_from(doc: Any) -> TypePort | None:
-    if doc is None:
-        return None
-    return TypePort(parse_type(doc["type"]), doc.get("unit"))
-
-
-def _rule_json(rule: ConversionRule | None) -> Any:
-    if rule is None:
-        return None
-    doc: dict[str, Any] = {"kind": rule.kind}
-    if rule.factor is not None:
-        doc["factor"] = canonjson.fraction_to_text(rule.factor)
-    return doc
-
-
-def _rule_from(doc: Any) -> ConversionRule | None:
-    if doc is None:
-        return None
-    factor = canonjson.fraction_from_text(doc["factor"]) if "factor" in doc else None
-    return ConversionRule(doc["kind"], factor)
-
-
 def mismatch_to_json(m: Mismatch) -> dict:
     doc: dict[str, Any] = {"kind": m.kind, "location": list(m.location)}
     if m.renamed_from is not None:
@@ -139,26 +106,20 @@ def mismatch_to_json(m: Mismatch) -> dict:
     if m.slot is not None:
         doc["slot"] = m.slot
     if m.from_port is not None:
-        doc["from"] = _port_json(m.from_port)
-        doc["to"] = _port_json(m.to_port)
+        doc["from"] = _port_to_json(m.from_port)
+        doc["to"] = _port_to_json(m.to_port)
     if m.rule is not None:
-        doc["rule"] = _rule_json(m.rule)
+        doc["rule"] = _rule_to_json(m.rule)
     if m.fill_value is not None:
-        doc["fill"] = {"kind": m.fill_value.kind, "value": m.fill_value.value}
+        doc["fill"] = _literal_to_json(m.fill_value)
     if m.hops is not None:
         doc["hops"] = m.hops
     if m.concept is not None:
-        doc["concept"] = _concept_text(m.concept)
+        doc["concept"] = str(m.concept)
     return doc
 
 
 def mismatch_from_json(doc: dict) -> Mismatch:
-    fill = None
-    if "fill" in doc:
-        value = doc["fill"]["value"]
-        if doc["fill"]["kind"] == "float":
-            value = float(value)
-        fill = Literal(doc["fill"]["kind"], value)
     return Mismatch(
         kind=doc["kind"],
         location=tuple(doc["location"]),  # type: ignore[arg-type]
@@ -166,12 +127,12 @@ def mismatch_from_json(doc: dict) -> Mismatch:
         renamed_to=doc.get("renamed_to"),
         order=tuple(doc["order"]) if "order" in doc else None,
         slot=doc.get("slot"),
-        from_port=_port_from(doc.get("from")),
-        to_port=_port_from(doc.get("to")),
-        rule=_rule_from(doc.get("rule")),
-        fill_value=fill,
+        from_port=_port_from_json(doc["from"]) if "from" in doc else None,
+        to_port=_port_from_json(doc["to"]) if "to" in doc else None,
+        rule=_rule_from_json(doc["rule"]) if "rule" in doc else None,
+        fill_value=_literal_from_json(doc["fill"]) if "fill" in doc else None,
         hops=doc.get("hops"),
-        concept=_concept(doc["concept"]) if "concept" in doc else None,
+        concept=_concept_from_json(doc["concept"]) if "concept" in doc else None,
     )
 
 
@@ -180,7 +141,7 @@ def _shape_json(shape: OperationShape | None) -> Any:
         return None
     return {
         "params": [
-            {"type": str(ty), **({"unit": unit} if unit else {}), "concept": _concept_text(c)}
+            {"type": str(ty), **({"unit": unit} if unit else {}), "concept": str(c)}
             for ty, unit, c in shape.params
         ],
         "returns": str(shape.returns),
@@ -192,7 +153,7 @@ def _shape_from(doc: Any) -> OperationShape | None:
         return None
     return OperationShape(
         params=tuple(
-            (parse_type(p["type"]), p.get("unit"), _concept(p["concept"]))
+            (parse_type(p["type"]), p.get("unit"), _concept_from_json(p["concept"]))
             for p in doc["params"]
         ),
         returns=parse_type(doc["returns"]),
@@ -201,7 +162,7 @@ def _shape_from(doc: Any) -> OperationShape | None:
 
 def demand_to_json(demand: Demand) -> dict:
     return {
-        "concept": _concept_text(demand.concept),
+        "concept": str(demand.concept),
         "origin": demand.origin,
         "shape": _shape_json(demand.shape),
     }
@@ -209,7 +170,7 @@ def demand_to_json(demand: Demand) -> dict:
 
 def demand_from_json(doc: dict) -> Demand:
     return Demand(
-        concept=_concept(doc["concept"]),
+        concept=_concept_from_json(doc["concept"]),
         shape=_shape_from(doc["shape"]),
         origin=doc["origin"],
     )
@@ -303,7 +264,7 @@ def workflow_result_to_json(result: WorkflowResult) -> dict:
         ],
         "adapted_project": serialize(result.adapted_project),
         "added_components": [serialize(c) for c in result.added_components],
-        "generated_adapters": [emit_descriptor(a) for a in result.generated_adapters],
+        "generated_adapters": list(result.descriptors),
         "diagnostics": list(result.diagnostics),
     }
 
@@ -328,8 +289,7 @@ def workflow_result_from_json(doc: dict) -> WorkflowResult:
         ),
         adapted_project=parse_project(doc["adapted_project"]),
         added_components=tuple(parse_component(c) for c in doc["added_components"]),
-        generated_adapters=tuple(
-            parse_descriptor(t) for t in doc["generated_adapters"]
-        ),
+        generated_adapters=tuple(parse_descriptor(t) for t in doc["generated_adapters"]),
         diagnostics=tuple(doc["diagnostics"]),
+        descriptors=tuple(doc["generated_adapters"]),
     )

@@ -11,6 +11,7 @@ those defects.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from . import lexer
@@ -45,6 +46,11 @@ from .model import (
     VersionConstraint,
     parse_version,
 )
+
+# Types nest at most this deep while parsing, so nothing recurses
+# without bound; the validator's much lower limit (V_LIST_DEPTH) still
+# applies to a spec that parses.
+MAX_TYPE_NESTING = 32
 
 
 class _TokenStream:
@@ -341,11 +347,15 @@ def _concept_path(ts: _TokenStream) -> ConceptId:
         return ConceptId(tuple(segments))
 
 
-def _type(ts: _TokenStream) -> SemType:
+def _type(ts: _TokenStream, depth: int = 0) -> SemType:
     tok = ts.expect_ident()
     if tok.text == "list":
+        if depth == MAX_TYPE_NESTING:
+            raise ParseError(
+                E_SYNTAX, f"list types nest deeper than {MAX_TYPE_NESTING}", tok.line, tok.col
+            )
         ts.expect_punct("<")
-        elem = _type(ts)
+        elem = _type(ts, depth + 1)
         ts.expect_punct(">")
         return SemType("list", elem)
     if tok.text in SCALAR_KINDS:
@@ -356,9 +366,15 @@ def _type(ts: _TokenStream) -> SemType:
 def _literal(ts: _TokenStream) -> Literal:
     tok = ts.next()
     if tok.kind == INT:
-        return Literal("int", int(tok.text, 10))
+        try:
+            return Literal("int", int(tok.text, 10))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(E_SYNTAX, "int literal too long", tok.line, tok.col) from None
     if tok.kind == FLOAT:
-        return Literal("float", float(tok.text))
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ParseError(E_SYNTAX, "float literal out of range", tok.line, tok.col)
+        return Literal("float", value)
     if tok.kind == STRING:
         return Literal("string", tok.text)
     if tok.is_ident("true"):

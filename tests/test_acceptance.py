@@ -27,7 +27,7 @@ from adapterforge.adapters import (
     parse_descriptor,
 )
 from adapterforge.analyser import ADAPTABLE, analyse, match_operation
-from adapterforge.aslt import FoldPattern, build_aslt, build_component_aslt
+from adapterforge.aslt import FoldPattern, build_component_aslt
 from adapterforge.cli import main
 from adapterforge.conversions import load_rules
 from adapterforge.linkage import run_workflow
@@ -337,8 +337,7 @@ def _mapping_cases(rng: random.Random, conv, config):
         from adapterforge.speclang import parse_project
 
         project = parse_project((CORPUS / case / project_file).read_text())
-        tree = build_aslt(project, specs)
-        report = analyse(tree, project, specs, conv, config)
+        report = analyse(project, specs, conv, config)
         for verdict in report.verdicts:
             if verdict.status != ADAPTABLE:
                 continue
@@ -362,8 +361,7 @@ def _mapping_cases(rng: random.Random, conv, config):
 
     while len(cases) < 40:
         consumer, provider, project = genspecs.adaptable_pair(rng, config)
-        tree = build_aslt(project, [consumer, provider])
-        report = analyse(tree, project, [consumer, provider], conv, config)
+        report = analyse(project, [consumer, provider], conv, config)
         verdict = report.verdicts[0]
         if verdict.status != ADAPTABLE:
             continue

@@ -26,7 +26,6 @@ from adapterforge.adapters import (
     parse_descriptor,
 )
 from adapterforge.analyser import ADAPTABLE, EXACT, analyse
-from adapterforge.aslt import build_aslt
 from adapterforge.conversions import ConversionRule, ConversionTable, TypePort, load_rules
 from adapterforge.speclang import (
     BOOL,
@@ -54,8 +53,7 @@ def analyse_case(case: str, components: list[str], project_file: str):
     conv, config = load_rules(CORPUS / "conversions.rules")
     specs = [parse_component((CORPUS / case / n).read_text()) for n in components]
     project = parse_project((CORPUS / case / project_file).read_text())
-    tree = build_aslt(project, specs)
-    report = analyse(tree, project, specs, conv, config)
+    report = analyse(project, specs, conv, config)
     return report, specs, project
 
 
@@ -105,8 +103,7 @@ def test_rename_only_mapping_is_pure_delegation():
     project = parse_project(
         'project "x" {\n  uses "c" *\n  uses "p" *\n  connect c.requires.I -> p.provides.J\n}'
     )
-    tree = build_aslt(project, [consumer, provider])
-    report = analyse(tree, project, [consumer, provider], conv)
+    report = analyse(project, [consumer, provider], conv)
     adapter = generate_adapter(report.verdicts[0], consumer, provider, "x")
     assert len(adapter.mappings) == 1
     mapping = adapter.mappings[0]
@@ -340,6 +337,12 @@ MALFORMED_DESCRIPTORS = {
     "index not an integer": lambda d: d["mappings"][0]["slots"][0].update(index=True),
     "huge float fill": lambda d: d["mappings"][0]["slots"][1].update(
         fill={"kind": "float", "value": 10**400}
+    ),
+    "infinite float fill": lambda d: d["mappings"][0]["slots"][1].update(
+        fill={"kind": "float", "value": float("inf")}
+    ),
+    "nan float fill": lambda d: d["mappings"][0]["slots"][1].update(
+        fill={"kind": "float", "value": float("nan")}
     ),
     "unknown slot kind": lambda d: d["mappings"][0]["slots"][0].update(kind="SKIP"),
     "unknown return kind": lambda d: d["mappings"][0]["return"].update(kind="DROP"),

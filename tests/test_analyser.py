@@ -21,7 +21,6 @@ from adapterforge.analyser import (
     shape_of,
     verify,
 )
-from adapterforge.aslt import build_aslt
 from adapterforge.conversions import (
     CONCEPT_DISTANCE,
     DEFAULT_CONFIG,
@@ -258,44 +257,43 @@ def _load_case(corpus: Path, names: list[str], project_name: str):
         parse_component((corpus / n).read_text()) for n in names
     ]
     project = parse_project((corpus / project_name).read_text())
-    tree = build_aslt(project, components)
-    return tree, project, components
+    return project, components
 
 
 def test_exact_corpus_connection(corpus_dir_module, rules):
     conv, config = rules
-    tree, project, components = _load_case(
+    project, components = _load_case(
         corpus_dir_module / "exact", ["archiver.cdl", "hashlibx.cdl"], "exactpair.pdl"
     )
-    report = analyse(tree, project, components, conv, config)
+    report = analyse(project, components, conv, config)
     assert [v.status for v in report.verdicts] == [EXACT]
     assert report.verdicts[0].score == 1
     assert report.verdicts[0].mismatches == ()
     assert report.demand == ()
-    assert verify(tree, project, components, conv, config)
+    assert verify(project, components, conv, config)
 
 
 def test_figure3_scenario_is_adaptable(corpus_dir_module, rules):
     # Components that cooperate on meaning but differ in interface
     # shape: the analyser must classify, not reject.
     conv, config = rules
-    tree, project, components = _load_case(
+    project, components = _load_case(
         corpus_dir_module / "figure3", ["reportgen.cdl", "sortkit.cdl"], "figure3.pdl"
     )
-    report = analyse(tree, project, components, conv, config)
+    report = analyse(project, components, conv, config)
     assert [v.status for v in report.verdicts] == [ADAPTABLE]
     verdict = report.verdicts[0]
     assert len(verdict.mismatches) > 0
     assert verdict.score == Fraction(17, 20)
-    assert not verify(tree, project, components, conv, config)
+    assert not verify(project, components, conv, config)
 
 
 def test_missing_concept_yields_demand(corpus_dir_module, rules):
     conv, config = rules
-    tree, project, components = _load_case(
+    project, components = _load_case(
         corpus_dir_module / "missing", ["notary.cdl"], "wantsign.pdl"
     )
-    report = analyse(tree, project, components, conv, config)
+    report = analyse(project, components, conv, config)
     assert report.verdicts == ()
     assert [str(d.concept) for d in report.demand] == ["data.crypto.sign"]
     assert report.demand[0].origin == "project"
@@ -322,8 +320,7 @@ def test_missing_operation_demand_carries_shape(rules):
     project = parse_project(
         'project "x" {\n  uses "c" *\n  uses "p" *\n  connect c.requires.I -> p.provides.J\n}'
     )
-    tree = build_aslt(project, [consumer, provider])
-    report = analyse(tree, project, [consumer, provider], conv, config)
+    report = analyse(project, [consumer, provider], conv, config)
     verdict = report.verdicts[0]
     assert verdict.status == INCOMPATIBLE
     assert any(m.kind == "MISSING_OPERATION" for m in verdict.mismatches)
@@ -353,11 +350,11 @@ def test_tie_break_prefers_fewer_mismatches_then_name():
 
 def test_analyse_deterministic(corpus_dir_module, rules):
     conv, config = rules
-    tree, project, components = _load_case(
+    project, components = _load_case(
         corpus_dir_module / "figure3", ["reportgen.cdl", "sortkit.cdl"], "figure3.pdl"
     )
-    a = analyse(tree, project, components, conv, config)
-    b = analyse(tree, project, components, conv, config)
+    a = analyse(project, components, conv, config)
+    b = analyse(project, components, conv, config)
     assert a == b
 
 
@@ -368,7 +365,6 @@ def test_unresolved_interface(rules):
     project = parse_project(
         'project "x" {\n  uses "c" *\n  uses "p" *\n  connect c.requires.I -> p.provides.J\n}'
     )
-    tree = build_aslt(project, [consumer, provider])
     with pytest.raises(AnalysisError) as err:
-        analyse(tree, project, [consumer, provider], conv, config)
+        analyse(project, [consumer, provider], conv, config)
     assert err.value.code == "E_UNRESOLVED"

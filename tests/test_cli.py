@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -499,3 +500,129 @@ def test_unexpected_exception_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: E_INTERNAL: TypeError: unsupported operand second line\n"
+
+
+def _adapt_figure3(capsys, tmp_path, *extra: str) -> tuple[int, str, str]:
+    return run(
+        capsys,
+        "adapt",
+        str(CORPUS / "figure3" / "figure3.pdl"),
+        "--conversions",
+        RULES,
+        "--pool",
+        str(tmp_path / "pool"),
+        "--emit",
+        str(tmp_path / "emit"),
+        *extra,
+    )
+
+
+def test_check_and_adapt_build_no_aslt(capsys, monkeypatch, tmp_path):
+    from adapterforge import aslt, cli
+
+    figure3 = str(CORPUS / "figure3" / "figure3.pdl")
+    expected_check = run(capsys, "check", figure3, "--conversions", RULES)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_aslt called")
+
+    monkeypatch.setattr(aslt, "build_aslt", refuse)
+    monkeypatch.setattr(cli, "build_aslt", refuse)
+    assert run(capsys, "check", figure3, "--conversions", RULES) == expected_check
+    assert expected_check[0] == 1 and expected_check[2] == ""
+    code, out, err = _adapt_figure3(capsys, tmp_path)
+    assert (code, err) == (1, "")
+    golden = Path(__file__).parent / "golden"
+    assert out == (golden / "figure3_report.txt").read_text()
+    (emitted,) = (tmp_path / "emit").glob("*.adapter")
+    assert emitted.read_bytes() == (golden / "figure3.adapter").read_bytes()
+
+
+def test_unresolved_uses_without_aslt_exit_3(capsys, tmp_path):
+    project = tmp_path / "p.pdl"
+    project.write_text('project "p" { uses "ghost" * }\n')
+    code, out, err = run(capsys, "check", str(project), "--specs", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == "error: E_UNRESOLVED: no component satisfies uses 'ghost' *\n"
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_adapt_emits_each_descriptor_once(capsys, monkeypatch, tmp_path, fmt):
+    from adapterforge import adapters
+    from adapterforge.pool import pool_get, pool_list
+
+    original = adapters.emit_descriptor
+    calls = []
+
+    def counted(adapter):
+        calls.append(adapter.name)
+        return original(adapter)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("adapterforge") and getattr(module, "emit_descriptor", None) is original:
+            monkeypatch.setattr(module, "emit_descriptor", counted)
+    code, out, _ = _adapt_figure3(capsys, tmp_path, "--format", fmt)
+    assert code == 1
+    (adapter_fp, entry), = [(fp, e) for fp, e in pool_list(tmp_path / "pool") if e.kind == "adapter"]
+    assert calls == [entry.name]
+    golden = (Path(__file__).parent / "golden" / "figure3.adapter").read_bytes()
+    assert (tmp_path / "pool" / entry.path).read_bytes() == golden
+    assert original(pool_get(tmp_path / "pool", adapter_fp)).encode() == golden
+    if fmt == "structured":
+        result = workflow_result_from_json(canonjson.loads(out))
+        assert result.descriptors == (golden.decode(),)
+        assert result.generated_adapters[0].name == entry.name
+
+
+def _spec_with_param(fragment: str) -> str:
+    return (
+        'component "A" version "1.0.0" {\n'
+        "  provides interface I {\n"
+        f"    op f({fragment}) -> i32 @concept a\n"
+        "  }\n"
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+def test_non_finite_float_literal_exit_3(capsys, tmp_path, literal):
+    # It used to parse as inf, print as `inf.0`, and be stored by
+    # `pool add` as an artifact that `pool_get` could not read back.
+    spec = tmp_path / "inf.cdl"
+    spec.write_text(_spec_with_param(f"x: f64 = {literal}"))
+    pool = tmp_path / "pool"
+    for argv in (("fmt", str(spec)), ("pool", "add", str(spec), "--pool", str(pool))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert "float literal out of range (line 3, column 19)" in err
+        assert "E_INTERNAL" not in err and err.count("\n") == 1
+    code, out, _ = run(capsys, "pool", "list", "--pool", str(pool))
+    assert (code, out) == (0, "")
+
+
+def test_overlong_int_literal_exit_3(capsys, tmp_path):
+    spec = tmp_path / "long.cdl"
+    spec.write_text(_spec_with_param("x: i64 = " + "1" * 5000))
+    code, out, err = run(capsys, "fmt", str(spec))
+    assert (code, out) == (3, "")
+    assert err == f"error: E_PARSE: {spec}: int literal too long (line 3, column 19)\n"
+
+
+def test_deep_list_nesting_exit_3(capsys, tmp_path):
+    deep = "list<" * 1000 + "i32" + ">" * 1000
+    spec = tmp_path / "deep.cdl"
+    spec.write_text(_spec_with_param(f"x: {deep}"))
+    project = tmp_path / "p.pdl"
+    project.write_text('project "p" { uses "A" * }\n')
+    rules = tmp_path / "deep.rules"
+    rules.write_text(f"i32, -, i64, -, widen, 1, 1\n{deep}, -, i64, -, widen, 1, 1\n")
+    figure3 = str(CORPUS / "figure3" / "figure3.pdl")
+    for argv in (
+        ("fmt", str(spec)),
+        ("check", str(project), "--specs", str(tmp_path)),
+        ("check", figure3, "--conversions", str(rules)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert "list types nest deeper than 32" in err
+        assert "E_INTERNAL" not in err and err.count("\n") == 1

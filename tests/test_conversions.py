@@ -64,6 +64,12 @@ def test_penalty_and_threshold_directives():
         "f64, ms, f64, s, unit_scale, 0, 1",  # zero factor
         "nonsense words here",  # not a directive either
         "penalty bogus 1/2",
+        "penalty rename \u0663",  # Unicode digits: int() would read 3
+        "threshold 1/\u0663",
+        "f64, ms, f64, s, unit_scale, \u0661, 1000",
+        "f64, ms, f64, s, unit_scale, 1, \uff11\uff10",
+        "threshold +1/2",
+        "penalty rename 1_0/20",
     ],
 )
 def test_bad_rules_rejected(line):
@@ -71,6 +77,14 @@ def test_bad_rules_rejected(line):
         parse_rules_text(line + "\n")
     assert err.value.code == "E_SYNTAX"
     assert err.value.line == 1
+
+
+def test_deep_list_nesting_in_rules_rejected():
+    deep = "list<" * 1000 + "i32" + ">" * 1000
+    with pytest.raises(ParseError) as err:
+        parse_rules_text(f"i32, -, i64, -, widen, 1, 1\n{deep}, -, i64, -, widen, 1, 1\n")
+    assert (err.value.code, err.value.line) == ("E_SYNTAX", 2)
+    assert "list types nest deeper than 32" in err.value.message
 
 
 def test_rule_invariants_in_constructor():

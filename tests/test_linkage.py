@@ -6,7 +6,6 @@ import pytest
 
 from adapterforge.adapters import generate_adapter
 from adapterforge.analyser import analyse, verify
-from adapterforge.aslt import build_aslt
 from adapterforge.conversions import load_rules
 from adapterforge.linkage import (
     ADAPTED,
@@ -17,7 +16,6 @@ from adapterforge.linkage import (
     LinkageError,
     WorkflowResult,
     integrate,
-    report,
     run_workflow,
 )
 from adapterforge.pool import init_pool, pool_list
@@ -25,6 +23,7 @@ from adapterforge.report import (
     match_report_from_json,
     match_report_to_json,
     render_match_report,
+    render_workflow,
     workflow_result_from_json,
     workflow_result_to_json,
 )
@@ -45,8 +44,7 @@ def _figure3_adapter():
     consumer = parse_component((CORPUS / "figure3" / "reportgen.cdl").read_text())
     provider = parse_component((CORPUS / "figure3" / "sortkit.cdl").read_text())
     project = parse_project((CORPUS / "figure3" / "figure3.pdl").read_text())
-    tree = build_aslt(project, [consumer, provider])
-    analysis = analyse(tree, project, [consumer, provider], conv, config)
+    analysis = analyse(project, [consumer, provider], conv, config)
     adapter = generate_adapter(analysis.verdicts[0], consumer, provider, project.name)
     return project, consumer, provider, adapter, (conv, config)
 
@@ -71,8 +69,7 @@ def test_integrate_heals_the_connection(rules):
     project, consumer, provider, adapter, _ = _figure3_adapter()
     integrated = integrate(project, project.connections[0], adapter)
     components = [consumer, provider, *integrated.added]
-    tree = build_aslt(integrated.project, components)
-    assert verify(tree, integrated.project, components, conv, config)
+    assert verify(integrated.project, components, conv, config)
 
 
 def test_integrate_serializes_to_valid_specs():
@@ -217,8 +214,7 @@ def test_human_report_contains_verdict_tokens(tmp_path: Path, rules):
     consumer = parse_component((CORPUS / "exact" / "archiver.cdl").read_text())
     provider = parse_component((CORPUS / "exact" / "hashlibx.cdl").read_text())
     project = parse_project((CORPUS / "exact" / "exactpair.pdl").read_text())
-    tree = build_aslt(project, [consumer, provider])
-    analysis = analyse(tree, project, [consumer, provider], conv, config)
+    analysis = analyse(project, [consumer, provider], conv, config)
     text = render_match_report(analysis)
     assert "EXACT" in text
     assert text.count("connection ") == 1
@@ -226,7 +222,7 @@ def test_human_report_contains_verdict_tokens(tmp_path: Path, rules):
 
 def test_golden_workflow_report(tmp_path: Path, rules):
     result = _run(CORPUS / "figure3", "figure3.pdl", tmp_path / "pool", rules)
-    assert report(result, "human") == (GOLDEN / "figure3_report.txt").read_text()
+    assert render_workflow(result, "human") == (GOLDEN / "figure3_report.txt").read_text()
 
 
 def test_parse_error_carries_file_context(tmp_path: Path, rules):
@@ -374,9 +370,20 @@ def test_reports_are_byte_identical_across_runs(tmp_path: Path, rules):
         consumer = parse_component((CORPUS / "figure3" / "reportgen.cdl").read_text())
         provider = parse_component((CORPUS / "figure3" / "sortkit.cdl").read_text())
         project = parse_project((CORPUS / "figure3" / "figure3.pdl").read_text())
-        tree = build_aslt(project, [consumer, provider])
         return render_match_report(
-            analyse(tree, project, [consumer, provider], conv, config), "structured"
+            analyse(project, [consumer, provider], conv, config), "structured"
         )
 
     assert analyse_bytes() == analyse_bytes()
+
+
+def test_workflow_result_carries_one_descriptor_per_adapter(tmp_path: Path, rules):
+    from dataclasses import replace
+
+    from adapterforge.adapters import emit_descriptor
+
+    result = _run(CORPUS / "figure3", "figure3.pdl", tmp_path / "pool", rules)
+    (adapter,) = result.generated_adapters
+    assert result.descriptors == (emit_descriptor(adapter),)
+    with pytest.raises(ValueError):
+        replace(result, descriptors=())

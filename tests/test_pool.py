@@ -18,7 +18,6 @@ from testutil import component, concept, op, param
 from adapterforge import canonjson
 from adapterforge.adapters import generate_adapter, emit_descriptor
 from adapterforge.analyser import Demand, analyse, match_operation, shape_as_operation, shape_of
-from adapterforge.aslt import build_aslt
 from adapterforge.conversions import ConversionTable, load_rules
 from adapterforge.pool import (
     PoolError,
@@ -123,8 +122,7 @@ def test_adapter_descriptor_roundtrip(pool: Path):
     from adapterforge.speclang import parse_project
 
     project = parse_project((CORPUS / "figure3" / "figure3.pdl").read_text())
-    tree = build_aslt(project, [consumer, provider])
-    report = analyse(tree, project, [consumer, provider], conv, config)
+    report = analyse(project, [consumer, provider], conv, config)
     adapter = generate_adapter(report.verdicts[0], consumer, provider, project.name)
 
     fp = pool_add(pool, emit_descriptor(adapter))

@@ -397,6 +397,43 @@ def test_non_ascii_digits_and_letters_rejected(fragment, offender, message):
     assert err.value.message == f"{message} (line 3, column {col})"
 
 
+_LONG_INT = "1" * 5000
+_DEEP_LIST = "list<" * 1000 + "i32" + ">" * 1000
+
+
+@pytest.mark.parametrize(
+    "fragment,offset,message",
+    [
+        ("x: f64 = 1e999", 9, "float literal out of range"),
+        ("x: f64 = -1e999", 9, "float literal out of range"),
+        (f"x: i32 = {_LONG_INT}", 9, "int literal too long"),
+        (f"x: i32 = -{_LONG_INT}", 9, "int literal too long"),
+        (f"x: {_DEEP_LIST}", 3 + 5 * 32, "list types nest deeper than 32"),
+        ("x: " + "list<" * 33 + "i32" + ">" * 33, 3 + 5 * 32, "list types nest deeper than 32"),
+    ],
+    ids=["inf", "-inf", "long-int", "-long-int", "list-1000", "list-33"],
+)
+def test_unrepresentable_values_rejected_at_their_token(fragment, offset, message):
+    # Values the canonical form could not write back, or that would
+    # recurse without bound, are syntax errors at their own token (for
+    # a type, the 33rd `list`).
+    with pytest.raises(ParseError) as err:
+        parse_any(_op_line(fragment))
+    col = len("    op f(") + offset + 1
+    assert (err.value.code, err.value.line, err.value.col) == ("E_SYNTAX", 3, col)
+    assert err.value.message == f"{message} (line 3, column {col})"
+
+
+def test_nesting_and_literal_limits_accept_the_boundary():
+    spec = parse_any(_op_line("x: " + "list<" * 32 + "i32" + ">" * 32 + ", y: i64 = " + "9" * 4300))
+    (op,) = spec.provided[0].operations
+    assert op.params[0].ty.nesting_depth() == 32
+    assert op.params[1].default.value == int("9" * 4300)
+    assert "V_LIST_DEPTH" in {v.code for v in validate(spec)}
+    underflow = parse_any(_op_line("x: f64 = 1e-999"))
+    assert underflow.provided[0].operations[0].params[0].default.value == 0.0
+
+
 def test_non_ascii_accepted_in_strings_and_comments():
     spec = parse_component(
         '// caf\u00e9 \u00b2\ncomponent "A" version "1.0.0" {\n'
