@@ -387,3 +387,109 @@ def test_workflow_result_carries_one_descriptor_per_adapter(tmp_path: Path, rule
     assert result.descriptors == (emit_descriptor(adapter),)
     with pytest.raises(ValueError):
         replace(result, descriptors=())
+
+
+_HEALER = (
+    'component "healer" version "1.0.0" {\n'
+    "  provides interface Sorting {\n"
+    "    op sortAscending(items: list<i32>) -> list<i32> @concept data.sorting.sort\n"
+    "  }\n"
+    "  requires interface BulkSort {\n"
+    "    op sort(items: list<i32>, ascending: bool = true) -> list<i32> @concept data.sorting.sort\n"
+    "  }\n"
+    "}\n"
+)
+# Provides the consumer's interface name and concept, but its op is
+# named after the concept's last segment, so it prices above the
+# healer against the nameless demand shape and yet cannot heal.
+_DECOY = _HEALER.replace('"healer"', '"decoy"').replace(
+    "op sortAscending(", "op sort(", 1
+)
+
+
+def _rename_penalized_rules(tmp_path: Path):
+    path = tmp_path / "rename.rules"
+    path.write_text((CORPUS / "conversions.rules").read_text() + "penalty rename 1/10\n")
+    return load_rules(path)
+
+
+def _figure3_query(pool_root: Path, conv, config):
+    from adapterforge.analyser import Demand, shape_of
+    from adapterforge.pool import PoolQuery, pool_query
+
+    consumer = parse_component((CORPUS / "figure3" / "reportgen.cdl").read_text())
+    (op,) = consumer.interface("required", "Sorting").operations
+    demand = Demand(op.concept, shape_of(op), "figure3")
+    return pool_query(pool_root, PoolQuery(demand), conv, config)
+
+
+def test_pool_hit_skips_a_higher_ranked_candidate_that_does_not_heal(tmp_path: Path):
+    from adapterforge.pool import pool_add
+
+    conv, config = _rename_penalized_rules(tmp_path)
+    pool_root = init_pool(tmp_path / "pool")
+    decoy_fp = pool_add(pool_root, _DECOY)
+    healer_fp = pool_add(pool_root, _HEALER)
+    ranked = _figure3_query(pool_root, conv, config)
+    assert [c.fingerprint for c in ranked] == [decoy_fp, healer_fp]
+    assert ranked[0].score > ranked[1].score >= config.threshold
+
+    result = _run(CORPUS / "figure3", "figure3.pdl", pool_root, (conv, config))
+    assert result.outcome == ADAPTED
+    assert [(i.source, i.fingerprint, i.component) for i in result.integrations] == [
+        (POOL_HIT, healer_fp, "healer")
+    ]
+    assert result.generated_adapters == ()
+    assert result.final_report.all_exact()
+
+
+def test_candidates_that_do_not_heal_leave_an_adaptable_connection_to_generation(
+    tmp_path: Path,
+):
+    from adapterforge.pool import pool_add
+
+    conv, config = _rename_penalized_rules(tmp_path)
+    pool_root = init_pool(tmp_path / "pool")
+    pool_add(pool_root, _DECOY)
+    (candidate,) = _figure3_query(pool_root, conv, config)
+    assert candidate.score >= config.threshold
+
+    result = _run(CORPUS / "figure3", "figure3.pdl", pool_root, (conv, config))
+    assert result.outcome == ADAPTED
+    assert [i.source for i in result.integrations] == [GENERATED]
+    assert [(s.action, s.detail) for s in result.steps[2:4]] == [
+        ("query", "data.sorting.sort for reportgen.requires.Sorting -> sortkit.provides.BulkSort"),
+        ("return", "1 candidate(s)"),
+    ]
+    assert result.steps[4].action == "invite"
+
+
+def test_project_demand_below_threshold_stays_unresolved(tmp_path: Path, rules):
+    from adapterforge.pool import pool_add
+
+    pool_root = init_pool(tmp_path / "pool")
+    fp = pool_add(
+        pool_root,
+        'component "crypt" version "1.0.0" {\n'
+        "  provides interface Crypto {\n"
+        "    op crypt(payload: bytes) -> bytes @concept data.crypto\n"
+        "  }\n"
+        "}\n",
+    )
+    strict = tmp_path / "strict.rules"
+    strict.write_text("threshold 19/20\n")
+    result = _run(CORPUS / "missing", "wantsign.pdl", pool_root, load_rules(strict))
+    assert result.outcome == UNRESOLVABLE
+    assert [str(d.concept) for d in result.unresolved] == ["data.crypto.sign"]
+    assert result.integrations == ()
+    assert [(s.action, s.detail) for s in result.steps] == [
+        ("read", "wantsign: 1 component spec(s)"),
+        ("compare", "0 connection(s), 1 demand(s)"),
+        ("query", "data.crypto.sign (project demand)"),
+        ("return", "0 candidate(s)"),
+        ("verify", "not exact"),
+    ]
+    # One hop away scores 9/10: the same pool serves the demand at the
+    # default threshold.
+    lenient = _run(CORPUS / "missing", "wantsign.pdl", pool_root, rules)
+    assert [(i.source, i.fingerprint) for i in lenient.integrations] == [(POOL_HIT, fp)]
