@@ -164,6 +164,12 @@ class AdapterSpec:
         )
 
 
+def as_component(value: AdapterSpec | ComponentSpec) -> ComponentSpec:
+    """The component view of a pool value: an adapter integrates as its
+    component spec, a component as itself."""
+    return value.to_component_spec() if isinstance(value, AdapterSpec) else value
+
+
 def generate_adapter(
     match: ConnectionVerdict,
     consumer: ComponentSpec,

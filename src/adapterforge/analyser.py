@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .aslt import resolve_components
+from .aslt import E_UNRESOLVED, resolve_components
 from .conversions import (
     CONCEPT_DISTANCE,
     DEFAULT_CONFIG,
@@ -54,8 +54,6 @@ from .speclang import (
     SemType,
 )
 from .speclang.errors import AdapterForgeError
-
-E_UNRESOLVED = "E_UNRESOLVED"
 
 EXACT = "EXACT"
 ADAPTABLE = "ADAPTABLE"
@@ -519,8 +517,16 @@ def analyse(
     config: MatchConfig = DEFAULT_CONFIG,
 ) -> MatchReport:
     """Match every connection and compute unmet demand."""
-    resolved = resolve_components(project, components)
+    return analyse_resolved(project, resolve_components(project, components), conv, config)
 
+
+def analyse_resolved(
+    project: ProjectSpec,
+    resolved: dict[str, ComponentSpec],
+    conv: ConversionTable,
+    config: MatchConfig,
+) -> MatchReport:
+    """`analyse` given the project's resolved `uses` (`resolve_components`)."""
     verdicts = tuple(
         _judge_connection(conn, resolved, conv, config) for conn in project.connections
     )

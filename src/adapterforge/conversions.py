@@ -157,7 +157,7 @@ def parse_rules_text(text: str) -> tuple[ConversionTable, MatchConfig]:
             frm = TypePort(parse_type(from_ty), None if from_unit == "-" else from_unit)
             to = TypePort(parse_type(to_ty), None if to_unit == "-" else to_unit)
         except ParseError as err:
-            raise ParseError(E_SYNTAX, err.message, lineno, 1) from None
+            raise ParseError(E_SYNTAX, err.reason, lineno, 1) from None
         kind = rule_name.upper()
         if kind not in RULE_KINDS:
             raise ParseError(E_SYNTAX, f"unknown rule {rule_name!r}", lineno, 1)

@@ -1,23 +1,25 @@
 """Workflow orchestration: read, compare, consult the pool, retrieve or
 generate adapters, integrate, store, re-verify.
 
-One run walks the full loop. Exact connections are left alone. For
-every other connection the pool is consulted first; only a hit that
-will actually re-verify as exact (it provides the consumer's required
-interface verbatim and requires the provider's provided interface
-verbatim) is taken, otherwise an adapter is generated when the
-connection is adaptable. Generated adapters are always stored, even
-when later verification fails; a failed verification turns the outcome
-unresolvable instead of unwinding the pool.
+One run walks the full loop. Exact connections are left alone. Every
+other connection, and every project demand, consults the pool first
+through one query; a connection takes only a hit that will re-verify
+as exact (it provides the consumer's required interface verbatim and
+requires the provider's provided interface verbatim), otherwise an
+adapter is generated when the connection is adaptable. Generated
+adapters are always stored, even when later verification fails; a
+failed verification turns the outcome unresolvable instead of
+unwinding the pool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
-from .adapters import AdapterSpec, emit_descriptor, generate_adapter
+from .adapters import AdapterSpec, as_component, emit_descriptor, generate_adapter
 from .analyser import (
     ADAPTABLE,
     EXACT,
@@ -25,6 +27,7 @@ from .analyser import (
     Demand,
     MatchReport,
     analyse,
+    analyse_resolved,
     shape_of,
 )
 from .aslt import resolve_components
@@ -116,12 +119,6 @@ class WorkflowResult:
             raise ValueError("a workflow result needs one descriptor per generated adapter")
 
 
-@dataclass
-class WorkflowOptions:
-    auto_init_pool: bool = True
-    lock_timeout: float = 5.0
-
-
 class _Trace:
     def __init__(self) -> None:
         self.records: list[StepRecord] = []
@@ -148,11 +145,15 @@ def load_specs_dir(specs_dir: str | Path) -> list[ComponentSpec]:
 def parse_spec_file(path: Path, parse):
     """Parse one spec file, attaching file context to any parse error."""
     try:
-        return parse(read_spec_text(path))
-    except ParseError as err:
-        raise LinkageError(E_PARSE, f"{path}: {err.message}") from err
+        text = read_spec_text(path)
+    except ParseError as err:  # not UTF-8; the message names the file
+        raise LinkageError(E_PARSE, err.message) from err
     except OSError as err:
         raise LinkageError(E_PARSE, f"{path}: {err}") from None
+    try:
+        return parse(text)
+    except ParseError as err:
+        raise LinkageError(E_PARSE, f"{path}: {err.message}") from err
 
 
 def integrate(
@@ -162,7 +163,7 @@ def integrate(
 ) -> IntegratedProject:
     """Splice an adapter into one connection: the single consumer ->
     provider edge becomes consumer -> adapter -> provider."""
-    component = adapter.to_component_spec() if isinstance(adapter, AdapterSpec) else adapter
+    component = as_component(adapter)
     if component.interface(PROVIDED, connection.consumer_interface) is None:
         raise LinkageError(
             E_INTERFACE_MISMATCH,
@@ -202,16 +203,17 @@ def integrate(
             E_INTERFACE_MISMATCH, f"project has no connection {connection.label()}"
         )
 
-    uses = project.uses
-    if project.use(component.name) is None:
-        uses = uses + (UseDecl(component.name, VersionConstraint("=", component.version)),)
-    rewritten = ProjectSpec(
-        name=project.name,
-        uses=uses,
-        connections=tuple(new_connections),
-        demands=project.demands,
-    )
+    rewritten = _pin(replace(project, connections=tuple(new_connections)), component)
     return IntegratedProject(original=project, project=rewritten, added=(component,))
+
+
+def _pin(project: ProjectSpec, component: ComponentSpec) -> ProjectSpec:
+    """The project with `component` pinned to its exact version in
+    `uses`, unless the project already uses a component of that name."""
+    if project.use(component.name) is not None:
+        return project
+    pin = UseDecl(component.name, VersionConstraint("=", component.version))
+    return replace(project, uses=project.uses + (pin,))
 
 
 def _healing_hit(
@@ -222,7 +224,7 @@ def _healing_hit(
     """A usable pool hit must re-verify as exact on both rewritten
     edges: provide the consumer's interface verbatim and require the
     provider's verbatim."""
-    component = candidate.to_component_spec() if isinstance(candidate, AdapterSpec) else candidate
+    component = as_component(candidate)
     provides = component.interface(PROVIDED, consumer_iface.name)
     requires = component.interface(REQUIRED, provider_iface.name)
     return (
@@ -237,22 +239,19 @@ def run_workflow(
     pool_root: str | Path,
     conv: ConversionTable,
     config: MatchConfig = DEFAULT_CONFIG,
-    options: WorkflowOptions | None = None,
 ) -> WorkflowResult:
-    options = options or WorkflowOptions()
     trace = _Trace()
 
     project = parse_spec_file(Path(project_path), parse_project)
     components = load_specs_dir(specs_dir)
     trace.add("read", f"{project.name}: {len(components)} component spec(s)")
 
-    if options.auto_init_pool:
-        init_pool(pool_root)
-
-    report = analyse(project, components, conv, config)
-    trace.add("compare", f"{len(report.verdicts)} connection(s), {len(report.demand)} demand(s)")
+    init_pool(pool_root)
 
     resolved = resolve_components(project, components)
+    report = analyse_resolved(project, resolved, conv, config)
+    trace.add("compare", f"{len(report.verdicts)} connection(s), {len(report.demand)} demand(s)")
+
     current = project
     added: list[ComponentSpec] = []
     generated: list[AdapterSpec] = []
@@ -271,65 +270,50 @@ def run_workflow(
         provider_iface = provider.interface(PROVIDED, conn.provider_interface)
         assert consumer_iface is not None and provider_iface is not None
 
+        # Not EXACT, so the consumer's interface has at least one operation.
+        first_op = consumer_iface.operations[0]
+        demand = Demand(first_op.concept, shape_of(first_op), conn.label())
         hit = _consult_pool(
-            pool_root, verdict, consumer_iface, provider_iface, conv, config, trace
+            pool_root, demand, f"{demand.concept} for {conn.label()}", conv, config, trace,
+            accept=lambda value: _healing_hit(value, consumer_iface, provider_iface),
         )
         if hit is not None:
-            fp, candidate = hit
-            component = (
-                candidate.to_component_spec()
-                if isinstance(candidate, AdapterSpec)
-                else candidate
-            )
-            current = integrate(current, conn, component).project
-            added.append(component)
-            integrations.append(
-                Integration(conn.label(), POOL_HIT, fp, component.name)
-            )
-            trace.add("integrate", f"{component.name} into {conn.label()}")
-            continue
-
-        if verdict.status == ADAPTABLE:
+            fp, value = hit
+            source = POOL_HIT
+        elif verdict.status == ADAPTABLE:
             trace.add("invite", f"generate adapter for {conn.label()}")
-            adapter = generate_adapter(verdict, consumer, provider, project.name)
-            trace.add("generate", adapter.name)
-            component = adapter.to_component_spec()
-            current = integrate(current, conn, component).project
-            added.append(component)
-            generated.append(adapter)
-            descriptors.append(emit_descriptor(adapter))
-            fp = pool_add_generated(
-                pool_root, adapter, descriptors[-1], timeout=options.lock_timeout
-            )
-            trace.add("store", f"{adapter.name} as {fp}")
-            integrations.append(Integration(conn.label(), GENERATED, fp, adapter.name))
-            trace.add("integrate", f"{adapter.name} into {conn.label()}")
+            value = generate_adapter(verdict, consumer, provider, project.name)
+            trace.add("generate", value.name)
+            generated.append(value)
+            descriptors.append(emit_descriptor(value))
+            fp = pool_add_generated(pool_root, value, descriptors[-1])
+            source = GENERATED
+            trace.add("store", f"{value.name} as {fp}")
         else:
             unresolved.extend(_connection_demands(report, verdict, consumer_iface))
             diagnostics.append(
                 f"{conn.label()}: {verdict.reason or 'incompatible'}; needs development"
             )
+            continue
+        component = as_component(value)
+        current = integrate(current, conn, component).project
+        added.append(component)
+        integrations.append(Integration(conn.label(), source, fp, component.name))
+        trace.add("integrate", f"{component.name} into {conn.label()}")
 
     for demand in report.demand:
         if demand.origin != "project":
             continue
-        hit = _query_demand(pool_root, demand, conv, config, trace)
+        note = f"{demand.concept} (project demand)"
+        hit = _consult_pool(pool_root, demand, note, conv, config, trace, accept=lambda value: True)
         if hit is None:
             unresolved.append(demand)
             continue
-        fp, candidate = hit
-        component = (
-            candidate.to_component_spec() if isinstance(candidate, AdapterSpec) else candidate
-        )
+        fp, value = hit
+        component = as_component(value)
         if current.use(component.name) is None:
-            current = ProjectSpec(
-                name=current.name,
-                uses=current.uses
-                + (UseDecl(component.name, VersionConstraint("=", component.version)),),
-                connections=current.connections,
-                demands=current.demands,
-            )
             added.append(component)
+        current = _pin(current, component)
         integrations.append(
             Integration(f"demand:{demand.concept}", POOL_HIT, fp, component.name)
         )
@@ -365,37 +349,26 @@ def run_workflow(
 
 
 def _consult_pool(
-    pool_root, verdict, consumer_iface, provider_iface, conv, config, trace
+    pool_root: str | Path,
+    demand: Demand,
+    note: str,
+    conv: ConversionTable,
+    config: MatchConfig,
+    trace: _Trace,
+    accept: Callable[[ComponentSpec | AdapterSpec], bool],
 ) -> tuple[str, ComponentSpec | AdapterSpec] | None:
-    if not consumer_iface.operations:
-        return None
-    first_op = consumer_iface.operations[0]
-    demand = Demand(
-        concept=first_op.concept,
-        shape=shape_of(first_op),
-        origin=verdict.connection.label(),
-    )
-    trace.add("query", f"{demand.concept} for {verdict.connection.label()}")
+    """The best-ranked candidate for `demand` that scores at least the
+    threshold and that `accept` takes, as `(fingerprint, value)`."""
+    trace.add("query", note)
     ranked = pool_query(pool_root, PoolQuery(demand), conv, config)
     trace.add("return", f"{len(ranked)} candidate(s)")
     for candidate in ranked:
         if candidate.score < config.threshold:
             break
         value = candidate.load()
-        if _healing_hit(value, consumer_iface, provider_iface):
+        if accept(value):
             return candidate.fingerprint, value
     return None
-
-
-def _query_demand(
-    pool_root, demand: Demand, conv, config, trace
-) -> tuple[str, ComponentSpec | AdapterSpec] | None:
-    trace.add("query", f"{demand.concept} (project demand)")
-    ranked = pool_query(pool_root, PoolQuery(demand), conv, config)
-    trace.add("return", f"{len(ranked)} candidate(s)")
-    if not ranked or ranked[0].score < config.threshold:
-        return None
-    return ranked[0].fingerprint, ranked[0].load()
 
 
 def _connection_demands(

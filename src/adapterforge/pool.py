@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import canonjson
-from .adapters import AdapterSpec, _concept_from_json, emit_descriptor, parse_descriptor
+from .adapters import AdapterSpec, _concept_from_json, as_component, emit_descriptor, parse_descriptor
 from .analyser import Demand, match_operation, shape_as_operation
 from .conversions import DEFAULT_CONFIG, ConversionTable, MatchConfig
 from .speclang import (
@@ -320,7 +320,7 @@ def _validate_adapter(adapter: AdapterSpec) -> None:
 
 
 def _entry_for(kind: str, fp: str, value: ComponentSpec | AdapterSpec) -> IndexEntry:
-    component = value.to_component_spec() if isinstance(value, AdapterSpec) else value
+    component = as_component(value)
     return IndexEntry(
         kind=kind,
         name=component.name,
@@ -478,9 +478,8 @@ def pool_query(
                 results.append(Candidate(root, fp, score, entry))
             continue
         value = _read_artifact(root, fp, entry)
-        component = value.to_component_spec() if isinstance(value, AdapterSpec) else value
         best: Fraction | None = None
-        for iface in component.provided:
+        for iface in as_component(value).provided:
             for op in iface.operations:
                 match = match_operation(wanted, op, conv, config)
                 if match is not None and (best is None or match.score > best):

@@ -19,6 +19,7 @@ class ParseError(AdapterForgeError):
 
     def __init__(self, code: str, message: str, line: int, col: int):
         super().__init__(code, f"{message} (line {line}, column {col})")
+        self.reason = message  # the message without its position
         self.line = line
         self.col = col
 

@@ -626,3 +626,39 @@ def test_deep_list_nesting_exit_3(capsys, tmp_path):
         assert (code, out) == (3, ""), argv
         assert "list types nest deeper than 32" in err
         assert "E_INTERNAL" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "adapt", "fmt"])
+def test_non_utf8_spec_names_its_path_once(capsys, tmp_path, command):
+    bad = tmp_path / "bad.pdl"
+    bad.write_bytes(b'project "p" {\xff}\n')
+    extra = {
+        "adapt": ("--pool", str(tmp_path / "pool"), "--emit", str(tmp_path / "out")),
+    }.get(command, ())
+    code, out, err = run(capsys, command, str(bad), *extra)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: E_PARSE: ") and err.count("\n") == 1
+    assert err.count(str(bad)) == 1
+    assert "is not UTF-8 (invalid start byte at byte 13)" in err
+
+
+def test_adapt_resolves_uses_once_before_final_verification(capsys, monkeypatch, tmp_path):
+    from adapterforge import aslt
+
+    original = aslt.resolve_components
+    calls = []
+
+    def counted(project, components):
+        calls.append(project.name)
+        return original(project, components)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("adapterforge") and getattr(module, "resolve_components", None) is original:
+            monkeypatch.setattr(module, "resolve_components", counted)
+            patched.add(name)
+    assert {"adapterforge.aslt", "adapterforge.analyser", "adapterforge.linkage"} <= patched
+    code, _, err = _adapt_figure3(capsys, tmp_path)
+    assert (code, err) == (1, "")
+    # One resolution for the analysis, one for the final verification.
+    assert calls == ["figure3", "figure3"]

@@ -85,6 +85,7 @@ def test_deep_list_nesting_in_rules_rejected():
         parse_rules_text(f"i32, -, i64, -, widen, 1, 1\n{deep}, -, i64, -, widen, 1, 1\n")
     assert (err.value.code, err.value.line) == ("E_SYNTAX", 2)
     assert "list types nest deeper than 32" in err.value.message
+    assert err.value.message.count("(line ") == 1  # the rules-file line only
 
 
 def test_rule_invariants_in_constructor():
