@@ -398,7 +398,13 @@ def _iface_from_json(doc: dict, direction: str) -> InterfaceSpec:
 
 
 def _concept_from_json(text: str | None) -> ConceptId | None:
-    return ConceptId(tuple(text.split("."))) if text is not None else None
+    """A stored concept, held to the segment syntax a spec enforces."""
+    if text is None:
+        return None
+    try:
+        return ConceptId.from_text(text)
+    except ValueError as err:
+        raise AdapterGenError(E_DESCRIPTOR, f"malformed concept {text!r}: {err}") from None
 
 
 def _literal_to_json(lit: Literal) -> dict:

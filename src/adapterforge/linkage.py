@@ -148,8 +148,8 @@ def parse_spec_file(path: Path, parse):
         text = read_spec_text(path)
     except ParseError as err:  # not UTF-8; the message names the file
         raise LinkageError(E_PARSE, err.message) from err
-    except OSError as err:
-        raise LinkageError(E_PARSE, f"{path}: {err}") from None
+    except OSError as err:  # str(err) would name the path a second time
+        raise LinkageError(E_PARSE, f"{path}: {err.strerror or err}") from None
     try:
         return parse(text)
     except ParseError as err:
@@ -357,14 +357,13 @@ def _consult_pool(
     trace: _Trace,
     accept: Callable[[ComponentSpec | AdapterSpec], bool],
 ) -> tuple[str, ComponentSpec | AdapterSpec] | None:
-    """The best-ranked candidate for `demand` that scores at least the
-    threshold and that `accept` takes, as `(fingerprint, value)`."""
+    """The best-ranked candidate for `demand` that `accept` takes, as
+    `(fingerprint, value)`; `pool_query` returns only candidates that
+    reach the threshold."""
     trace.add("query", note)
     ranked = pool_query(pool_root, PoolQuery(demand), conv, config)
     trace.add("return", f"{len(ranked)} candidate(s)")
     for candidate in ranked:
-        if candidate.score < config.threshold:
-            break
         value = candidate.load()
         if accept(value):
             return candidate.fingerprint, value

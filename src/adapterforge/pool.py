@@ -32,11 +32,12 @@ from pathlib import Path
 from typing import Iterator
 
 from . import canonjson
-from .adapters import AdapterSpec, _concept_from_json, as_component, emit_descriptor, parse_descriptor
+from .adapters import AdapterSpec, as_component, emit_descriptor, parse_descriptor
 from .analyser import Demand, match_operation, shape_as_operation
 from .conversions import DEFAULT_CONFIG, ConversionTable, MatchConfig
 from .speclang import (
     ComponentSpec,
+    ConceptId,
     ParseError,
     VersionConstraint,
     format_version,
@@ -453,7 +454,9 @@ def pool_query(
     one index fold and priced by its best provided operation through
     the regular matcher; a bare concept demand is priced by concept
     distance alone. An empty result is the miss answer: nothing stored
-    can serve the demand. Each result is a `(fingerprint, score)` pair.
+    can serve the demand. Each result is a `(fingerprint, score)` pair,
+    and every score is at least `config.threshold`: a bare demand is cut
+    at the threshold here, a shaped one by `match_operation`.
     """
     root = Path(root)
     conv = conv if conv is not None else ConversionTable()
@@ -465,10 +468,12 @@ def pool_query(
             parse_version(entry.version)
         ):
             continue
+        # Index concepts were checked when their artifact was added, so
+        # they are split here without a second check.
         related_hops = [
             hops
             for concept_text in entry.provided_concepts
-            if (hops := demand.concept.hops_to(_concept_from_json(concept_text))) is not None
+            if (hops := demand.concept.hops_to(ConceptId(tuple(concept_text.split("."))))) is not None
         ]
         if not related_hops:
             continue

@@ -7,6 +7,14 @@ versions and constraints. Deeper semantic limits (concept depth, list
 nesting, default literal types) are left to the validator so that a
 spec can be loaded, inspected, and reported on even when it carries
 those defects.
+
+The parser reads the lexer's plain token texts. A token's kind is its
+first character: a letter or `_` starts an identifier, `"` a string, a
+digit or a `-` other than `->` a number (a float iff it holds `.`, `e`
+or `E`); anything else is a punctuator, and `""` is the end of input.
+Keywords and punctuators are matched by `==` on the text. An error
+site keeps a token index, and `lexer.position` turns it into a line
+and column only when the error is raised.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ from .errors import (
     E_SYNTAX,
     ParseError,
 )
-from .lexer import EOF, FLOAT, IDENT, INT, STRING, Token
 from .model import (
     ANY_VERSION,
     CONCEPT_SEGMENT_RE,
@@ -52,46 +59,68 @@ from .model import (
 # applies to a spec that parses.
 MAX_TYPE_NESTING = 32
 
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NUMBER_START = frozenset("-0123456789")
+_SCALAR_TYPES = {kind: SemType(kind) for kind in SCALAR_KINDS}
+
 
 class _TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._pos = 0
+    """The token texts of one source and the index of the next token.
+    The index never moves past the final `""`."""
 
-    def peek(self, ahead: int = 0) -> Token:
-        if ahead:
-            return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
-        return self._tokens[self._pos]
+    __slots__ = ("text", "tokens", "i")
 
-    def next(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != EOF:
-            self._pos += 1
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = lexer.tokenize(text)
+        self.i = 0
+
+    def peek(self, ahead: int = 0) -> str:
+        # Callers look ahead only past a token that is not the last.
+        return self.tokens[self.i + ahead]
+
+    def next(self) -> str:
+        tok = self.tokens[self.i]
+        if tok:
+            self.i += 1
         return tok
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.next()
-        if not tok.is_punct(text):
-            raise _syntax(f"expected {text!r}", tok)
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.i] == text:
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, text: str) -> None:
+        """Consume the keyword or punctuator `text`."""
+        if not self.accept(text):
+            want = f"keyword {text!r}" if text[0] in _IDENT_START else repr(text)
+            raise self.unexpected(f"expected {want}")
+
+    def expect_ident(self) -> str:
+        tok = self.tokens[self.i]
+        if tok[:1] not in _IDENT_START:
+            raise self.unexpected("expected identifier")
+        self.i += 1
         return tok
 
-    def expect_ident(self, text: str | None = None) -> Token:
-        tok = self.next()
-        if tok.kind != IDENT or (text is not None and tok.text != text):
-            want = f"keyword {text!r}" if text else "identifier"
-            raise _syntax(f"expected {want}", tok)
-        return tok
+    def expect_string(self) -> str:
+        tok = self.tokens[self.i]
+        if tok[:1] != '"':
+            raise self.unexpected("expected string literal")
+        self.i += 1
+        return lexer.unquote(tok)
 
-    def expect_string(self) -> Token:
-        tok = self.next()
-        if tok.kind != STRING:
-            raise _syntax("expected string literal", tok)
-        return tok
+    def error(self, code: str, message: str, at: int) -> ParseError:
+        """A `code` error at token `at`."""
+        return ParseError(code, message, *lexer.position(self.text, at))
 
-
-def _syntax(message: str, tok: Token) -> ParseError:
-    shown = tok.text if tok.kind != EOF else "end of input"
-    return ParseError(E_SYNTAX, f"{message}, got {shown!r}", tok.line, tok.col)
+    def unexpected(self, message: str, at: int | None = None) -> ParseError:
+        """E_SYNTAX naming the token at `at`, by default the next one."""
+        at = self.i if at is None else at
+        tok = self.tokens[at]
+        shown = "end of input" if not tok else lexer.unquote(tok) if tok[0] == '"' else tok
+        return self.error(E_SYNTAX, f"{message}, got {shown!r}", at)
 
 
 def read_spec_text(path: str | Path) -> str:
@@ -107,8 +136,8 @@ def read_spec_text(path: str | Path) -> str:
 
 def parse_component(text: str) -> ComponentSpec:
     """Parse a `.cdl` component specification."""
-    ts = _TokenStream(lexer.tokenize(text))
-    ts.expect_ident("component")
+    ts = _TokenStream(text)
+    ts.expect("component")
     spec = _component_body(ts)
     _expect_eof(ts)
     return spec
@@ -116,8 +145,8 @@ def parse_component(text: str) -> ComponentSpec:
 
 def parse_project(text: str) -> ProjectSpec:
     """Parse a `.pdl` project specification."""
-    ts = _TokenStream(lexer.tokenize(text))
-    ts.expect_ident("project")
+    ts = _TokenStream(text)
+    ts.expect("project")
     spec = _project_body(ts)
     _expect_eof(ts)
     return spec
@@ -125,78 +154,71 @@ def parse_project(text: str) -> ProjectSpec:
 
 def parse_any(text: str) -> ComponentSpec | ProjectSpec:
     """Parse either kind of spec, dispatching on the leading keyword."""
-    ts = _TokenStream(lexer.tokenize(text))
-    head = ts.next()
-    if head.is_ident("component"):
+    ts = _TokenStream(text)
+    if ts.accept("component"):
         spec: ComponentSpec | ProjectSpec = _component_body(ts)
-    elif head.is_ident("project"):
+    elif ts.accept("project"):
         spec = _project_body(ts)
     else:
-        raise _syntax("expected 'component' or 'project'", head)
+        raise ts.unexpected("expected 'component' or 'project'")
     _expect_eof(ts)
     return spec
 
 
 def parse_type(text: str) -> SemType:
     """Parse a standalone type expression like `list<i32>`."""
-    ts = _TokenStream(lexer.tokenize(text))
+    ts = _TokenStream(text)
     ty = _type(ts)
     _expect_eof(ts)
     return ty
 
 
 def _expect_eof(ts: _TokenStream) -> None:
-    tok = ts.peek()
-    if tok.kind != EOF:
-        raise _syntax("trailing input after specification", tok)
+    if ts.peek():
+        raise ts.unexpected("trailing input after specification")
 
 
-def _name_token(ts: _TokenStream, what: str) -> Token:
-    tok = ts.expect_string()
-    if not IDENT_RE.match(tok.text):
-        raise ParseError(E_SYNTAX, f"{what} {tok.text!r} is not an identifier", tok.line, tok.col)
-    return tok
+def _name(ts: _TokenStream, what: str) -> str:
+    at = ts.i
+    name = ts.expect_string()
+    if not IDENT_RE.match(name):
+        raise ts.error(E_SYNTAX, f"{what} {name!r} is not an identifier", at)
+    return name
 
 
 def _component_body(ts: _TokenStream) -> ComponentSpec:
-    name_tok = _name_token(ts, "component name")
-    ts.expect_ident("version")
-    version_tok = ts.expect_string()
+    name = _name(ts, "component name")
+    ts.expect("version")
+    at = ts.i
+    version_text = ts.expect_string()
     try:
-        version = parse_version(version_tok.text)
+        version = parse_version(version_text)
     except ValueError as err:
-        raise ParseError(E_BAD_VERSION, str(err), version_tok.line, version_tok.col) from None
-    ts.expect_punct("{")
+        raise ts.error(E_BAD_VERSION, str(err), at) from None
+    ts.expect("{")
 
     provided: list[InterfaceSpec] = []
     required: list[InterfaceSpec] = []
     meta: list[MetaEntry] = []
-    while True:
-        tok = ts.peek()
-        if tok.is_punct("}"):
-            ts.next()
-            break
-        if tok.is_ident("meta"):
-            ts.next()
-            key = ts.expect_ident().text
-            ts.expect_punct("=")
-            meta.append(MetaEntry(key, ts.expect_string().text))
-        elif tok.is_ident("provides") or tok.is_ident("requires"):
+    while not ts.accept("}"):
+        at = ts.i
+        if ts.accept("meta"):
+            key = ts.expect_ident()
+            ts.expect("=")
+            meta.append(MetaEntry(key, ts.expect_string()))
+        elif ts.peek() in ("provides", "requires"):
             iface = _interface_decl(ts)
             bucket = provided if iface.direction == PROVIDED else required
             if any(existing.name == iface.name for existing in bucket):
-                raise ParseError(
-                    E_DUP_NAME,
-                    f"duplicate {iface.direction} interface {iface.name!r}",
-                    tok.line,
-                    tok.col,
+                raise ts.error(
+                    E_DUP_NAME, f"duplicate {iface.direction} interface {iface.name!r}", at
                 )
             bucket.append(iface)
         else:
-            raise _syntax("expected 'meta', 'provides', 'requires' or '}'", tok)
+            raise ts.unexpected("expected 'meta', 'provides', 'requires' or '}'")
 
     return ComponentSpec(
-        name=name_tok.text,
+        name=name,
         version=version,
         provided=tuple(provided),
         required=tuple(required),
@@ -205,92 +227,74 @@ def _component_body(ts: _TokenStream) -> ComponentSpec:
 
 
 def _interface_decl(ts: _TokenStream) -> InterfaceSpec:
-    direction = PROVIDED if ts.next().text == "provides" else REQUIRED
-    ts.expect_ident("interface")
-    name = ts.expect_ident().text
-    ts.expect_punct("{")
+    direction = PROVIDED if ts.next() == "provides" else REQUIRED
+    ts.expect("interface")
+    name = ts.expect_ident()
+    ts.expect("{")
     operations: list[OperationSig] = []
-    while True:
-        tok = ts.peek()
-        if tok.is_punct("}"):
-            ts.next()
-            break
-        if tok.is_ident("op"):
-            op = _op_decl(ts)
-            if any(existing.name == op.name for existing in operations):
-                raise ParseError(E_DUP_NAME, f"duplicate operation {op.name!r}", tok.line, tok.col)
-            operations.append(op)
-        else:
-            raise _syntax("expected 'op' or '}'", tok)
+    while not ts.accept("}"):
+        at = ts.i
+        if ts.peek() != "op":
+            raise ts.unexpected("expected 'op' or '}'")
+        op = _op_decl(ts)
+        if any(existing.name == op.name for existing in operations):
+            raise ts.error(E_DUP_NAME, f"duplicate operation {op.name!r}", at)
+        operations.append(op)
     return InterfaceSpec(name, direction, tuple(operations))
 
 
 def _op_decl(ts: _TokenStream) -> OperationSig:
-    op_tok = ts.expect_ident("op")
-    name = ts.expect_ident().text
-    ts.expect_punct("(")
+    op_at = ts.i
+    ts.expect("op")
+    name = ts.expect_ident()
+    ts.expect("(")
 
     names: list[str] = []
     types: list[SemType] = []
     defaults: list[Literal | None] = []
-    if not ts.peek().is_punct(")"):
+    if ts.peek() != ")":
         while True:
-            param_tok = ts.expect_ident()
-            if param_tok.text in names:
-                raise ParseError(
-                    E_DUP_NAME, f"duplicate parameter {param_tok.text!r}", param_tok.line, param_tok.col
-                )
-            ts.expect_punct(":")
-            ty = _type(ts)
-            default = None
-            if ts.peek().is_punct("="):
-                ts.next()
-                default = _literal(ts)
-            names.append(param_tok.text)
-            types.append(ty)
-            defaults.append(default)
-            if ts.peek().is_punct(","):
-                ts.next()
-                continue
-            break
-    ts.expect_punct(")")
-    ts.expect_punct("->")
+            at = ts.i
+            param = ts.expect_ident()
+            if param in names:
+                raise ts.error(E_DUP_NAME, f"duplicate parameter {param!r}", at)
+            ts.expect(":")
+            types.append(_type(ts))
+            defaults.append(_literal(ts) if ts.accept("=") else None)
+            names.append(param)
+            if not ts.accept(","):
+                break
+    ts.expect(")")
+    ts.expect("->")
     returns = _type(ts)
 
     op_concept: ConceptId | None = None
     param_concepts: dict[str, ConceptId] = {}
     param_units: dict[str, str] = {}
     annotated: set[str] = set()
-    while ts.peek().is_punct("@"):
-        at_tok = ts.next()
+    while ts.accept("@"):
+        at = ts.i - 1
         kind = ts.expect_ident()
-        if kind.text == "concept":
+        if kind == "concept":
             if op_concept is not None:
-                raise ParseError(E_SYNTAX, "duplicate operation @concept", at_tok.line, at_tok.col)
+                raise ts.error(E_SYNTAX, "duplicate operation @concept", at)
             if annotated:
-                raise ParseError(
-                    E_SYNTAX, "operation @concept must precede @param clauses", at_tok.line, at_tok.col
-                )
+                raise ts.error(E_SYNTAX, "operation @concept must precede @param clauses", at)
             op_concept = _concept_path(ts)
-        elif kind.text == "param":
+        elif kind == "param":
+            target_at = ts.i
             target = ts.expect_ident()
-            if target.text not in names:
-                raise ParseError(
-                    E_SYNTAX, f"@param names unknown parameter {target.text!r}", target.line, target.col
-                )
-            if target.text in annotated:
-                raise ParseError(
-                    E_DUP_NAME, f"duplicate @param clause for {target.text!r}", target.line, target.col
-                )
-            annotated.add(target.text)
-            _param_annotations(ts, target.text, param_concepts, param_units)
+            if target not in names:
+                raise ts.error(E_SYNTAX, f"@param names unknown parameter {target!r}", target_at)
+            if target in annotated:
+                raise ts.error(E_DUP_NAME, f"duplicate @param clause for {target!r}", target_at)
+            annotated.add(target)
+            _param_annotations(ts, target, param_concepts, param_units)
         else:
-            raise ParseError(E_SYNTAX, f"unknown annotation @{kind.text}", at_tok.line, at_tok.col)
+            raise ts.error(E_SYNTAX, f"unknown annotation @{kind}", at)
 
     if op_concept is None:
-        raise ParseError(
-            E_NO_CONCEPT, f"operation {name!r} is missing its @concept annotation", op_tok.line, op_tok.col
-        )
+        raise ts.error(E_NO_CONCEPT, f"operation {name!r} is missing its @concept annotation", op_at)
 
     params = tuple(
         ParamSig(
@@ -312,107 +316,98 @@ def _param_annotations(
     units: dict[str, str],
 ) -> None:
     saw_any = False
-    while ts.peek().is_punct("@") and ts.peek(1).kind == IDENT and ts.peek(1).text in ("concept", "unit"):
-        at_tok = ts.next()
-        kind = ts.next().text
-        if kind == "concept":
+    while ts.peek() == "@" and ts.peek(1) in ("concept", "unit"):
+        at = ts.i
+        ts.next()
+        if ts.next() == "concept":
             if param in concepts:
-                raise ParseError(E_SYNTAX, f"duplicate @concept for parameter {param!r}", at_tok.line, at_tok.col)
+                raise ts.error(E_SYNTAX, f"duplicate @concept for parameter {param!r}", at)
             concepts[param] = _concept_path(ts)
         else:
             if param in units:
-                raise ParseError(E_SYNTAX, f"duplicate @unit for parameter {param!r}", at_tok.line, at_tok.col)
-            units[param] = ts.expect_ident().text
+                raise ts.error(E_SYNTAX, f"duplicate @unit for parameter {param!r}", at)
+            units[param] = ts.expect_ident()
         saw_any = True
     if not saw_any:
-        tok = ts.peek()
-        raise ParseError(E_SYNTAX, f"@param {param} carries no @concept or @unit", tok.line, tok.col)
+        raise ts.error(E_SYNTAX, f"@param {param} carries no @concept or @unit", ts.i)
 
 
 def _concept_path(ts: _TokenStream) -> ConceptId:
     segments: list[str] = []
     while True:
-        tok = ts.expect_ident()
-        if not CONCEPT_SEGMENT_RE.match(tok.text):
-            raise ParseError(
-                E_SYNTAX,
-                f"concept segment {tok.text!r} must match [a-z][a-z0-9_]*",
-                tok.line,
-                tok.col,
+        at = ts.i
+        segment = ts.expect_ident()
+        if not CONCEPT_SEGMENT_RE.match(segment):
+            raise ts.error(
+                E_SYNTAX, f"concept segment {segment!r} must match [a-z][a-z0-9_]*", at
             )
-        segments.append(tok.text)
-        if ts.peek().is_punct("."):
-            ts.next()
-            continue
-        return ConceptId(tuple(segments))
+        segments.append(segment)
+        if not ts.accept("."):
+            return ConceptId(tuple(segments))
 
 
 def _type(ts: _TokenStream, depth: int = 0) -> SemType:
+    at = ts.i
     tok = ts.expect_ident()
-    if tok.text == "list":
+    if tok == "list":
         if depth == MAX_TYPE_NESTING:
-            raise ParseError(
-                E_SYNTAX, f"list types nest deeper than {MAX_TYPE_NESTING}", tok.line, tok.col
-            )
-        ts.expect_punct("<")
+            raise ts.error(E_SYNTAX, f"list types nest deeper than {MAX_TYPE_NESTING}", at)
+        ts.expect("<")
         elem = _type(ts, depth + 1)
-        ts.expect_punct(">")
+        ts.expect(">")
         return SemType("list", elem)
-    if tok.text in SCALAR_KINDS:
-        return SemType(tok.text)
-    raise ParseError(E_SYNTAX, f"unknown type {tok.text!r}", tok.line, tok.col)
+    scalar = _SCALAR_TYPES.get(tok)
+    if scalar is None:
+        raise ts.error(E_SYNTAX, f"unknown type {tok!r}", at)
+    return scalar
 
 
 def _literal(ts: _TokenStream) -> Literal:
+    at = ts.i
     tok = ts.next()
-    if tok.kind == INT:
+    head = tok[:1]
+    if head in _NUMBER_START and tok != "->":
+        if "." in tok or "e" in tok or "E" in tok:
+            value = float(tok)
+            if not math.isfinite(value):
+                raise ts.error(E_SYNTAX, "float literal out of range", at)
+            return Literal("float", value)
         try:
-            return Literal("int", int(tok.text, 10))
+            return Literal("int", int(tok, 10))
         except ValueError:  # more digits than int() converts
-            raise ParseError(E_SYNTAX, "int literal too long", tok.line, tok.col) from None
-    if tok.kind == FLOAT:
-        value = float(tok.text)
-        if not math.isfinite(value):
-            raise ParseError(E_SYNTAX, "float literal out of range", tok.line, tok.col)
-        return Literal("float", value)
-    if tok.kind == STRING:
-        return Literal("string", tok.text)
-    if tok.is_ident("true"):
+            raise ts.error(E_SYNTAX, "int literal too long", at) from None
+    if head == '"':
+        return Literal("string", lexer.unquote(tok))
+    if tok == "true":
         return Literal("bool", True)
-    if tok.is_ident("false"):
+    if tok == "false":
         return Literal("bool", False)
-    raise _syntax("expected literal", tok)
+    raise ts.unexpected("expected literal", at)
 
 
 def _project_body(ts: _TokenStream) -> ProjectSpec:
-    name_tok = _name_token(ts, "project name")
-    ts.expect_punct("{")
+    name = _name(ts, "project name")
+    ts.expect("{")
 
     uses: list[UseDecl] = []
     connections: list[Connection] = []
     demands: list[ConceptId] = []
-    while True:
-        tok = ts.peek()
-        if tok.is_punct("}"):
-            ts.next()
-            break
-        if tok.is_ident("uses"):
-            ts.next()
-            use_tok = _name_token(ts, "component name")
-            if any(u.name == use_tok.text for u in uses):
-                raise ParseError(E_DUP_USE, f"component {use_tok.text!r} listed twice", use_tok.line, use_tok.col)
-            uses.append(UseDecl(use_tok.text, _constraint(ts)))
-        elif tok.is_ident("connect"):
-            ts.next()
-            connections.append(_connection(ts, tok, uses))
-        elif tok.is_ident("demand"):
-            ts.next()
+    while not ts.accept("}"):
+        if ts.accept("uses"):
+            at = ts.i
+            use = _name(ts, "component name")
+            if any(u.name == use for u in uses):
+                raise ts.error(E_DUP_USE, f"component {use!r} listed twice", at)
+            uses.append(UseDecl(use, _constraint(ts)))
+        elif ts.accept("connect"):
+            connections.append(_connection(ts, uses))
+        elif ts.accept("demand"):
             demands.append(_concept_path(ts))
         else:
-            raise _syntax("expected 'uses', 'connect', 'demand' or '}'", tok)
+            raise ts.unexpected("expected 'uses', 'connect', 'demand' or '}'")
 
     return ProjectSpec(
-        name=name_tok.text,
+        name=name,
         uses=tuple(uses),
         connections=tuple(connections),
         demands=tuple(demands),
@@ -420,47 +415,44 @@ def _project_body(ts: _TokenStream) -> ProjectSpec:
 
 
 def _constraint(ts: _TokenStream) -> VersionConstraint:
-    tok = ts.peek()
-    if tok.is_punct("*"):
-        ts.next()
+    if ts.accept("*"):
         return ANY_VERSION
-    if tok.is_punct("=") or tok.is_punct(">="):
+    op = ts.peek()
+    if op == "=" or op == ">=":
         ts.next()
-        version_tok = ts.expect_string()
+        at = ts.i
+        version_text = ts.expect_string()
         try:
-            version = parse_version(version_tok.text)
+            version = parse_version(version_text)
         except ValueError as err:
-            raise ParseError(E_BAD_CONSTRAINT, str(err), version_tok.line, version_tok.col) from None
-        return VersionConstraint(tok.text, version)
+            raise ts.error(E_BAD_CONSTRAINT, str(err), at) from None
+        return VersionConstraint(op, version)
     # Bare `uses "A"` means any version.
     return ANY_VERSION
 
 
-def _connection(ts: _TokenStream, connect_tok: Token, uses: list[UseDecl]) -> Connection:
+def _connection(ts: _TokenStream, uses: list[UseDecl]) -> Connection:
     def endpoint(expected_direction: str) -> tuple[str, str]:
-        comp_tok = ts.expect_ident()
-        ts.expect_punct(".")
-        direction_tok = ts.expect_ident()
-        if direction_tok.text != expected_direction:
-            raise ParseError(
-                E_SYNTAX,
-                f"expected '{expected_direction}' in connection endpoint",
-                direction_tok.line,
-                direction_tok.col,
+        component_at = ts.i
+        component = ts.expect_ident()
+        ts.expect(".")
+        at = ts.i
+        if ts.expect_ident() != expected_direction:
+            raise ts.error(
+                E_SYNTAX, f"expected '{expected_direction}' in connection endpoint", at
             )
-        ts.expect_punct(".")
-        iface = ts.expect_ident().text
-        if not any(u.name == comp_tok.text for u in uses):
-            raise ParseError(
+        ts.expect(".")
+        iface = ts.expect_ident()
+        if not any(u.name == component for u in uses):
+            raise ts.error(
                 E_SYNTAX,
-                f"connection references {comp_tok.text!r} which is not listed in uses",
-                comp_tok.line,
-                comp_tok.col,
+                f"connection references {component!r} which is not listed in uses",
+                component_at,
             )
-        return comp_tok.text, iface
+        return component, iface
 
     consumer_component, consumer_interface = endpoint("requires")
-    ts.expect_punct("->")
+    ts.expect("->")
     provider_component, provider_interface = endpoint("provides")
     return Connection(
         consumer_component=consumer_component,

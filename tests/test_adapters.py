@@ -348,6 +348,10 @@ MALFORMED_DESCRIPTORS = {
     "unknown return kind": lambda d: d["mappings"][0]["return"].update(kind="DROP"),
     "score divides by zero": lambda d: d["provenance"].update(score="1/0"),
     "bad version": lambda d: d.update(version="1.0"),
+    "malformed concept": lambda d: d["implements"]["operations"][0].update(concept="Data..Sort!"),
+    "malformed param concept": lambda d: d["delegates"]["interface"]["operations"][0]["params"][0].update(
+        concept="a.B"
+    ),
 }
 
 
@@ -357,4 +361,24 @@ def test_malformed_descriptor_is_coded(case: str):
     MALFORMED_DESCRIPTORS[case](doc)
     with pytest.raises(AdapterGenError) as err:
         parse_descriptor(canonjson.dumps(doc))
+    assert err.value.code == "E_DESCRIPTOR"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"concept": "Data..Sort!", "origin": "project", "shape": None},
+        {
+            "concept": "data.sort",
+            "origin": "project",
+            "shape": {"params": [{"type": "i32", "concept": "data..sort"}], "returns": "unit"},
+        },
+    ],
+    ids=["demand-concept", "shape-param-concept"],
+)
+def test_report_decoder_rejects_malformed_concept(doc):
+    from adapterforge.report import demand_from_json
+
+    with pytest.raises(AdapterGenError) as err:
+        demand_from_json(doc)
     assert err.value.code == "E_DESCRIPTOR"

@@ -414,6 +414,18 @@ def test_pool_add_malformed_descriptor_exit_3(capsys, tmp_path):
     assert err.startswith("error: E_INVALID_SPEC: ") and err.count("\n") == 1
 
 
+def test_pool_add_malformed_concept_exit_3(capsys, tmp_path):
+    doc = canonjson.loads((Path(__file__).parent / "golden" / "figure3.adapter").read_text())
+    doc["implements"]["operations"][0]["concept"] = "Data..Sort!"
+    bad = tmp_path / "bad.adapter"
+    bad.write_text(canonjson.dumps(doc))
+    pool = tmp_path / "pool"
+    code, out, err = run(capsys, "pool", "add", str(bad), "--pool", str(pool))
+    assert (code, out) == (3, "")
+    assert "E_DESCRIPTOR: malformed concept 'Data..Sort!'" in err and err.count("\n") == 1
+    assert run(capsys, "pool", "list", "--pool", str(pool))[:2] == (0, "")
+
+
 def test_pool_verify_reports_orphan_exit_1(capsys, tmp_path):
     from adapterforge.pool import init_pool
 
@@ -640,6 +652,20 @@ def test_non_utf8_spec_names_its_path_once(capsys, tmp_path, command):
     assert err.startswith("error: E_PARSE: ") and err.count("\n") == 1
     assert err.count(str(bad)) == 1
     assert "is not UTF-8 (invalid start byte at byte 13)" in err
+
+
+def test_unreadable_spec_names_its_path_once(capsys, tmp_path):
+    missing = tmp_path / "nonexistent.pdl"
+    (tmp_path / "x.cdl").mkdir()
+    project = tmp_path / "p.pdl"
+    project.write_text('project "p" { }\n')
+    for argv, path, reason in (
+        (("check", str(missing)), missing, "No such file or directory"),
+        (("check", str(project), "--specs", str(tmp_path)), tmp_path / "x.cdl", "Is a directory"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == f"error: E_PARSE: {path}: {reason}\n"
 
 
 def test_adapt_resolves_uses_once_before_final_verification(capsys, monkeypatch, tmp_path):

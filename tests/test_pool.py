@@ -443,7 +443,9 @@ def test_query_matches_oracle(tmp_path: Path, index_format: str, seed: int):
         for constraint in constraints:
             query = PoolQuery(demand, constraint)
             expected = oracle_pool_query(root, query, conv, config)
-            assert pool_query(root, query, conv, config) == expected
+            found = pool_query(root, query, conv, config)
+            assert found == expected
+            assert all(candidate.score >= config.threshold for candidate in found)
             nonempty += len(expected) > 1
     assert nonempty >= len(demands)  # the pools exercise ranking, not just misses
 

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import random
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,9 +34,11 @@ from adapterforge.speclang import (
     validate,
 )
 from adapterforge.speclang import BOOL, F64, I32, I64, STRING, UNIT
-from adapterforge.speclang.lexer import tokenize
+from adapterforge.speclang.lexer import position, tokenize, unquote
+from adapterforge.speclang.parser import parse_type
 from conftest import corpus_spec_paths
-from oracles import oracle_tokenize
+from genspecs import adaptable_pair, random_component
+from oracles import oracle_parse_any, oracle_parse_type, oracle_tokenize
 
 
 def test_parse_empty_component():
@@ -467,9 +474,32 @@ def _lexer_inputs(draw: st.DrawFn) -> str:
     return base
 
 
-def _lex_outcome(lex, text: str):
+def _token_kind(token: str) -> str:
+    """The oracle's kind name for a flat token, from its first character."""
+    head = token[:1]
+    if not head:
+        return "EOF"
+    if head == '"':
+        return "STRING"
+    if head.isascii() and (head.isalpha() or head == "_"):
+        return "IDENT"
+    if head.isdigit() or (head == "-" and token != "->"):
+        return "FLOAT" if any(c in token for c in ".eE") else "INT"
+    return "PUNCT"
+
+
+def _flat_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """`(kind, text, line, col)` per token, rebuilt from the flat token
+    texts and `position`."""
+    return [
+        (_token_kind(tok), unquote(tok) if tok[:1] == '"' else tok, *position(text, i))
+        for i, tok in enumerate(tokenize(text))
+    ]
+
+
+def _outcome(run, text: str):
     try:
-        return [t if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col) for t in lex(text)]
+        return run(text)
     except ParseError as err:
         return (err.code, err.message, err.line, err.col)
 
@@ -477,4 +507,139 @@ def _lex_outcome(lex, text: str):
 @given(text=_lexer_inputs() | st.text(max_size=60))
 @settings(max_examples=1000, deadline=None)
 def test_tokenize_matches_oracle(text: str):
-    assert _lex_outcome(tokenize, text) == _lex_outcome(oracle_tokenize, text)
+    assert _outcome(_flat_tokenize, text) == _outcome(oracle_tokenize, text)
+
+
+# Grammar pieces for splicing: keywords, clauses, quoted keywords and
+# punctuators (a string must never pass for either), and literals.
+_GRAMMAR_PIECES = [
+    " @param x", " @param a0", " @unit ms", " @concept a.b", " @concept", " @", " = 1.5",
+    " = -2", " = true", ' = "s"', " = 1e999", " uses", ' uses "A" *', ' uses "A" >= "1.0.0"',
+    " connect", " connect A.requires.X -> B.provides.Y", " demand", " demand a.b", " op",
+    " op g() -> unit @concept a", " provides interface I {", " requires interface J { }",
+    " meta k = ", ' "v"', " version", ' "1.0.0"', ' "1.0"', " component", " project",
+    " list<", " list<list<i32>>", " i32", " x: i64", " -> ", " }", " {", " (", " )", " ,",
+    ' "op"', ' "}"', ' "{"', ' "->"', ' "component"', ' "list"', ' "i32"', ' ""',
+]
+_parser_fragments = st.lists(
+    st.sampled_from(_GRAMMAR_PIECES) | st.sampled_from(_LEX_PIECES), min_size=1, max_size=6
+).map("".join)
+_WIDE_TYPES = ["bool", "bytes", "i32", "f64", "string", "list<i64>", "list<list<i32>>", "list<list<list<string>>>"]
+
+
+@st.composite
+def _wide_texts(draw: st.DrawFn) -> str:
+    """A component whose ops have up to 16 params, nested list types,
+    defaults and per-param clauses."""
+    lines = ['component "wide" version "1.0.0" {', "  provides interface W {"]
+    for k in range(draw(st.integers(1, 3))):
+        arity = draw(st.integers(0, 16))
+        params, clauses = [], []
+        for i in range(arity):
+            ty = draw(st.sampled_from(_WIDE_TYPES))
+            default = {"i32": " = -7", "f64": " = 2.5e-3", "bool": " = false"}.get(ty, "")
+            params.append(f"a{i}: {ty}" + (default if draw(st.booleans()) else ""))
+            if draw(st.booleans()):
+                clauses.append(f"      @param a{i} @concept w{k}.grp.g{i % 3}")
+        returns = draw(st.sampled_from(_WIDE_TYPES))
+        lines.append(f"    op w{k}({', '.join(params)}) -> {returns} @concept w{k}.act")
+        lines.extend(clauses)
+    lines += ["  }", "}", ""]
+    return "\n".join(lines)
+
+
+_GENERATED_TEXTS = [serialize(random_component(random.Random(seed))) for seed in range(12)] + [
+    serialize(spec) for seed in range(4) for spec in adaptable_pair(random.Random(seed))
+]
+
+
+_KEYWORD_OR_PUNCT = re.compile(
+    r"->|>=|[{}()<>,:=.@*]|\b(?:component|project|version|meta|provides|requires"
+    r"|interface|op|uses|connect|demand|list|true|false)\b"
+)
+
+
+@st.composite
+def _parser_inputs(draw: st.DrawFn) -> str:
+    """A valid spec with up to three edits: a splice, a deletion, or the
+    next keyword or punctuator put in quotes."""
+    base = draw(st.sampled_from(_CORPUS_TEXTS + _GENERATED_TEXTS) | _wide_texts())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(base)))
+        edit = draw(st.sampled_from(["splice", "delete", "quote"]))
+        if edit == "splice":
+            base = base[:at] + draw(_parser_fragments) + base[at:]
+        elif edit == "delete":
+            base = base[:at] + base[at + draw(st.integers(1, 12)) :]
+        elif m := _KEYWORD_OR_PUNCT.search(base, at):
+            base = f'{base[: m.start()]}"{m.group()}"{base[m.end() :]}'
+    return base
+
+
+def _parse_outcome(parse, text: str):
+    return _outcome(lambda t: repr(parse(t)), text)
+
+
+@given(text=_parser_inputs() | _fragments)
+@settings(max_examples=600, deadline=None)
+def test_parse_any_matches_oracle(text: str):
+    # Equal values, or the same error code, message, line and column.
+    assert _parse_outcome(parse_any, text) == _parse_outcome(oracle_parse_any, text)
+
+
+_TYPE_PIECES = ["list", "<", ">", "i32", "f64", "string", "unit", "nope", " ", "\n", ",", '"i32"', "1", "-", "//x"]
+
+
+@given(text=st.lists(st.sampled_from(_TYPE_PIECES), max_size=10).map("".join) | _fragments)
+@settings(max_examples=500, deadline=None)
+def test_parse_type_matches_oracle(text: str):
+    assert _parse_outcome(parse_type, text) == _parse_outcome(oracle_parse_type, text)
+
+
+_ONE_LINE = 'component "A" version "1.0.0" { ' + 'meta k = "v" ' * 12_500 + "}"
+_TRAILER = " \t// comment\r\n" * 80_000  # about 1 MB
+_TIMED_PARSE = """
+import sys, time
+from adapterforge.speclang import ParseError, parse_any
+text = sys.stdin.buffer.read().decode("utf-8")
+start = time.perf_counter()
+try:
+    parse_any(text)
+    outcome = "ok"
+except ParseError as err:
+    outcome = err.reason
+print(time.perf_counter() - start)
+print(outcome)
+"""
+
+
+@pytest.mark.parametrize(
+    "text,outcome",
+    [
+        (_ONE_LINE, "ok"),
+        (_ONE_LINE[:-1] + "#", "unexpected character '#'"),
+        ('component "A" version "1.0.0" { }' + _TRAILER, "ok"),
+        (
+            'component "A" version "1.0.0" {' + _TRAILER,
+            "expected 'meta', 'provides', 'requires' or '}', got 'end of input'",
+        ),
+        ('component "A" version "1.0.0" { }' + _TRAILER + "#", "unexpected character '#'"),
+    ],
+    ids=["50k-tokens", "50k-tokens-error", "1mb-trailer", "1mb-trailer-eof", "1mb-trailer-error"],
+)
+def test_scan_stays_linear(text, outcome):
+    # A skip that backtracks, or a scan that retries at every character
+    # of a long run, turns these quadratic. The parse runs in a child
+    # process so that such a scan fails on the timeout instead of
+    # holding the suite.
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_PARSE],
+        input=text.encode("utf-8"),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    elapsed, got = done.stdout.decode("utf-8").splitlines()
+    assert float(elapsed) < 2.0
+    assert got == outcome
