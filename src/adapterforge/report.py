@@ -36,11 +36,13 @@ from .linkage import (
     WorkflowResult,
 )
 from .speclang import (
+    ConceptId,
     Connection,
     parse_component,
     parse_project,
     serialize,
 )
+from .speclang.model import IDENT_RE
 from .speclang.parser import parse_type
 
 HUMAN = "human"
@@ -148,12 +150,21 @@ def _shape_json(shape: OperationShape | None) -> Any:
     }
 
 
+def _param_concept_from_json(text: str) -> ConceptId:
+    """A shape param's effective concept: a declared one, or the op's
+    concept extended by `arg.<param name>`, whose name is any identifier."""
+    head, sep, name = text.rpartition(".arg.")
+    if sep and IDENT_RE.match(name):
+        return _concept_from_json(head).child("arg", name)
+    return _concept_from_json(text)
+
+
 def _shape_from(doc: Any) -> OperationShape | None:
     if doc is None:
         return None
     return OperationShape(
         params=tuple(
-            (parse_type(p["type"]), p.get("unit"), _concept_from_json(p["concept"]))
+            (parse_type(p["type"]), p.get("unit"), _param_concept_from_json(p["concept"]))
             for p in doc["params"]
         ),
         returns=parse_type(doc["returns"]),

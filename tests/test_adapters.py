@@ -373,8 +373,18 @@ def test_malformed_descriptor_is_coded(case: str):
             "origin": "project",
             "shape": {"params": [{"type": "i32", "concept": "data..sort"}], "returns": "unit"},
         },
+        {
+            "concept": "data.sort",
+            "origin": "project",
+            "shape": {"params": [{"type": "i32", "concept": "data..sort.arg.Items"}], "returns": "unit"},
+        },
+        {
+            "concept": "data.sort",
+            "origin": "project",
+            "shape": {"params": [{"type": "i32", "concept": "data.sort.arg.It-ems"}], "returns": "unit"},
+        },
     ],
-    ids=["demand-concept", "shape-param-concept"],
+    ids=["demand-concept", "shape-param-concept", "shape-arg-bad-head", "shape-arg-bad-name"],
 )
 def test_report_decoder_rejects_malformed_concept(doc):
     from adapterforge.report import demand_from_json

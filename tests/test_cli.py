@@ -137,6 +137,29 @@ def test_adapt_figure3_end_to_end(capsys, tmp_path):
     assert code2 == 0
 
 
+@pytest.mark.parametrize("param", ["Items", "_n"])
+def test_structured_reports_roundtrip_non_lowercase_param_names(capsys, tmp_path, param):
+    # An unannotated param's effective concept ends in `arg.<param name>`,
+    # and a param name is any identifier, not a lowercase concept segment.
+    for spec in (CORPUS / "figure3").iterdir():
+        text = spec.read_text()
+        if spec.name == "reportgen.cdl":
+            text = text.replace("(items:", f"({param}:")
+        (tmp_path / spec.name).write_text(text)
+    project = str(tmp_path / "figure3.pdl")
+    structured = ("--conversions", RULES, "--format", "structured")
+    code, out, _ = run(capsys, "check", project, *structured)
+    assert code == 2
+    report = match_report_from_json(canonjson.loads(out))
+    assert str(report.demand[0].shape.params[0][2]) == f"data.sorting.sort.arg.{param}"
+    code, out, _ = run(
+        capsys, "adapt", project, "--pool", str(tmp_path / "pool"),
+        "--emit", str(tmp_path / "out"), *structured,
+    )
+    assert code == 2
+    assert workflow_result_from_json(canonjson.loads(out)).final_report == report
+
+
 def test_adapt_unresolvable_exit_2(capsys, tmp_path):
     code, out, _ = run(
         capsys,
