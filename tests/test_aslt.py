@@ -20,7 +20,7 @@ from adapterforge.aslt import (
     fold,
     traverse,
 )
-from adapterforge.speclang import parse_component, parse_project
+from adapterforge.speclang import parse_component, parse_project, serialize
 
 
 def load_figure3(corpus_dir: Path):
@@ -220,4 +220,66 @@ def test_source_map_points_into_canonical_text(corpus_dir: Path):
     from adapterforge.speclang import serialize
 
     spec = next(c for c in components if c.name == "sortkit")
-    assert "op sort(" in serialize(spec).splitlines()[line - 1]
+    assert "op sort(" in serialize(spec).split("\n")[line - 1]
+
+
+def _corpus_trees(corpus_dir: Path):
+    """Every corpus project tree (with its directory's components) and
+    every corpus component tree, each with the canonical text per file."""
+    for directory in sorted(p for p in corpus_dir.iterdir() if p.is_dir()):
+        components = [parse_component(p.read_text()) for p in sorted(directory.glob("*.cdl"))]
+        texts = {f"{c.name}.cdl": serialize(c).split("\n") for c in components}
+        for component in components:
+            yield directory.name + "/" + component.name, build_component_aslt(component), texts
+        for path in sorted(directory.glob("*.pdl")):
+            project = parse_project(path.read_text())
+            project_texts = dict(texts, **{f"{project.name}.pdl": serialize(project).split("\n")})
+            yield directory.name + "/" + project.name, build_aslt(project, components), project_texts
+
+
+_PROJECT_META_KEYS = ("uses", "connect", "demand")
+
+
+def _assert_preorder_ids_and_labelled_lines(tree: Aslt, texts: dict[str, list[str]]) -> None:
+    assert [node_id for node_id, _ in traverse(tree)] == list(range(len(tree)))
+    assert tree.root == 0
+    assert set(tree.source_map) == set(tree.nodes)
+    owner = {m: n.id for n in tree.nodes.values() for m in n.meta_children}
+    for node_id, node in tree.nodes.items():
+        file, line = tree.source_map[node_id]
+        text = texts[file][line - 1]
+        if node.kind != "meta":
+            assert node.label in text, (node, text)
+        elif node.key in _PROJECT_META_KEYS:
+            # Project wiring points at its own line, not the project's.
+            assert tree.node(owner[node_id]).kind == "project"
+            assert text.startswith(f"  {node.key} "), (node, text)
+            if node.key == "uses":
+                name, _, constraint = node.value.partition(" ")
+                assert name in text and text.endswith(constraint), (node, text)
+            else:
+                assert text == f"  {node.key} {node.value}", (node, text)
+        else:
+            assert tree.source_map[owner[node_id]] == (file, line), node
+    wiring = [
+        tree.source_map[m]
+        for m in tree.node(tree.root).meta_children
+        if tree.node(m).key in _PROJECT_META_KEYS
+    ]
+    assert len(set(wiring)) == len(wiring)
+
+
+def test_corpus_trees_preorder_ids_and_source_lines(corpus_dir: Path):
+    seen = []
+    for name, tree, texts in _corpus_trees(corpus_dir):
+        check_integrity(tree)
+        _assert_preorder_ids_and_labelled_lines(tree, texts)
+        seen.append(name)
+    assert len(seen) == 14
+
+
+@given(spec=strategies.component_specs())
+@settings(max_examples=80)
+def test_generated_component_preorder_ids_and_source_lines(spec):
+    tree = build_component_aslt(spec)
+    _assert_preorder_ids_and_labelled_lines(tree, {f"{spec.name}.cdl": serialize(spec).split("\n")})
