@@ -366,8 +366,6 @@ def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
     """Column of each row in a least-total assignment of a square
     matrix: the Hungarian method with potentials, O(k^3)."""
     k = len(cost)
-    if k == 2:  # the two diagonals are the only candidates
-        return [0, 1] if cost[0][0] + cost[1][1] <= cost[0][1] + cost[1][0] else [1, 0]
     u = [0] * (k + 1)
     v = [0] * (k + 1)
     owner = [0] * (k + 1)  # 1-based row holding each column; column 0 is scratch

@@ -9,17 +9,21 @@ on the specs and never build one. Trees are
 immutable; meta attachment returns a new tree, and folding is a
 non-destructive overlay.
 
-Node ids are dense integers assigned in preorder (meta children before
-structural children), which keeps textual dumps and source maps stable
-across runs.
+A tree is built in two steps. Pure functions describe a spec as nested
+(kind, label, source, meta, children) tuples, with source lines taken
+from the canonical text. One walk then numbers the description: dense
+integer ids in preorder (a node, then its meta nodes, then its
+children), which keeps textual dumps and source maps stable across
+runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
+from itertools import count
 
-from .speclang import ComponentSpec, ProjectSpec
+from .speclang import ComponentSpec, ParamSig, ProjectSpec, format_version
 from .speclang.errors import AdapterForgeError
 from .speclang.serializer import serialize_with_positions
 
@@ -91,29 +95,6 @@ class FoldView:
     hidden: frozenset[int]
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.nodes: dict[int, AsltNode] = {}
-        self.source_map: dict[int, tuple[str, int]] = {}
-        self._next = 0
-
-    def new_id(self) -> int:
-        self._next += 1
-        return self._next - 1
-
-    def add(self, node: AsltNode, source: tuple[str, int] | None) -> int:
-        self.nodes[node.id] = node
-        if source is not None:
-            self.source_map[node.id] = source
-        return node.id
-
-    def meta(self, key: str, value: str, source: tuple[str, int] | None = None) -> int:
-        node_id = self.new_id()
-        return self.add(
-            AsltNode(node_id, "meta", f"{key}={value}", key=key, value=value), source
-        )
-
-
 def resolve_components(
     project: ProjectSpec, components: list[ComponentSpec]
 ) -> dict[str, ComponentSpec]:
@@ -137,124 +118,85 @@ def resolve_components(
 def build_aslt(project: ProjectSpec, components: list[ComponentSpec]) -> Aslt:
     """Deterministic tree for a project and the components it uses."""
     resolved = resolve_components(project, components)
-    b = _Builder()
-    root_id = b.new_id()
-    project_file = f"{project.name}.pdl"
-    _, project_pos = serialize_with_positions(project)
+    file = f"{project.name}.pdl"
+    _, pos = serialize_with_positions(project)
 
-    meta_ids: list[int] = []
-    for use in project.uses:
-        line = project_pos.get(("uses", use.name), 1)
-        meta_ids.append(b.meta("uses", f"{use.name} {use.constraint}", (project_file, line)))
-    for conn in project.connections:
-        line = project_pos.get(("connect", conn.label()), 1)
-        meta_ids.append(b.meta("connect", conn.label(), (project_file, line)))
-    for demand in project.demands:
-        line = project_pos.get(("demand", str(demand)), 1)
-        meta_ids.append(b.meta("demand", str(demand), (project_file, line)))
+    def at(*key: str) -> tuple[str, int]:
+        return (file, pos[key])
 
-    child_ids = [_build_component(b, resolved[use.name]) for use in project.uses]
-    b.add(
-        AsltNode(
-            root_id,
-            "project",
-            project.name,
-            children=tuple(child_ids),
-            meta_children=tuple(meta_ids),
-        ),
-        (project_file, project_pos[("project", project.name)]),
-    )
-    return Aslt(root=root_id, nodes=b.nodes, source_map=b.source_map)
+    meta = [("uses", f"{use.name} {use.constraint}", at("uses", use.name)) for use in project.uses]
+    meta += [("connect", conn.label(), at("connect", conn.label())) for conn in project.connections]
+    meta += [("demand", str(demand), at("demand", str(demand))) for demand in project.demands]
+    children = [_describe_component(resolved[use.name]) for use in project.uses]
+    return _number(("project", project.name, at("project", project.name), meta, children))
 
 
 def build_component_aslt(component: ComponentSpec) -> Aslt:
     """Tree rooted at a single component, for standalone inspection."""
-    b = _Builder()
-    root_id = _build_component(b, component)
-    return Aslt(root=root_id, nodes=b.nodes, source_map=b.source_map)
+    return _number(_describe_component(component))
 
 
-def _build_component(b: _Builder, spec: ComponentSpec) -> int:
+def _describe_component(spec: ComponentSpec) -> tuple:
     file = f"{spec.name}.cdl"
     _, pos = serialize_with_positions(spec)
-    comp_id = b.new_id()
-    comp_line = pos[("component", spec.name)]
 
-    meta_ids = [b.meta("version", ".".join(str(v) for v in spec.version), (file, comp_line))]
-    for entry in spec.meta:
-        meta_ids.append(b.meta(entry.key, entry.value, (file, comp_line)))
+    def owned(kind: str, label: str, key: tuple, meta: list, children: list) -> tuple:
+        """A description whose meta entries all sit on their owner's line."""
+        source = (file, pos[key])
+        return (kind, label, source, [(k, v, source) for k, v in meta], children)
 
-    iface_ids = []
+    interfaces = []
     for iface in spec.provided + spec.required:
-        iface_id = b.new_id()
-        iface_line = pos[("interface", iface.direction, iface.name)]
-        iface_meta = [b.meta("direction", iface.direction, (file, iface_line))]
-        op_ids = []
+        where = (iface.direction, iface.name)
+        ops = []
         for op in iface.operations:
-            op_id = b.new_id()
-            op_line = pos[("op", iface.direction, iface.name, op.name)]
-            op_meta = [
-                b.meta("concept", str(op.concept), (file, op_line)),
-                b.meta("returns", str(op.returns), (file, op_line)),
+            params = [
+                owned("parameter", p.name, ("param", *where, op.name, p.name), _param_meta(p), [])
+                for p in op.params
             ]
-            param_ids = []
-            for param in op.params:
-                param_id = b.new_id()
-                param_line = pos[("param", iface.direction, iface.name, op.name, param.name)]
-                source = (file, param_line)
-                param_meta = [b.meta("type", str(param.ty), source)]
-                if param.concept is not None:
-                    param_meta.append(b.meta("concept", str(param.concept), source))
-                if param.unit is not None:
-                    param_meta.append(b.meta("unit", param.unit, source))
-                if param.default is not None:
-                    param_meta.append(b.meta("default", param.default.canonical_text(), source))
-                param_ids.append(
-                    b.add(
-                        AsltNode(
-                            param_id,
-                            "parameter",
-                            param.name,
-                            meta_children=tuple(param_meta),
-                        ),
-                        source,
-                    )
-                )
-            op_ids.append(
-                b.add(
-                    AsltNode(
-                        op_id,
-                        "operation",
-                        op.name,
-                        children=tuple(param_ids),
-                        meta_children=tuple(op_meta),
-                    ),
-                    (file, op_line),
-                )
-            )
-        iface_ids.append(
-            b.add(
-                AsltNode(
-                    iface_id,
-                    "interface",
-                    iface.name,
-                    children=tuple(op_ids),
-                    meta_children=tuple(iface_meta),
-                ),
-                (file, iface_line),
-            )
-        )
+            meta = [("concept", str(op.concept)), ("returns", str(op.returns))]
+            ops.append(owned("operation", op.name, ("op", *where, op.name), meta, params))
+        meta = [("direction", iface.direction)]
+        interfaces.append(owned("interface", iface.name, ("interface", *where), meta, ops))
+    meta = [("version", format_version(spec.version))] + [(e.key, e.value) for e in spec.meta]
+    return owned("component", spec.name, ("component", spec.name), meta, interfaces)
 
-    return b.add(
-        AsltNode(
-            comp_id,
-            "component",
-            spec.name,
-            children=tuple(iface_ids),
-            meta_children=tuple(meta_ids),
-        ),
-        (file, comp_line),
-    )
+
+def _param_meta(param: ParamSig) -> list[tuple[str, str]]:
+    meta = [("type", str(param.ty))]
+    if param.concept is not None:
+        meta.append(("concept", str(param.concept)))
+    if param.unit is not None:
+        meta.append(("unit", param.unit))
+    if param.default is not None:
+        meta.append(("default", param.default.canonical_text()))
+    return meta
+
+
+def _number(description: tuple) -> Aslt:
+    """Create every node of a description (kind, label, source, meta,
+    children), where a meta entry is (key, value, source) and a source
+    is (file, line). Ids run in preorder: a node, then its meta nodes,
+    then its children."""
+    nodes: dict[int, AsltNode] = {}
+    source_map: dict[int, tuple[str, int]] = {}
+    next_id = count().__next__
+
+    def place(node: AsltNode, source: tuple[str, int]) -> int:
+        nodes[node.id] = node
+        source_map[node.id] = source
+        return node.id
+
+    def walk(kind, label, source, meta, children) -> int:
+        node_id = next_id()
+        meta_ids = tuple(
+            place(AsltNode(next_id(), "meta", f"{key}={value}", key=key, value=value), at)
+            for key, value, at in meta
+        )
+        child_ids = tuple(walk(*child) for child in children)
+        return place(AsltNode(node_id, kind, label, child_ids, meta_ids), source)
+
+    return Aslt(root=walk(*description), nodes=nodes, source_map=source_map)
 
 
 def attach_meta(tree: Aslt, target: int, key: str, value: str) -> Aslt:
@@ -266,15 +208,7 @@ def attach_meta(tree: Aslt, target: int, key: str, value: str) -> Aslt:
     meta_node = AsltNode(new_id, "meta", f"{key}={value}", key=key, value=value)
     nodes = dict(tree.nodes)
     nodes[new_id] = meta_node
-    nodes[target] = AsltNode(
-        node.id,
-        node.kind,
-        node.label,
-        children=node.children,
-        meta_children=node.meta_children + (new_id,),
-        key=node.key,
-        value=node.value,
-    )
+    nodes[target] = replace(node, meta_children=node.meta_children + (new_id,))
     source_map = dict(tree.source_map)
     if target in source_map:
         source_map[new_id] = source_map[target]

@@ -9,6 +9,7 @@ escaping with no whitespace, one value per line.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -34,6 +35,15 @@ def fraction_to_text(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
+
+
 def fraction_from_text(text: str) -> Fraction:
-    num, _, den = text.partition("/")
+    """`n` or `n/d` in ASCII decimal, as in rules files, descriptors and
+    reports; `int()` alone would also take Unicode digits, underscores,
+    a `+` sign and surrounding blanks."""
+    match = _FRACTION_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{text!r} is not a decimal fraction")
+    num, den = match.groups()
     return Fraction(int(num), int(den or "1"))

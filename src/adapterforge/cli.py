@@ -26,11 +26,19 @@ from .linkage import (
     parse_spec_file,
     run_workflow,
 )
-from .pool import PoolQuery, init_pool, pool_add, pool_list, pool_query, pool_verify
+from .pool import (
+    E_INVALID_SPEC,
+    PoolError,
+    PoolQuery,
+    init_pool,
+    pool_add,
+    pool_list,
+    pool_query,
+    pool_verify,
+)
 from .report import HUMAN, STRUCTURED, render_match_report, render_workflow
 from .speclang import (
     ConceptId,
-    ParseError,
     VersionConstraint,
     parse_any,
     parse_project,
@@ -187,7 +195,13 @@ def _cmd_pool(args: argparse.Namespace) -> int:
     if args.pool_command == "add":
         init_pool(root)
         for file in args.files:
-            fp = pool_add(root, read_spec_text(Path(file)))
+            text = read_spec_text(Path(file))
+            try:
+                fp = pool_add(root, text)
+            except PoolError as err:  # an invalid document is the file's fault
+                if err.code != E_INVALID_SPEC:
+                    raise
+                raise PoolError(err.code, f"{file}: {err.message}") from None
             sys.stdout.write(f"{fp}\n")
         return EXIT_OK
     if args.pool_command == "query":
@@ -267,9 +281,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_aslt(args)
     except _UsageError as err:
         sys.stderr.write(f"error: {err}\n")
-        return EXIT_ERROR
-    except ParseError as err:
-        sys.stderr.write(f"error: {err.code}: {err.message}\n")
         return EXIT_ERROR
     except AdapterForgeError as err:
         sys.stderr.write(f"error: {err.code}: {err.message}\n")

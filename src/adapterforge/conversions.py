@@ -9,11 +9,11 @@ the table so a corpus can tune them from the same rules file.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
+from .canonjson import fraction_from_text
 from .speclang import SemType
 from .speclang.errors import E_SYNTAX, ParseError
 from .speclang.parser import parse_type, read_spec_text
@@ -162,7 +162,7 @@ def parse_rules_text(text: str) -> tuple[ConversionTable, MatchConfig]:
         if kind not in RULE_KINDS:
             raise ParseError(E_SYNTAX, f"unknown rule {rule_name!r}", lineno, 1)
         try:
-            factor = Fraction(_int(num), _int(den)) if kind == UNIT_SCALE else None
+            factor = fraction_from_text(f"{num}/{den}") if kind == UNIT_SCALE else None
             rule = ConversionRule(kind, factor)
             table.add(frm, to, rule)
         except (ValueError, ZeroDivisionError) as err:
@@ -184,28 +184,16 @@ def _parse_directive(line: str, lineno: int, overrides: dict[str, Fraction]) -> 
     else:
         raise ParseError(E_SYNTAX, f"unrecognized directive {line!r}", lineno, 1)
     try:
-        value = _fraction(parts[-1])
+        value = fraction_from_text(parts[-1])
         replace(DEFAULT_CONFIG, **{field_name: value})  # range check, here for the line number
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(E_SYNTAX, str(err), lineno, 1) from None
     overrides[field_name] = value
 
 
-_INT_RE = re.compile(r"-?[0-9]+")
-
-
-def _int(text: str) -> int:
-    """An ASCII decimal integer; `int()` alone would also take Unicode
-    digits, underscores and a `+` sign."""
-    if not _INT_RE.fullmatch(text):
-        raise ValueError(f"{text!r} is not a decimal integer")
-    return int(text)
-
-
-def _fraction(text: str) -> Fraction:
-    num, slash, den = text.partition("/")
-    return Fraction(_int(num), _int(den) if slash else 1)
-
-
 def load_rules(path: str | Path) -> tuple[ConversionTable, MatchConfig]:
-    return parse_rules_text(read_spec_text(path))
+    text = read_spec_text(path)  # a non-UTF-8 message already names the file
+    try:
+        return parse_rules_text(text)
+    except ParseError as err:
+        raise ParseError(err.code, f"{path}: {err.reason}", err.line, err.col) from None

@@ -298,7 +298,7 @@ def _canonicalize(document: str) -> tuple[str, bytes, ComponentSpec | AdapterSpe
         try:
             adapter = parse_descriptor(document)
         except AdapterForgeError as err:
-            raise PoolError(E_INVALID_SPEC, f"not a valid adapter descriptor: {err}") from None
+            raise PoolError(E_INVALID_SPEC, f"not a valid adapter descriptor: {err.message}") from None
         _validate_adapter(adapter)
         return KIND_ADAPTER, emit_descriptor(adapter).encode("utf-8"), adapter
     try:
@@ -391,7 +391,7 @@ def _read_artifact(root: Path, fp: str, entry: IndexEntry) -> ComponentSpec | Ad
     except FileNotFoundError:
         raise PoolError(E_CORRUPT, f"index entry {fp} points at missing {entry.path}") from None
     except OSError as err:
-        raise PoolError(E_IO, f"cannot read {path}: {err}") from None
+        raise PoolError(E_IO, f"cannot read {path}: {err.strerror or err}") from None
     actual = fingerprint_of(data)
     if actual != fp:
         raise PoolError(E_CORRUPT, f"{entry.path} re-hashes to {actual}, expected {fp}")
@@ -519,7 +519,7 @@ def pool_verify(root: str | Path) -> list[Finding]:
             )
             continue
         except OSError as err:
-            raise PoolError(E_IO, f"cannot read {path}: {err}") from None
+            raise PoolError(E_IO, f"cannot read {path}: {err.strerror or err}") from None
         actual = fingerprint_of(data)
         if actual != fp:
             findings.append(
@@ -530,7 +530,7 @@ def pool_verify(root: str | Path) -> list[Finding]:
         try:
             names = sorted(os.listdir(root / directory))
         except OSError as err:
-            raise PoolError(E_IO, f"cannot list {root / directory}: {err}") from None
+            raise PoolError(E_IO, f"cannot list {root / directory}: {err.strerror or err}") from None
         for name in names:
             path = f"{directory}/{name}"
             if not name.startswith(".tmp-") and path not in indexed:

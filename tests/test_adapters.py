@@ -392,3 +392,48 @@ def test_report_decoder_rejects_malformed_concept(doc):
     with pytest.raises(AdapterGenError) as err:
         demand_from_json(doc)
     assert err.value.code == "E_DESCRIPTOR"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["١٧/٢٠", "+17/20", "1_7/20", " 17/20", "17/20\n", "17/", "/20", "1.5/2", "17/+20"],
+)
+def test_fraction_text_is_ascii_decimal_everywhere(units_adapter, text):
+    """Rules files, descriptors and reports decode `n/d` by one rule:
+    `-?[0-9]+`, optionally `/-?[0-9]+`."""
+    from adapterforge.conversions import parse_rules_text
+    from adapterforge.report import match_report_from_json, match_report_to_json
+    from adapterforge.speclang import ParseError
+
+    with pytest.raises(ValueError):
+        canonjson.fraction_from_text(text)
+
+    descriptor = canonjson.loads(emit_descriptor(units_adapter))
+    (factor_slot,) = [s for s in descriptor["mappings"][0]["slots"] if s.get("rule")]
+    for field in (descriptor["provenance"], factor_slot["rule"]):
+        saved = dict(field)
+        field["score" if "score" in field else "factor"] = text
+        with pytest.raises(AdapterGenError) as err:
+            parse_descriptor(canonjson.dumps(descriptor))
+        assert err.value.code == "E_DESCRIPTOR"
+        field.update(saved)
+    assert parse_descriptor(canonjson.dumps(descriptor)) == units_adapter
+
+    report, _, _ = analyse_case("units", ["uiapp.cdl", "cron.cdl"], "unitsync.pdl")
+    doc = match_report_to_json(report)
+    doc["verdicts"][0]["score"] = text
+    with pytest.raises(ValueError):
+        match_report_from_json(doc)
+
+    if text == text.strip():  # a rules file strips blanks around its fields
+        for line in (f"threshold {text}", f"f64, ms, f64, s, unit_scale, {text}, 1000"):
+            with pytest.raises(ParseError) as err:
+                parse_rules_text(line + "\n")
+            assert err.value.code == "E_SYNTAX"
+
+
+@pytest.mark.parametrize(
+    "text, value", [("17/20", Fraction(17, 20)), ("-3/4", Fraction(-3, 4)), ("5", Fraction(5))]
+)
+def test_fraction_text_decodes_ascii_decimal(text, value):
+    assert canonjson.fraction_from_text(text) == value

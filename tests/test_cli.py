@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -445,7 +446,10 @@ def test_pool_add_malformed_concept_exit_3(capsys, tmp_path):
     pool = tmp_path / "pool"
     code, out, err = run(capsys, "pool", "add", str(bad), "--pool", str(pool))
     assert (code, out) == (3, "")
-    assert "E_DESCRIPTOR: malformed concept 'Data..Sort!'" in err and err.count("\n") == 1
+    assert err == (
+        f"error: E_INVALID_SPEC: {bad}: not a valid adapter descriptor: "
+        "malformed concept 'Data..Sort!': bad concept segment 'Data'\n"
+    )
     assert run(capsys, "pool", "list", "--pool", str(pool))[:2] == (0, "")
 
 
@@ -711,3 +715,110 @@ def test_adapt_resolves_uses_once_before_final_verification(capsys, monkeypatch,
     assert (code, err) == (1, "")
     # One resolution for the analysis, one for the final verification.
     assert calls == ["figure3", "figure3"]
+
+
+def _golden_descriptor(tmp_path: Path, name: str, **edits) -> Path:
+    doc = canonjson.loads((Path(__file__).parent / "golden" / "figure3.adapter").read_text())
+    if "concept" in edits:
+        doc["implements"]["operations"][0]["concept"] = edits["concept"]
+    if "score" in edits:
+        doc["provenance"]["score"] = edits["score"]
+    path = tmp_path / name
+    path.write_text(canonjson.dumps(doc))
+    return path
+
+
+def _planted_directory(tmp_path: Path) -> tuple[Path, Path]:
+    """A pool holding figure3's adapter, with a directory in its place."""
+    pool = tmp_path / "pool"
+    figure3 = str(CORPUS / "figure3" / "figure3.pdl")
+    argv = ["adapt", figure3, "--conversions", RULES, "--pool", str(pool), "--emit", str(tmp_path / "o")]
+    assert main(argv) == 1
+    (artifact,) = (pool / "adapters").iterdir()
+    artifact.unlink()
+    artifact.mkdir()
+    return pool, artifact
+
+
+def _error_rows(tmp_path: Path) -> dict[str, tuple[list[str], str, Path, bool]]:
+    """name -> (argv, error code, offending path, path named on the command line)."""
+    exactpair = str(CORPUS / "exact" / "exactpair.pdl")
+    sortkit = str(CORPUS / "figure3" / "sortkit.cdl")
+    pool = str(tmp_path / "pool")
+    bad_spec = tmp_path / "bad.pdl"
+    bad_spec.write_text('project "p" { uses }\n')
+    bad_rules = tmp_path / "bad.rules"
+    bad_rules.write_text("i32, -, i64\n")
+    binary_rules = tmp_path / "binary.rules"
+    binary_rules.write_bytes(b"\xff\n")
+    bad_cdl = tmp_path / "bad.cdl"
+    bad_cdl.write_text('component "A" version "1.0.0" { provides interface X { op f() -> unit } }\n')
+    bad_descriptor = _golden_descriptor(tmp_path, "bad.adapter", score="+17/20")
+    bad_concept = _golden_descriptor(tmp_path, "concept.adapter", concept="Data..Sort!")
+    corrupt = tmp_path / "corrupt"
+    shutil.copytree(CORPUS / "figure3", corrupt / "specs")
+    assert main(["pool", "add", sortkit, "--pool", str(corrupt)]) == 0
+    with open(corrupt / "index", "ab") as index:
+        index.write(b"{not json}\n")
+    planted_pool, planted = _planted_directory(tmp_path)
+    figure3 = str(CORPUS / "figure3" / "figure3.pdl")
+    return {
+        "bad spec": (["check", str(bad_spec)], "E_PARSE", bad_spec, True),
+        "missing spec": (["check", str(tmp_path / "no.pdl")], "E_PARSE", tmp_path / "no.pdl", True),
+        "bad rules": (["check", exactpair, "--conversions", str(bad_rules)], "E_SYNTAX", bad_rules, True),
+        "non-UTF-8 rules": (
+            ["check", exactpair, "--conversions", str(binary_rules)], "E_SYNTAX", binary_rules, True
+        ),
+        "missing rules": (
+            ["check", exactpair, "--conversions", str(tmp_path / "no.rules")],
+            "E_IO", tmp_path / "no.rules", True,
+        ),
+        "bad cdl": (["pool", "add", str(bad_cdl), "--pool", pool], "E_INVALID_SPEC", bad_cdl, True),
+        "second file bad descriptor": (
+            ["pool", "add", sortkit, str(bad_descriptor), "--pool", pool],
+            "E_INVALID_SPEC", bad_descriptor, True,
+        ),
+        "malformed concept": (
+            ["pool", "add", str(bad_concept), "--pool", pool], "E_INVALID_SPEC", bad_concept, True
+        ),
+        "planted directory, verify": (
+            ["pool", "verify", "--pool", str(planted_pool)], "E_IO", planted, False
+        ),
+        "planted directory, adapt": (
+            ["adapt", figure3, "--conversions", RULES, "--pool", str(planted_pool),
+             "--emit", str(tmp_path / "o2")],
+            "E_IO", planted, False,
+        ),
+        "corrupt index line": (["pool", "list", "--pool", str(corrupt)], "E_CORRUPT", corrupt / "index", False),
+    }
+
+
+_ERROR_ROWS = [
+    "bad spec",
+    "missing spec",
+    "bad rules",
+    "non-UTF-8 rules",
+    "missing rules",
+    "bad cdl",
+    "second file bad descriptor",
+    "malformed concept",
+    "planted directory, verify",
+    "planted directory, adapt",
+    "corrupt index line",
+]
+
+
+@pytest.mark.parametrize("row", _ERROR_ROWS)
+def test_error_shape(capsys, tmp_path, row):
+    """Every broken input: exit 3, one stderr line, its code once, and
+    the offending path at most once (exactly once when it was named on
+    the command line)."""
+    rows = _error_rows(tmp_path)
+    assert list(rows) == _ERROR_ROWS
+    argv, code_name, path, named = rows[row]
+    capsys.readouterr()
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith(f"error: {code_name}: ") and err.count("\n") == 1, err
+    assert re.findall(r"\bE_[A-Z_]+", err) == [code_name], err
+    assert err.count(str(path)) == 1 if named else err.count(str(path)) <= 1, err
