@@ -5,10 +5,11 @@ One run walks the full loop. Exact connections are left alone. Every
 other connection, and every project demand, consults the pool first
 through one query; a connection takes only a hit that will re-verify
 as exact (it provides the consumer's required interface verbatim and
-requires the provider's provided interface verbatim), otherwise an
-adapter is generated when the connection is adaptable. Generated
-adapters are always stored, even when later verification fails; a
-failed verification turns the outcome unresolvable instead of
+requires the provider's provided interface verbatim), so its query
+prices only entries that list every concept of that interface;
+otherwise an adapter is generated when the connection is adaptable.
+Generated adapters are always stored, even when later verification
+fails; a failed verification turns the outcome unresolvable instead of
 unwinding the pool.
 """
 
@@ -273,8 +274,13 @@ def run_workflow(
         # Not EXACT, so the consumer's interface has at least one operation.
         first_op = consumer_iface.operations[0]
         demand = Demand(first_op.concept, shape_of(first_op), conn.label())
+        # A healing hit provides the consumer's interface verbatim, so its
+        # index entry lists every op concept of it; other entries are not
+        # priced.
+        provides = frozenset(op.concept for op in consumer_iface.operations)
         hit = _consult_pool(
-            pool_root, demand, f"{demand.concept} for {conn.label()}", conv, config, trace,
+            pool_root, PoolQuery(demand, provides=provides), f"{demand.concept} for {conn.label()}",
+            conv, config, trace,
             accept=lambda value: _healing_hit(value, consumer_iface, provider_iface),
         )
         if hit is not None:
@@ -305,7 +311,9 @@ def run_workflow(
         if demand.origin != "project":
             continue
         note = f"{demand.concept} (project demand)"
-        hit = _consult_pool(pool_root, demand, note, conv, config, trace, accept=lambda value: True)
+        hit = _consult_pool(
+            pool_root, PoolQuery(demand), note, conv, config, trace, accept=lambda value: True
+        )
         if hit is None:
             unresolved.append(demand)
             continue
@@ -350,18 +358,18 @@ def run_workflow(
 
 def _consult_pool(
     pool_root: str | Path,
-    demand: Demand,
+    query: PoolQuery,
     note: str,
     conv: ConversionTable,
     config: MatchConfig,
     trace: _Trace,
     accept: Callable[[ComponentSpec | AdapterSpec], bool],
 ) -> tuple[str, ComponentSpec | AdapterSpec] | None:
-    """The best-ranked candidate for `demand` that `accept` takes, as
+    """The best-ranked candidate for `query` that `accept` takes, as
     `(fingerprint, value)`; `pool_query` returns only candidates that
     reach the threshold."""
     trace.add("query", note)
-    ranked = pool_query(pool_root, PoolQuery(demand), conv, config)
+    ranked = pool_query(pool_root, query, conv, config)
     trace.add("return", f"{len(ranked)} candidate(s)")
     for candidate in ranked:
         value = candidate.load()

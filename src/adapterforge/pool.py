@@ -7,12 +7,17 @@ append-only journal (`pool/2`): a header line, then one compact
 canonical JSON line per entry. A writer takes an advisory lockfile,
 renames the artifact into place and appends one line, so an add costs
 the same at any pool size. Readers never lock and fold the journal
-once per operation, ignoring an unterminated last line; a killed
+once per pool call, ignoring an unterminated last line; a killed
 writer leaves at most that torn line (cut by the next writer) or an
 artifact with no line (reported by `pool_verify`). Files are immutable
 once named, and every artifact read re-hashes its bytes so tampering
 cannot go unnoticed. A `pool/1` index (one JSON document) stays
 readable and is rewritten as a journal by the first add.
+
+Every pool call reads the journal once and checks every complete line,
+so a corrupt line fails every call. The check runs a column at a time
+over the decoded lines; an `IndexEntry` is built only for an entry a
+call hands out.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 import os
 import re
 import threading
@@ -62,9 +68,16 @@ KIND_ADAPTER = "adapter"
 
 INDEX_HEADER = canonjson.dump_line({"format": "pool/2"})
 _ARTIFACT_DIRS = {KIND_COMPONENT: ("components", ".cdl"), KIND_ADAPTER: ("adapters", ".adapter")}
-_ENTRY_KEYS = frozenset({"kind", "name", "version", "provided_concepts", "path", "stored_at"})
-_LINE_KEYS = _ENTRY_KEYS | {"fingerprint"}
-_HEX_DIGITS = "0123456789abcdef"
+_PATH_FORMATS = {
+    kind: f"{directory}/{{}}{suffix}" for kind, (directory, suffix) in _ARTIFACT_DIRS.items()
+}
+_LINE_KEYS = frozenset(
+    {"fingerprint", "kind", "name", "version", "provided_concepts", "path", "stored_at"}
+)
+_COLUMNS = operator.itemgetter(
+    "fingerprint", "kind", "name", "version", "stored_at", "path", "provided_concepts"
+)
+_NOT_HEX = str.maketrans("", "", "0123456789abcdef")  # deletes the lowercase hex digits
 _VERSION_RE = re.compile(r"(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\Z")  # as parse_version
 _temp_counter = itertools.count()
 
@@ -91,6 +104,7 @@ class IndexEntry:
 class PoolQuery:
     demand: Demand
     constraint: VersionConstraint | None = None
+    provides: frozenset[ConceptId] = frozenset()  # concepts a candidate's entry must all list
 
 
 def init_pool(root: str | Path) -> Path:
@@ -117,48 +131,60 @@ def init_pool(root: str | Path) -> Path:
 
 
 def _artifact_path(kind: str, fp: str) -> str:
-    directory, suffix = _ARTIFACT_DIRS[kind]
-    return f"{directory}/{fp}{suffix}"
+    return _PATH_FORMATS[kind].format(fp)
 
 
-def _entry_json(fp: str, entry: IndexEntry) -> dict:
-    return {
-        "fingerprint": fp,
-        "kind": entry.kind,
-        "name": entry.name,
-        "version": entry.version,
-        "provided_concepts": list(entry.provided_concepts),
-        "path": entry.path,
-        "stored_at": entry.stored_at,
-    }
+def _entry(row: dict) -> IndexEntry:
+    """The entry a call hands out for one checked index row."""
+    return IndexEntry(
+        row["kind"],
+        row["name"],
+        row["version"],
+        tuple(row["provided_concepts"]),
+        row["path"],
+        row["stored_at"],
+    )
 
 
-def _entry_from_json(fp: object, doc: object, keys: frozenset[str], where: str) -> IndexEntry:
-    """Check one decoded entry; any defect is E_CORRUPT."""
-    if not (
-        type(fp) is str
-        and len(fp) == 64
-        and not fp.strip(_HEX_DIGITS)
-        and type(doc) is dict
-        and doc.keys() == keys
-    ):
+def _valid_rows(rows: list) -> bool:
+    """Whether every decoded row is an index line as `docs/formats.md`
+    describes it, checked a column at a time."""
+    if not (set(map(type, rows)) <= {dict} and set(map(frozenset, rows)) <= {_LINE_KEYS}):
+        return False
+    if not rows:
+        return True
+    fps, kinds, names, versions, stored_at, paths, concepts = zip(*map(_COLUMNS, rows))
+    return (
+        set(map(type, itertools.chain(fps, kinds, names, versions, stored_at))) <= {str}
+        and set(map(len, fps)) <= {64}
+        and not "".join(fps).translate(_NOT_HEX)
+        and set(kinds) <= _PATH_FORMATS.keys()
+        and tuple(map(str.format, map(_PATH_FORMATS.__getitem__, kinds), fps)) == paths
+        and all(map(_VERSION_RE.match, versions))
+        and set(map(type, concepts)) <= {list}
+        and set(map(type, flat := list(itertools.chain.from_iterable(concepts)))) <= {str}
+        and "" not in flat
+    )
+
+
+def _check(rows: list, wheres: Iterator[str]) -> None:
+    """E_CORRUPT naming the first bad row by its `wheres` item, if any."""
+    if not _valid_rows(rows):
+        where = next(w for w, row in zip(wheres, rows) if not _valid_rows([row]))
         raise PoolError(E_CORRUPT, f"{where}: malformed pool index entry")
-    kind, name, version = doc["kind"], doc["name"], doc["version"]
-    path, stored_at, concepts = doc["path"], doc["stored_at"], doc["provided_concepts"]
-    if not (
-        type(kind) is str
-        and kind in _ARTIFACT_DIRS
-        and path == _artifact_path(kind, fp)
-        and type(name) is str
-        and type(version) is str
-        and _VERSION_RE.match(version)
-        and type(stored_at) is str
-        and type(concepts) is list
-        and all(type(c) is str for c in concepts)
-        and "" not in concepts
-    ):
-        raise PoolError(E_CORRUPT, f"{where}: malformed pool index entry {fp}")
-    return IndexEntry(kind, name, version, tuple(concepts), path, stored_at)
+
+
+def _bad_line(body: bytes) -> PoolError:
+    """The error for the first journal line that is not one JSON value."""
+    for number, line in enumerate(body.split(b"\n")[:-1], 2):
+        try:
+            json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError) as err:
+            detail = err
+            if isinstance(err, json.JSONDecodeError):
+                detail = f"{err.msg} (column {err.colno})"
+            return PoolError(E_CORRUPT, f"index line {number}: not one JSON value: {detail}")
+    return PoolError(E_CORRUPT, "malformed pool index: its lines nest too deeply")
 
 
 def _read_index(root: Path) -> bytes:
@@ -171,8 +197,9 @@ def _read_index(root: Path) -> bytes:
         raise PoolError(E_IO, f"cannot read pool index: {err}") from None
 
 
-def _fold(data: bytes) -> tuple[dict[str, IndexEntry], int | None]:
-    """Fold index bytes into fingerprint -> entry.
+def _fold(data: bytes) -> tuple[dict[str, dict], int | None]:
+    """Fold index bytes into fingerprint -> checked row, the first line
+    of a fingerprint winning.
 
     Also returns where the journal's complete lines end, or None for a
     `pool/1` document. An unterminated last line is a torn append and
@@ -182,17 +209,14 @@ def _fold(data: bytes) -> tuple[dict[str, IndexEntry], int | None]:
         end = data.rfind(b"\n") + 1
         body = data[len(INDEX_HEADER) : end]
         try:
-            docs = json.loads(b"[" + body[:-1].replace(b"\n", b",") + b"]")
-        except (ValueError, RecursionError) as err:
-            raise PoolError(E_CORRUPT, f"malformed pool index line: {err}") from None
-        if len(docs) != body.count(b"\n"):
-            raise PoolError(E_CORRUPT, "malformed pool index line: more than one value")
-        entries: dict[str, IndexEntry] = {}
-        for line, doc in enumerate(docs, 2):
-            fp = doc.get("fingerprint") if isinstance(doc, dict) else None
-            entry = _entry_from_json(fp, doc, _LINE_KEYS, f"index line {line}")
-            entries.setdefault(doc["fingerprint"], entry)
-        return entries, end
+            rows = json.loads("[" + body[:-1].decode("utf-8").replace("\n", ",") + "]")
+        except (ValueError, RecursionError):
+            raise _bad_line(body) from None
+        if len(rows) != body.count(b"\n"):
+            raise _bad_line(body)
+        _check(rows, (f"index line {n}" for n in itertools.count(2)))
+        rows.reverse()
+        return dict(zip(map(operator.itemgetter("fingerprint"), rows), rows)), end
     try:
         doc = json.loads(data)
     except (ValueError, RecursionError) as err:
@@ -203,14 +227,18 @@ def _fold(data: bytes) -> tuple[dict[str, IndexEntry], int | None]:
         and isinstance(doc.get("entries"), dict)
     ):
         raise PoolError(E_CORRUPT, "pool index is neither pool/2 nor pool/1")
-    entries = {
-        fp: _entry_from_json(fp, entry, _ENTRY_KEYS, f"index entry {fp}")
-        for fp, entry in doc["entries"].items()
-    }
-    return entries, None
+    entries = doc["entries"]
+    # One rule for both formats: a pool/1 entry is checked as the line
+    # it would be, with its key as its fingerprint.
+    rows = [
+        {**entry, "fingerprint": fp} if type(entry) is dict and "fingerprint" not in entry else None
+        for fp, entry in entries.items()
+    ]
+    _check(rows, (f"index entry {fp}" for fp in entries))
+    return dict(zip(entries, rows)), None
 
 
-def _load_index(root: Path) -> dict[str, IndexEntry]:
+def _load_index(root: Path) -> dict[str, dict]:
     return _fold(_read_index(root))[0]
 
 
@@ -320,16 +348,18 @@ def _validate_adapter(adapter: AdapterSpec) -> None:
         raise PoolError(E_INVALID_SPEC, f"adapter {adapter.name} fails validation")
 
 
-def _entry_for(kind: str, fp: str, value: ComponentSpec | AdapterSpec) -> IndexEntry:
+def _row_for(kind: str, fp: str, value: ComponentSpec | AdapterSpec) -> dict:
+    """The index line of a new artifact."""
     component = as_component(value)
-    return IndexEntry(
-        kind=kind,
-        name=component.name,
-        version=format_version(component.version),
-        provided_concepts=tuple(str(c) for c in component.provided_concepts()),
-        path=_artifact_path(kind, fp),
-        stored_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
+    return {
+        "fingerprint": fp,
+        "kind": kind,
+        "name": component.name,
+        "version": format_version(component.version),
+        "provided_concepts": [str(c) for c in component.provided_concepts()],
+        "path": _artifact_path(kind, fp),
+        "stored_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
 
 
 def pool_add(root: str | Path, document: str, timeout: float = LOCK_TIMEOUT) -> str:
@@ -352,24 +382,24 @@ def _store(
     root: Path, kind: str, data: bytes, value: ComponentSpec | AdapterSpec, timeout: float
 ) -> str:
     fp = fingerprint_of(data)
-    entry = _entry_for(kind, fp, value)
+    row = _row_for(kind, fp, value)
     index = root / "index"
     with _index_lock(root, timeout):
         journal = _read_index(root)
-        entries, end = _fold(journal)
-        if fp in entries:
+        rows, end = _fold(journal)
+        if fp in rows:
             return fp
         try:
-            _write_atomic(root / entry.path, data)
+            _write_atomic(root / row["path"], data)
             if end is None:
-                entries[fp] = entry
-                lines = (canonjson.dump_line(_entry_json(f, e)) for f, e in sorted(entries.items()))
+                rows[fp] = row
+                lines = (canonjson.dump_line(rows[f]) for f in sorted(rows))
                 _write_atomic(index, INDEX_HEADER + b"".join(lines))
             else:
                 with open(index, "ab") as f:
                     if end < len(journal):
                         f.truncate(end)  # a torn line from a killed writer
-                    f.write(canonjson.dump_line(_entry_json(fp, entry)))
+                    f.write(canonjson.dump_line(row))
         except OSError as err:
             raise PoolError(E_IO, f"cannot write to pool {root}: {err}") from None
     return fp
@@ -378,32 +408,35 @@ def _store(
 def pool_get(root: str | Path, fp: str) -> ComponentSpec | AdapterSpec:
     """Load and re-verify one stored artifact."""
     root = Path(root)
-    entry = _load_index(root).get(fp)
-    if entry is None:
+    row = _load_index(root).get(fp)
+    if row is None:
         raise PoolError(E_NO_ENTRY, f"no pool entry {fp}")
-    return _read_artifact(root, fp, entry)
+    return _read_artifact(root, fp, row["kind"], row["path"])
 
 
-def _read_artifact(root: Path, fp: str, entry: IndexEntry) -> ComponentSpec | AdapterSpec:
-    path = root / entry.path
+def _read_artifact(root: Path, fp: str, kind: str, relpath: str) -> ComponentSpec | AdapterSpec:
+    path = root / relpath
     try:
         data = path.read_bytes()
     except FileNotFoundError:
-        raise PoolError(E_CORRUPT, f"index entry {fp} points at missing {entry.path}") from None
+        raise PoolError(E_CORRUPT, f"index entry {fp} points at missing {relpath}") from None
     except OSError as err:
         raise PoolError(E_IO, f"cannot read {path}: {err.strerror or err}") from None
     actual = fingerprint_of(data)
     if actual != fp:
-        raise PoolError(E_CORRUPT, f"{entry.path} re-hashes to {actual}, expected {fp}")
-    text = data.decode("utf-8")
-    if entry.kind == KIND_ADAPTER:
+        raise PoolError(E_CORRUPT, f"{relpath} re-hashes to {actual}, expected {fp}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise PoolError(E_CORRUPT, f"{path} is not UTF-8: byte {err.start} is invalid") from None
+    if kind == KIND_ADAPTER:
         return parse_descriptor(text)
     return parse_component(text)
 
 
 def pool_list(root: str | Path) -> list[tuple[str, IndexEntry]]:
-    entries = _load_index(Path(root))
-    return sorted(entries.items())
+    rows = _load_index(Path(root))
+    return [(fp, _entry(rows[fp])) for fp in sorted(rows)]
 
 
 class Candidate(tuple):
@@ -437,7 +470,8 @@ class Candidate(tuple):
         """The artifact, re-hashed when read: a shaped query read every
         candidate while pricing it, a bare one reads it here."""
         if self._value is None:
-            self._value = _read_artifact(self._root, self.fingerprint, self.entry)
+            entry = self.entry
+            self._value = _read_artifact(self._root, self.fingerprint, entry.kind, entry.path)
         return self._value
 
 
@@ -450,29 +484,36 @@ def pool_query(
     """Fingerprints able to serve the demand, best first.
 
     Candidates provide a concept equal to or related by ancestry to the
-    demanded one. With a shaped demand each candidate is read from the
-    one index fold and priced by its best provided operation through
-    the regular matcher; a bare concept demand is priced by concept
-    distance alone. An empty result is the miss answer: nothing stored
-    can serve the demand. Each result is a `(fingerprint, score)` pair,
-    and every score is at least `config.threshold`: a bare demand is cut
-    at the threshold here, a shaped one by `match_operation`.
+    demanded one, and their index entry lists every concept in
+    `query.provides`; an entry that does not is passed over before its
+    version is parsed or its artifact read. With a shaped demand each
+    candidate is read from the one index fold and priced by its best
+    provided operation through the regular matcher; a bare concept
+    demand is priced by concept distance alone. An empty result is the
+    miss answer: nothing stored can serve the demand. Each result is a
+    `(fingerprint, score)` pair, and every score is at least
+    `config.threshold`: a bare demand is cut at the threshold here, a
+    shaped one by `match_operation`.
     """
     root = Path(root)
     conv = conv if conv is not None else ConversionTable()
     demand = query.demand
     wanted = shape_as_operation(demand.concept, demand.shape) if demand.shape is not None else None
+    provides = frozenset(map(str, query.provides))
     results: list[Candidate] = []
-    for fp, entry in sorted(_load_index(root).items()):
+    for fp, row in sorted(_load_index(root).items()):
+        concepts = row["provided_concepts"]
+        if provides and not provides.issubset(concepts):
+            continue
         if query.constraint is not None and not query.constraint.satisfies(
-            parse_version(entry.version)
+            parse_version(row["version"])
         ):
             continue
         # Index concepts were checked when their artifact was added, so
         # they are split here without a second check.
         related_hops = [
             hops
-            for concept_text in entry.provided_concepts
+            for concept_text in concepts
             if (hops := demand.concept.hops_to(ConceptId(tuple(concept_text.split("."))))) is not None
         ]
         if not related_hops:
@@ -480,9 +521,9 @@ def pool_query(
         if wanted is None:
             score = 1 - config.concept_hop_penalty * min(related_hops)
             if score >= config.threshold:
-                results.append(Candidate(root, fp, score, entry))
+                results.append(Candidate(root, fp, score, _entry(row)))
             continue
-        value = _read_artifact(root, fp, entry)
+        value = _read_artifact(root, fp, row["kind"], row["path"])
         best: Fraction | None = None
         for iface in as_component(value).provided:
             for op in iface.operations:
@@ -490,7 +531,7 @@ def pool_query(
                 if match is not None and (best is None or match.score > best):
                     best = match.score
         if best is not None:
-            results.append(Candidate(root, fp, best, entry, value))
+            results.append(Candidate(root, fp, best, _entry(row), value))
     results.sort(key=lambda c: (-c.score, c.fingerprint))
     return results
 
@@ -508,14 +549,15 @@ def pool_verify(root: str | Path) -> list[Finding]:
     does not name; empty result means healthy."""
     root = Path(root)
     findings: list[Finding] = []
-    entries = _load_index(root)
-    for fp, entry in sorted(entries.items()):
-        path = root / entry.path
+    rows = _load_index(root)
+    for fp in sorted(rows):
+        relpath = rows[fp]["path"]
+        path = root / relpath
         try:
             data = path.read_bytes()
         except FileNotFoundError:
             findings.append(
-                Finding("dangling", fp, entry.path, "index entry points at a missing file")
+                Finding("dangling", fp, relpath, "index entry points at a missing file")
             )
             continue
         except OSError as err:
@@ -523,9 +565,9 @@ def pool_verify(root: str | Path) -> list[Finding]:
         actual = fingerprint_of(data)
         if actual != fp:
             findings.append(
-                Finding("hash_mismatch", fp, entry.path, f"content re-hashes to {actual}")
+                Finding("hash_mismatch", fp, relpath, f"content re-hashes to {actual}")
             )
-    indexed = {entry.path for entry in entries.values()}
+    indexed = {row["path"] for row in rows.values()}
     for directory, _ in sorted(_ARTIFACT_DIRS.values()):
         try:
             names = sorted(os.listdir(root / directory))

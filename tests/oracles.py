@@ -9,16 +9,21 @@ slot_key)`; it shares only the classification of one fixed placement
 with the package, never the search. The composition oracle rebuilds
 provider calls directly from mismatch payloads. The pool-query oracle
 prices every related candidate through the public `pool_list` and
-`pool_get`, one index read per candidate. The tokenizer oracle walks the
-source one character at a time, tracking line and column per character,
-with ASCII character classes. The parser oracle is the package's earlier
-`Token`-based regex scanner and recursive-descent parser, kept as they
-were: every token is an object carrying its kind, text, line and column.
+`pool_get`, one index read per candidate; the consult oracle prices
+every related entry with no concept filter and takes the first one that
+heals. The journal oracle is the package's earlier index check: one
+decoded line, and one entry check, at a time. The tokenizer oracle
+walks the source one character at a time, tracking line and column per
+character, with ASCII character classes. The parser oracle is the
+package's earlier `Token`-based regex scanner and recursive-descent
+parser, kept as they were: every token is an object carrying its kind,
+text, line and column.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -26,6 +31,7 @@ from typing import Any
 
 from adapterforge.adapters import AdapterSpec
 from adapterforge.analyser import (
+    Demand,
     Mismatch,
     OperationMatch,
     _classify_assignment,
@@ -39,7 +45,8 @@ from adapterforge.conversions import (
     MatchConfig,
     TypePort,
 )
-from adapterforge.pool import PoolQuery, pool_get, pool_list
+from adapterforge.linkage import _healing_hit
+from adapterforge.pool import INDEX_HEADER, IndexEntry, PoolQuery, pool_get, pool_list
 from adapterforge.speclang import (
     E_SYNTAX,
     ConceptId,
@@ -313,11 +320,14 @@ def oracle_pool_query(
     root, query: PoolQuery, conv: ConversionTable, config: MatchConfig
 ) -> list[tuple[str, Fraction]]:
     """`pool_query` as a scan: list the index, then read each related
-    candidate through `pool_get` and price it by its best provided op
-    (shaped demand) or by concept distance (bare demand)."""
+    candidate that lists every concept of `query.provides` through
+    `pool_get` and price it by its best provided op (shaped demand) or
+    by concept distance (bare demand)."""
     demand = query.demand
     results: list[tuple[str, Fraction]] = []
     for fp, entry in pool_list(root):
+        if not all(str(c) in entry.provided_concepts for c in query.provides):
+            continue
         if query.constraint is not None and not query.constraint.satisfies(
             parse_version(entry.version)
         ):
@@ -346,6 +356,101 @@ def oracle_pool_query(
         if scores:
             results.append((fp, max(scores)))
     return sorted(results, key=lambda pair: (-pair[1], pair[0]))
+
+
+def oracle_consult(
+    root,
+    demand: Demand,
+    consumer_iface: InterfaceSpec,
+    provider_iface: InterfaceSpec,
+    conv: ConversionTable,
+    config: MatchConfig,
+) -> str | None:
+    """The pool hit that heals a connection, found with no concept
+    filter: rank every related entry, then take the first candidate
+    that provides the consumer's interface and requires the provider's
+    verbatim."""
+    for fp, _ in oracle_pool_query(root, PoolQuery(demand), conv, config):
+        if _healing_hit(pool_get(root, fp), consumer_iface, provider_iface):
+            return fp
+    return None
+
+
+_ORACLE_ENTRY_KEYS = frozenset({"kind", "name", "version", "provided_concepts", "path", "stored_at"})
+_ORACLE_DIRS = {"component": ("components", ".cdl"), "adapter": ("adapters", ".adapter")}
+_ORACLE_VERSION_RE = re.compile(r"(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\Z")
+
+
+def _oracle_entry(fp: object, doc: object, keys: frozenset[str]) -> IndexEntry | None:
+    """One decoded index entry, checked field by field; None when it is
+    malformed."""
+    if not (
+        type(fp) is str
+        and len(fp) == 64
+        and not fp.strip("0123456789abcdef")
+        and type(doc) is dict
+        and doc.keys() == keys
+    ):
+        return None
+    kind, name, version = doc["kind"], doc["name"], doc["version"]
+    path, stored_at, concepts = doc["path"], doc["stored_at"], doc["provided_concepts"]
+    if not (
+        type(kind) is str
+        and kind in _ORACLE_DIRS
+        and path == f"{_ORACLE_DIRS[kind][0]}/{fp}{_ORACLE_DIRS[kind][1]}"
+        and type(name) is str
+        and type(version) is str
+        and _ORACLE_VERSION_RE.match(version)
+        and type(stored_at) is str
+        and type(concepts) is list
+        and all(type(c) is str for c in concepts)
+        and "" not in concepts
+    ):
+        return None
+    return IndexEntry(kind, name, version, tuple(concepts), path, stored_at)
+
+
+def oracle_fold(data: bytes) -> tuple[dict[str, IndexEntry], int | None] | str:
+    """Index bytes folded one line at a time: `(entries, end)` as
+    `pool._fold` hands them out, or where the index is corrupt. That is
+    `index line <n>` for the first journal line that is not one JSON
+    value or, when every line is one, the first that is not an entry;
+    `index entry <fp>` for the first malformed `pool/1` entry; and ""
+    when the file as a whole is neither format."""
+    if data.startswith(INDEX_HEADER):
+        end = data.rfind(b"\n") + 1
+        lines = data[len(INDEX_HEADER) : end].split(b"\n")[:-1]
+        docs = []
+        for number, line in enumerate(lines, 2):
+            try:
+                docs.append(json.loads(line.decode("utf-8")))
+            except (ValueError, RecursionError):
+                return f"index line {number}"
+        entries: dict[str, IndexEntry] = {}
+        for number, doc in enumerate(docs, 2):
+            fp = doc.get("fingerprint") if isinstance(doc, dict) else None
+            entry = _oracle_entry(fp, doc, _ORACLE_ENTRY_KEYS | {"fingerprint"})
+            if entry is None:
+                return f"index line {number}"
+            entries.setdefault(fp, entry)
+        return entries, end
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError):
+        return ""
+    if not (
+        isinstance(doc, dict)
+        and doc.get("format") == "pool/1"
+        and isinstance(doc.get("entries"), dict)
+    ):
+        return ""
+    entries = {}
+    for fp, raw in doc["entries"].items():
+        entry = _oracle_entry(fp, raw, _ORACLE_ENTRY_KEYS)
+        if entry is None:
+            return f"index entry {fp}"
+        entries[fp] = entry
+    return entries, None
 
 
 _DIGITS = frozenset("0123456789")

@@ -740,6 +740,29 @@ def _planted_directory(tmp_path: Path) -> tuple[Path, Path]:
     return pool, artifact
 
 
+def _planted_non_utf8(tmp_path: Path) -> tuple[Path, Path]:
+    """A pool whose one adapter, indexed under figure3's concept,
+    hashes to its fingerprint but is not UTF-8."""
+    pool = tmp_path / "binary_pool"
+    data = b"\xff not UTF-8\n"
+    fp = hashlib.sha256(data).hexdigest()
+    for directory in ("components", "adapters"):
+        (pool / directory).mkdir(parents=True)
+    artifact = pool / "adapters" / f"{fp}.adapter"
+    artifact.write_bytes(data)
+    line = {
+        "fingerprint": fp,
+        "kind": "adapter",
+        "name": "binary",
+        "path": f"adapters/{fp}.adapter",
+        "provided_concepts": ["data.sorting.sort"],
+        "stored_at": "2024-01-01T00:00:00+00:00",
+        "version": "1.0.0",
+    }
+    (pool / "index").write_bytes(b'{"format":"pool/2"}\n' + canonjson.dump_line(line))
+    return pool, artifact
+
+
 def _error_rows(tmp_path: Path) -> dict[str, tuple[list[str], str, Path, bool]]:
     """name -> (argv, error code, offending path, path named on the command line)."""
     exactpair = str(CORPUS / "exact" / "exactpair.pdl")
@@ -761,6 +784,7 @@ def _error_rows(tmp_path: Path) -> dict[str, tuple[list[str], str, Path, bool]]:
     with open(corrupt / "index", "ab") as index:
         index.write(b"{not json}\n")
     planted_pool, planted = _planted_directory(tmp_path)
+    binary_pool, binary_artifact = _planted_non_utf8(tmp_path)
     figure3 = str(CORPUS / "figure3" / "figure3.pdl")
     return {
         "bad spec": (["check", str(bad_spec)], "E_PARSE", bad_spec, True),
@@ -790,6 +814,11 @@ def _error_rows(tmp_path: Path) -> dict[str, tuple[list[str], str, Path, bool]]:
             "E_IO", planted, False,
         ),
         "corrupt index line": (["pool", "list", "--pool", str(corrupt)], "E_CORRUPT", corrupt / "index", False),
+        "non-UTF-8 artifact, adapt": (
+            ["adapt", figure3, "--conversions", RULES, "--pool", str(binary_pool),
+             "--emit", str(tmp_path / "o3")],
+            "E_CORRUPT", binary_artifact, False,
+        ),
     }
 
 
@@ -805,6 +834,7 @@ _ERROR_ROWS = [
     "planted directory, verify",
     "planted directory, adapt",
     "corrupt index line",
+    "non-UTF-8 artifact, adapt",
 ]
 
 

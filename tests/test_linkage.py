@@ -464,6 +464,85 @@ def test_candidates_that_do_not_heal_leave_an_adaptable_connection_to_generation
     assert result.steps[4].action == "invite"
 
 
+def _sorter(
+    name: str, version: str = "1.0.0", op_name: str = "sortAscending",
+    concept: str = "data.sorting.sort", ascending: str = "true",
+) -> str:
+    """A component shaped like `_HEALER`, varied one part at a time."""
+    return (
+        f'component "{name}" version "{version}" {{\n'
+        "  provides interface Sorting {\n"
+        f"    op {op_name}(items: list<i32>) -> list<i32> @concept {concept}\n"
+        "  }\n"
+        "  requires interface BulkSort {\n"
+        f"    op sort(items: list<i32>, ascending: bool = {ascending}) -> list<i32>"
+        " @concept data.sorting.sort\n"
+        "  }\n"
+        "}\n"
+    )
+
+
+def test_consult_picks_the_oracle_hit_on_mixed_pools(tmp_path: Path):
+    """On pools that mix healers, decoys that list the consumer's concept
+    but cannot heal, and related entries that do not list it, the hit
+    `run_workflow` takes is the one found by pricing every related entry
+    with no concept filter."""
+    import random
+
+    from adapterforge.analyser import Demand, shape_of
+    from adapterforge.pool import PoolQuery, pool_add, pool_query
+    from oracles import oracle_consult
+
+    assert _sorter("healer") == _HEALER and _sorter("decoy", op_name="sort") == _DECOY
+    consumer = parse_component((CORPUS / "figure3" / "reportgen.cdl").read_text())
+    provider = parse_component((CORPUS / "figure3" / "sortkit.cdl").read_text())
+    consumer_iface = consumer.interface("required", "Sorting")
+    provider_iface = provider.interface("provided", "BulkSort")
+    (op,) = consumer_iface.operations
+    label = "reportgen.requires.Sorting -> sortkit.provides.BulkSort"
+    demand = Demand(op.concept, shape_of(op), label)
+    kinds = {
+        "healer": lambda name, version: _sorter(name, version),
+        "decoy": lambda name, version: _sorter(name, version, op_name="sort"),
+        "near": lambda name, version: _sorter(name, version, ascending="false"),
+        "ancestor": lambda name, version: _sorter(name, version, "sort", "data.sorting"),
+        "descendant": lambda name, version: _sorter(name, version, "sort", "data.sorting.sort.stable"),
+    }
+    covering = {"healer", "decoy", "near"}
+    seen = {"hit": 0, "generated": 0, "non-healing first": 0, "non-covering first": 0}
+    for seed in range(16):
+        rng = random.Random(seed)
+        rules = tmp_path / f"rules{seed}"
+        rules.write_text(
+            (CORPUS / "conversions.rules").read_text()
+            + f"penalty rename {rng.choice(['0', '1/20', '1/5'])}\n"
+        )
+        conv, config = load_rules(rules)
+        pool_root = init_pool(tmp_path / f"pool{seed}")
+        kind_of = {}
+        for i in range(rng.randint(1, 7)):
+            kind = rng.choice(sorted(kinds))
+            kind_of[pool_add(pool_root, kinds[kind](f"{kind}{i}", f"1.{rng.randint(0, 3)}.0"))] = kind
+        expected = oracle_consult(pool_root, demand, consumer_iface, provider_iface, conv, config)
+        ranked = pool_query(pool_root, PoolQuery(demand), conv, config)
+        if ranked and kind_of[ranked[0].fingerprint] != "healer":
+            seen["non-healing first"] += 1
+            seen["non-covering first"] += kind_of[ranked[0].fingerprint] not in covering
+        result = _run(CORPUS / "figure3", "figure3.pdl", pool_root, (conv, config))
+        assert result.outcome == ADAPTED
+        if expected is None:
+            seen["generated"] += 1
+            assert [i.source for i in result.integrations] == [GENERATED]
+        else:
+            seen["hit"] += 1
+            assert [(i.source, i.fingerprint) for i in result.integrations] == [(POOL_HIT, expected)]
+        # The return step counts only the entries that list the concept.
+        listing = [c for c in ranked if kind_of[c.fingerprint] in covering]
+        assert result.steps[3].action == "return"
+        assert result.steps[3].detail == f"{len(listing)} candidate(s)"
+    assert all(seen.values()), seen
+
+
 def test_project_demand_below_threshold_stays_unresolved(tmp_path: Path, rules):
     from adapterforge.pool import pool_add
 

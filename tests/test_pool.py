@@ -11,9 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adapterforge
-from oracles import oracle_pool_query
+from oracles import oracle_fold, oracle_pool_query
 from testutil import component, concept, op, param
 from adapterforge import canonjson
 from adapterforge.adapters import generate_adapter, emit_descriptor
@@ -29,6 +31,9 @@ from adapterforge.pool import (
     pool_list,
     pool_query,
     pool_verify,
+    _artifact_path,
+    _entry,
+    _fold,
     _write_atomic,
 )
 from adapterforge.speclang import (
@@ -384,6 +389,155 @@ def test_malformed_index_is_corrupt(pool: Path, case: str):
     assert not (pool / "index.lock").exists()
 
 
+def test_corrupt_journal_line_names_its_file_line(pool: Path):
+    pool_add(pool, spec_text("alpha"))
+    pool_add(pool, spec_text("beta"))
+    lines = _lines(pool)
+    with open(pool / "index", "ab") as f:
+        f.write(b"{not json}\n")
+    with pytest.raises(PoolError) as err:
+        pool_list(pool)
+    assert err.value.code == "E_CORRUPT"
+    assert err.value.message == (
+        "index line 4: not one JSON value: "
+        "Expecting property name enclosed in double quotes (column 2)"
+    )
+    # A line that is JSON but not an entry is named by its line too.
+    bad = json.loads(lines[2])
+    bad["version"] = "1.0"
+    (pool / "index").write_bytes(b"".join(lines[:2]) + canonjson.dump_line(bad) + lines[1])
+    with pytest.raises(PoolError) as err:
+        pool_get(pool, bad["fingerprint"])
+    assert err.value.code == "E_CORRUPT"
+    assert err.value.message == "index line 3: malformed pool index entry"
+
+
+def test_artifact_that_is_not_utf8_is_corrupt(pool: Path):
+    data = b"\xff not text\n"
+    fp = fingerprint_of(data)
+    artifact = pool / "adapters" / f"{fp}.adapter"
+    artifact.write_bytes(data)
+    line = {**_GOOD_LINE, "fingerprint": fp, "kind": "adapter", "path": f"adapters/{fp}.adapter"}
+    (pool / "index").write_bytes(_journal(line))
+    with pytest.raises(PoolError) as err:
+        pool_get(pool, fp)
+    assert err.value.code == "E_CORRUPT"
+    assert err.value.message.count(str(artifact)) == 1
+    with pytest.raises(PoolError) as err:
+        pool_query(pool, PoolQuery(_shaped_demand()))
+    assert err.value.code == "E_CORRUPT"
+
+
+# --- the journal check against its oracle ---------------------------------
+
+
+def _assert_fold_agrees(data: bytes) -> None:
+    """`_fold` and the line-at-a-time oracle give the same verdict, the
+    same line or entry, and equal entries."""
+    expected = oracle_fold(data)
+    try:
+        rows, end = _fold(data)
+    except PoolError as err:
+        assert err.code == "E_CORRUPT"
+        assert isinstance(expected, str), err
+        if expected:
+            assert err.message.startswith(f"{expected}: "), (err.message, expected)
+        else:
+            assert not err.message.startswith("index "), err.message
+        return
+    assert not isinstance(expected, str), expected
+    assert ({fp: _entry(row) for fp, row in rows.items()}, end) == expected
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INDEXES))
+def test_fold_matches_oracle_on_malformed_indexes(case: str):
+    _assert_fold_agrees(MALFORMED_INDEXES[case])
+
+
+_FPS = ("a" * 64, "b" * 64, "0123456789abcdef" * 4)
+# Replacement values per field, valid ones among them.
+_FIELD_VALUES = {
+    "fingerprint": ("a" * 64, "b" * 64, "A" * 64, "a" * 63, "a" * 65, "a" * 62 + "/.", "g" * 64, 7),
+    "kind": ("component", "adapter", "blob", "Component", None, ["adapter"]),
+    "name": ("alpha", "", "\u00e9", 5, None, ["alpha"]),
+    "version": (
+        "1.0.0", "10.20.30", "1.0", "01.0.0", "1.0.0 ", "1.0.0\n", "1.0.0-rc", "\u0663.0.0", 1, None,
+    ),
+    "provided_concepts": ([], ["data.k"], ["data.k", "data.k"], [""], [1], [None], "data.k", {}),
+    "path": ("components/" + "a" * 64 + ".cdl", "adapters/" + "a" * 64 + ".adapter", "../x.cdl", 3),
+    "stored_at": ("2024-01-01T00:00:00+00:00", "", 0, None),
+}
+_RAW_LINES = (b"{oops", b"", b"1,2", b"[]", b"null", b'"\xff"', b"\xed\xa0\x80", b" {} ", b"{}")
+
+
+@st.composite
+def _index_rows(draw) -> list:
+    """A few index rows, up to two of them mutated: a field replaced (a
+    new fingerprint or kind may carry its path along), a key dropped or
+    added, or the whole row not an object."""
+    rows: list = []
+    for _ in range(draw(st.integers(0, 4))):
+        fp = draw(st.sampled_from(_FPS))
+        kind = draw(st.sampled_from(("component", "adapter")))
+        rows.append({
+            "fingerprint": fp,
+            "kind": kind,
+            "name": draw(st.sampled_from(("alpha", "beta"))),
+            "version": draw(st.sampled_from(("1.0.0", "0.2.10"))),
+            "provided_concepts": draw(st.lists(st.sampled_from(("data.k.x", "data.m")), max_size=2)),
+            "path": _artifact_path(kind, fp),
+            "stored_at": "2024-01-01T00:00:00+00:00",
+        })
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        at = draw(st.integers(0, len(rows) - 1))
+        row = rows[at]
+        if not isinstance(row, dict):
+            continue
+        mutation = draw(st.sampled_from(("field", "field", "field", "drop", "add", "scalar")))
+        if mutation == "field":
+            key = draw(st.sampled_from(sorted(_FIELD_VALUES)))
+            row[key] = draw(st.sampled_from(_FIELD_VALUES[key]))
+            fp, kind = row.get("fingerprint"), row.get("kind")
+            if key in ("fingerprint", "kind") and type(fp) is str and kind in ("component", "adapter"):
+                if draw(st.booleans()):
+                    row["path"] = _artifact_path(kind, fp)
+        elif mutation == "drop":
+            del row[draw(st.sampled_from(sorted(row)))]
+        elif mutation == "add":
+            row[draw(st.sampled_from(("extra", "Kind")))] = 1
+        else:
+            rows[at] = draw(st.sampled_from((None, 1, "row", [row])))
+    return rows
+
+
+@st.composite
+def _mutated_indexes(draw) -> bytes:
+    rows = draw(_index_rows())
+    if draw(st.booleans()):
+        lines = [canonjson.dump_line(row) for row in rows]
+        if draw(st.integers(0, 3)) == 0:
+            raw = draw(st.sampled_from(_RAW_LINES)) + b"\n"
+            lines.insert(draw(st.integers(0, len(lines))), raw)
+        torn = draw(st.sampled_from((b"", b'{"fingerprint":"ab', b"{oops")))
+        return HEADER + b"".join(lines) + torn
+    entries = {}
+    for row in rows:
+        if isinstance(row, dict) and type(row.get("fingerprint")) is str:
+            fp = row.pop("fingerprint")
+            if draw(st.integers(0, 5)) == 0:
+                row["fingerprint"] = fp  # a pool/1 entry carries no fingerprint key
+            entries[fp] = row
+        else:
+            entries[draw(st.sampled_from(_FPS))] = row
+    return canonjson.dump_bytes({"entries": entries, "format": "pool/1"})
+
+
+@given(data=_mutated_indexes())
+@settings(max_examples=600, deadline=None)
+def test_fold_matches_oracle_on_mutated_indexes(data: bytes):
+    _assert_fold_agrees(data)
+
+
 # --- pool_query against its oracle ---------------------------------------
 
 _CONCEPTS = ("data", "data.k", "data.k.x", "data.k.y", "data.m", "data.m.z")
@@ -448,6 +602,42 @@ def test_query_matches_oracle(tmp_path: Path, index_format: str, seed: int):
             assert all(candidate.score >= config.threshold for candidate in found)
             nonempty += len(expected) > 1
     assert nonempty >= len(demands)  # the pools exercise ranking, not just misses
+
+
+@pytest.mark.parametrize("index_format", ["pool/2", "pool/1"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_query_with_provides_matches_oracle(tmp_path: Path, index_format: str, seed: int):
+    rng = random.Random(seed)
+    root = init_pool(tmp_path / "pool")
+    ops = _random_pool(root, rng, 40)
+    if index_format == "pool/1":
+        _as_pool1(root)
+    conv, config = load_rules(CORPUS / "conversions.rules")
+    demands = [Demand(concept(c), None, "project") for c in ("data", "data.k", "data.sorting")]
+    demands += [Demand(o.concept, shape_of(o), "conn") for o in rng.sample(ops, 6)]
+    vocabulary = _CONCEPTS + ("data.sorting.sort", "net")
+    filtered = 0
+    for demand in demands:
+        for _ in range(4):
+            provides = frozenset(concept(c) for c in rng.sample(vocabulary, rng.randint(0, 3)))
+            query = PoolQuery(demand, rng.choice([None, VersionConstraint(">=", (1, 0, 0))]), provides)
+            expected = oracle_pool_query(root, query, conv, config)
+            assert pool_query(root, query, conv, config) == expected
+            unfiltered = oracle_pool_query(root, PoolQuery(demand, query.constraint), conv, config)
+            assert set(expected) <= set(unfiltered)
+            filtered += len(expected) < len(unfiltered)
+    assert filtered >= len(demands)  # the concept sets do cut candidates
+
+
+def test_provides_passes_over_an_entry_before_reading_it(pool: Path):
+    kept = pool_add(pool, spec_text("alpha", concept_text="data.k.x"))
+    passed_over = pool_add(pool, spec_text("beta", concept_text="data.k"))
+    (pool / "components" / f"{passed_over}.cdl").unlink()
+    query = PoolQuery(_shaped_demand(), provides=frozenset({concept("data.k.x")}))
+    assert [c.fingerprint for c in pool_query(pool, query)] == [kept]
+    with pytest.raises(PoolError) as err:
+        pool_query(pool, PoolQuery(_shaped_demand()))  # without it, the missing file is read
+    assert err.value.code == "E_CORRUPT"
 
 
 def test_query_candidates_carry_entry_and_verified_value(pool: Path):
