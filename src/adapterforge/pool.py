@@ -4,7 +4,8 @@ Artifacts live under `components/` and `adapters/`, named by the
 SHA-256 of their canonical bytes, so equal canonical content always
 lands on the same path and identity is the hash. The `index` is an
 append-only journal (`pool/2`): a header line, then one compact
-canonical JSON line per entry. A writer takes an advisory lockfile,
+canonical JSON line per entry. A writer holds `flock` on the
+persistent `index.lock` (released by the kernel if the writer dies),
 renames the artifact into place and appends one line, so an add costs
 the same at any pool size. Readers never lock and fold the journal
 once per pool call, ignoring an unterminated last line; a killed
@@ -22,6 +23,7 @@ call hands out.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import itertools
 import json
@@ -126,7 +128,7 @@ def init_pool(root: str | Path) -> Path:
             finally:
                 tmp.unlink()
     except OSError as err:
-        raise PoolError(E_IO, f"cannot initialize pool at {root}: {err}") from None
+        raise PoolError(E_IO, f"cannot initialize pool at {root}: {err.strerror or err}") from None
     return root
 
 
@@ -194,7 +196,7 @@ def _read_index(root: Path) -> bytes:
     except FileNotFoundError:
         raise PoolError(E_IO, f"{index_path} does not exist (pool not initialized?)") from None
     except OSError as err:
-        raise PoolError(E_IO, f"cannot read pool index: {err}") from None
+        raise PoolError(E_IO, f"cannot read {index_path}: {err.strerror or err}") from None
 
 
 def _fold(data: bytes) -> tuple[dict[str, dict], int | None]:
@@ -254,69 +256,34 @@ def _write_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _break_stale_lock(lock_path: Path) -> bool:
-    """Remove a lock whose holder is a process that no longer exists on
-    this host; True when the lock is gone."""
-    try:
-        with open(lock_path, "rb") as f:
-            body = f.read(32)
-            inode = os.fstat(f.fileno()).st_ino
-    except FileNotFoundError:
-        return True
-    except OSError:
-        return False
-    if not body.isdigit():
-        return False  # not a pid (or not written yet): wait for the timeout
-    try:
-        os.kill(int(body), 0)
-        return False
-    except ProcessLookupError:
-        pass
-    except (OSError, OverflowError):
-        return False
-    stale = _temp_path(lock_path)
-    try:
-        os.rename(lock_path, stale)
-    except OSError:
-        return False
-    try:
-        if os.stat(stale).st_ino != inode:
-            # A live writer took the lock after it was read: hand it back.
-            os.link(stale, lock_path)
-    except OSError:
-        pass
-    finally:
-        os.unlink(stale)
-    return True
-
-
 @contextmanager
 def _index_lock(root: Path, timeout: float) -> Iterator[None]:
+    # The kernel drops a flock when its holder closes the file or dies,
+    # so no lock outlives its writer. Never unlink the file: a waiter on
+    # the old inode and a newcomer on a new one could both hold "the
+    # lock". Open it once per acquisition: a flock belongs to the open
+    # file description, so only separate opens exclude threads of one
+    # process from each other.
     lock_path = root / "index.lock"
     deadline = time.monotonic() + timeout
-    while True:
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if _break_stale_lock(lock_path):
-                continue
-            if time.monotonic() >= deadline:
-                raise PoolError(
-                    E_LOCK, f"could not acquire {lock_path} within {timeout:.1f}s"
-                ) from None
-            time.sleep(_LOCK_POLL)
-        except OSError as err:
-            raise PoolError(E_IO, f"cannot create lock file: {err}") from None
     try:
-        os.write(fd, str(os.getpid()).encode("ascii"))
-        os.close(fd)
+        fd = os.open(lock_path, os.O_RDWR | os.O_CREAT)
+    except OSError as err:
+        raise PoolError(E_IO, f"cannot open {lock_path}: {err.strerror or err}") from None
+    try:
+        while True:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                break
+            except BlockingIOError:
+                if time.monotonic() >= deadline:
+                    raise PoolError(
+                        E_LOCK, f"could not acquire {lock_path} within {timeout:.1f}s"
+                    ) from None
+                time.sleep(_LOCK_POLL)
         yield
     finally:
-        try:
-            os.unlink(lock_path)
-        except OSError:
-            pass
+        os.close(fd)
 
 
 def _canonicalize(document: str) -> tuple[str, bytes, ComponentSpec | AdapterSpec]:
@@ -401,7 +368,7 @@ def _store(
                         f.truncate(end)  # a torn line from a killed writer
                     f.write(canonjson.dump_line(row))
         except OSError as err:
-            raise PoolError(E_IO, f"cannot write to pool {root}: {err}") from None
+            raise PoolError(E_IO, f"cannot write to pool {root}: {err.strerror or err}") from None
     return fp
 
 

@@ -785,6 +785,10 @@ def _error_rows(tmp_path: Path) -> dict[str, tuple[list[str], str, Path, bool]]:
         index.write(b"{not json}\n")
     planted_pool, planted = _planted_directory(tmp_path)
     binary_pool, binary_artifact = _planted_non_utf8(tmp_path)
+    pool_file = tmp_path / "pool_file"
+    pool_file.write_text("not a directory\n")
+    lock_dir_pool = tmp_path / "lock_dir_pool"
+    (lock_dir_pool / "index.lock").mkdir(parents=True)
     figure3 = str(CORPUS / "figure3" / "figure3.pdl")
     return {
         "bad spec": (["check", str(bad_spec)], "E_PARSE", bad_spec, True),
@@ -819,6 +823,13 @@ def _error_rows(tmp_path: Path) -> dict[str, tuple[list[str], str, Path, bool]]:
              "--emit", str(tmp_path / "o3")],
             "E_CORRUPT", binary_artifact, False,
         ),
+        "pool root is a file": (
+            ["pool", "add", sortkit, "--pool", str(pool_file)], "E_IO", pool_file, True
+        ),
+        "index.lock is a directory": (
+            ["pool", "add", sortkit, "--pool", str(lock_dir_pool)],
+            "E_IO", lock_dir_pool / "index.lock", False,
+        ),
     }
 
 
@@ -835,6 +846,8 @@ _ERROR_ROWS = [
     "planted directory, adapt",
     "corrupt index line",
     "non-UTF-8 artifact, adapt",
+    "pool root is a file",
+    "index.lock is a directory",
 ]
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import fcntl
 import json
 import os
 import random
@@ -9,6 +11,7 @@ import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -221,13 +224,74 @@ def test_temp_files_are_ignored(pool: Path):
     assert len(pool_list(pool)) == 1
 
 
+_CHILD_HOLDER = """
+import fcntl, os, sys
+fcntl.flock(os.open(sys.argv[1], os.O_RDWR | os.O_CREAT), fcntl.LOCK_EX)
+print("holding", flush=True)
+sys.stdin.read()
+"""
+
+
+@contextlib.contextmanager
+def _lock_held_by_a_child(pool: Path) -> Iterator[subprocess.Popen]:
+    """A child process holding the pool's index lock until its stdin
+    closes or it is killed; it is gone when the block ends."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", _CHILD_HOLDER, str(pool / "index.lock")],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+    )
+    try:
+        assert child.stdout.readline() == b"holding\n"
+        yield child
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+        child.stdin.close()
+        child.stdout.close()
+
+
+def _lock_is_held(pool: Path) -> bool:
+    """Whether some open of `index.lock` holds its flock, probed without waiting."""
+    fd = os.open(pool / "index.lock", os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return False
+    except BlockingIOError:
+        return True
+    finally:
+        os.close(fd)
+
+
 def test_lock_timeout(pool: Path):
-    (pool / "index.lock").write_text("held")
-    with pytest.raises(PoolError) as err:
-        pool_add(pool, spec_text("alpha"), timeout=0.05)
-    assert err.value.code == "E_LOCK"
-    (pool / "index.lock").unlink()
+    with _lock_held_by_a_child(pool) as holder:
+        with pytest.raises(PoolError) as err:
+            pool_add(pool, spec_text("alpha"), timeout=0.05)
+        assert err.value.code == "E_LOCK"
+        holder.stdin.close()  # the holder exits and its lock goes with it
+        assert holder.wait(timeout=30) == 0
     pool_add(pool, spec_text("alpha"), timeout=0.05)
+
+
+def _reaped_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait(timeout=30)
+    return child.pid
+
+
+_LEFTOVER_LOCKS = {
+    "empty": lambda: "",
+    "held": lambda: "held",
+    "live pid": lambda: str(os.getpid()),
+    "reaped pid": lambda: str(_reaped_pid()),
+}
+
+
+@pytest.mark.parametrize("body", sorted(_LEFTOVER_LOCKS))
+def test_leftover_lock_file_does_not_block_writers(pool: Path, body: str):
+    (pool / "index.lock").write_text(_LEFTOVER_LOCKS[body]())
+    fp = pool_add(pool, spec_text("alpha"), timeout=0.3)
+    assert [f for f, _ in pool_list(pool)] == [fp]
 
 
 def _concurrent_add(args: tuple[str, str]) -> str:
@@ -386,7 +450,7 @@ def test_malformed_index_is_corrupt(pool: Path, case: str):
         with pytest.raises(PoolError) as err:
             action()
         assert err.value.code == "E_CORRUPT"
-    assert not (pool / "index.lock").exists()
+    assert not _lock_is_held(pool)
 
 
 def test_corrupt_journal_line_names_its_file_line(pool: Path):
@@ -691,7 +755,7 @@ pool.pool_add(root, sys.stdin.read())
 
 def _kill_writer_while_holding_lock(pool: Path, document: str, stage: str) -> None:
     """Start a writer in a child process, SIGKILL it while it holds the
-    index lock, and reap it so its pid is gone."""
+    index lock, and reap it."""
     env = dict(os.environ, PYTHONPATH=str(Path(adapterforge.__file__).resolve().parents[1]))
     child = subprocess.Popen(
         [sys.executable, "-c", _CHILD_WRITER, str(pool), stage],
@@ -703,7 +767,7 @@ def _kill_writer_while_holding_lock(pool: Path, document: str, stage: str) -> No
         child.stdin.write(document.encode())
         child.stdin.close()
         assert child.stdout.readline() == b"holding\n"
-        assert (pool / "index.lock").read_text() == str(child.pid)
+        assert _lock_is_held(pool)
     finally:
         child.kill()
         child.wait(timeout=30)
@@ -715,7 +779,7 @@ def test_lock_of_a_killed_writer_is_broken(pool: Path):
     assert (pool / "index.lock").exists()
     fp = pool_add(pool, spec_text("beta"), timeout=2.0)
     assert [f for f, _ in pool_list(pool)] == [fp]
-    assert not (pool / "index.lock").exists()
+    assert not _lock_is_held(pool)
     assert pool_verify(pool) == []
 
 
@@ -730,11 +794,13 @@ def test_writer_killed_after_rename_leaves_an_orphan_that_readd_heals(pool: Path
 
 
 def test_lock_held_by_a_live_process_times_out(pool: Path):
-    (pool / "index.lock").write_text(str(os.getpid()))
-    with pytest.raises(PoolError) as err:
-        pool_add(pool, spec_text("alpha"), timeout=0.05)
-    assert err.value.code == "E_LOCK"
+    with _lock_held_by_a_child(pool):
+        with pytest.raises(PoolError) as err:
+            pool_add(pool, spec_text("alpha"), timeout=0.05)
+        assert err.value.code == "E_LOCK"
+        assert _lock_is_held(pool)
     assert (pool / "index.lock").exists()
+    pool_add(pool, spec_text("alpha"), timeout=0.05)
 
 
 def test_threaded_adds_with_duplicates(pool: Path):
