@@ -41,7 +41,6 @@ from .aslt import (
 )
 from .conversions import ConversionRule, ConversionTable, MatchConfig, TypePort, load_rules
 from .linkage import (
-    IntegratedProject,
     WorkflowResult,
     integrate,
     run_workflow,
@@ -86,7 +85,6 @@ __all__ = [
     "Demand",
     "FoldPattern",
     "FoldView",
-    "IntegratedProject",
     "InterfaceSpec",
     "MatchConfig",
     "MatchReport",

@@ -208,52 +208,27 @@ def generate_adapter(
 def _mapping_from_match(om: OperationMatch, provider_iface: InterfaceSpec) -> OpMapping:
     provider_op = provider_iface.operation(om.provided_name)
     assert provider_op is not None
-    arity = len(provider_op.params)
-
-    fills: dict[int, Literal] = {}
-    conversions: dict[int, ConversionRule] = {}
-    conversion_ports: dict[int, tuple[TypePort, TypePort]] = {}
-    order: tuple[int, ...] | None = None
-    return_action = PASS
-    for m in om.mismatches:
-        if m.kind == DEFAULT_FILL:
-            assert m.slot is not None and m.fill_value is not None
-            fills[m.slot] = m.fill_value
-        elif m.kind == PARAM_PERMUTATION:
-            assert m.order is not None
-            order = m.order
-        elif m.kind == TYPE_CONVERSION:
-            assert m.slot is not None and m.rule is not None
-            assert m.from_port is not None and m.to_port is not None
-            if m.slot == RETURN_SLOT:
-                return_action = ReturnAction(m.rule, m.from_port, m.to_port)
-            else:
-                conversions[m.slot] = m.rule
-                conversion_ports[m.slot] = (m.from_port, m.to_port)
-
-    consumer_arity = arity - len(fills)
-    take_order = order if order is not None else tuple(range(consumer_arity))
+    by_slot = {m.slot: m for m in om.mismatches if m.kind in (DEFAULT_FILL, TYPE_CONVERSION)}
+    order = next((m.order for m in om.mismatches if m.kind == PARAM_PERMUTATION), None)
+    takes = iter(order if order is not None else range(len(provider_op.params)))
 
     slots: list[SlotAction] = []
-    next_take = 0
-    for j in range(arity):
-        if j in fills:
-            slots.append(SlotAction(FILL, fill=fills[j]))
-            continue
-        index = take_order[next_take]
-        next_take += 1
-        if j in conversions:
-            from_port, to_port = conversion_ports[j]
-            slots.append(
-                SlotAction(CONVERT, index=index, rule=conversions[j], from_port=from_port, to_port=to_port)
-            )
+    for j in range(len(provider_op.params)):
+        m = by_slot.get(j)
+        if m is None:
+            slots.append(SlotAction(TAKE, index=next(takes)))
+        elif m.kind == DEFAULT_FILL:
+            slots.append(SlotAction(FILL, fill=m.fill_value))
         else:
-            slots.append(SlotAction(TAKE, index=index))
+            slots.append(
+                SlotAction(CONVERT, index=next(takes), rule=m.rule, from_port=m.from_port, to_port=m.to_port)
+            )
+    ret = by_slot.get(RETURN_SLOT)
     return OpMapping(
         from_op=om.required_name,
         to_op=om.provided_name,
         slots=tuple(slots),
-        return_action=return_action,
+        return_action=PASS if ret is None else ReturnAction(ret.rule, ret.from_port, ret.to_port),
     )
 
 

@@ -456,7 +456,6 @@ def _classify_assignment(
     if order != tuple(range(len(order))):
         mismatches.append(Mismatch(PARAM_PERMUTATION, location=loc, order=order))
 
-    slot_mismatches: list[Mismatch] = []
     for j, prov_param in enumerate(provided.params):
         if j in assignment:
             req_param = required.params[assignment[j]]
@@ -467,7 +466,7 @@ def _classify_assignment(
             rule = conv.lookup(from_port, to_port)
             if rule is None:
                 return None
-            slot_mismatches.append(
+            mismatches.append(
                 Mismatch(
                     TYPE_CONVERSION,
                     location=loc,
@@ -480,12 +479,11 @@ def _classify_assignment(
         else:
             if prov_param.default is None:
                 return None
-            slot_mismatches.append(
+            mismatches.append(
                 Mismatch(
                     DEFAULT_FILL, location=loc, slot=j, fill_value=prov_param.default
                 )
             )
-    mismatches.extend(slot_mismatches)
 
     if provided.returns != required.returns:
         from_port = TypePort(provided.returns, None)

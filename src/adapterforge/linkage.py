@@ -96,13 +96,6 @@ class Integration:
 
 
 @dataclass(frozen=True)
-class IntegratedProject:
-    original: ProjectSpec
-    project: ProjectSpec
-    added: tuple[ComponentSpec, ...] = ()
-
-
-@dataclass(frozen=True)
 class WorkflowResult:
     outcome: str  # ALREADY_EXACT | ADAPTED | UNRESOLVABLE
     integrations: tuple[Integration, ...]
@@ -161,9 +154,10 @@ def integrate(
     project: ProjectSpec,
     connection: Connection,
     adapter: AdapterSpec | ComponentSpec,
-) -> IntegratedProject:
+) -> ProjectSpec:
     """Splice an adapter into one connection: the single consumer ->
-    provider edge becomes consumer -> adapter -> provider."""
+    provider edge becomes consumer -> adapter -> provider, and the
+    adapter is pinned in `uses`."""
     component = as_component(adapter)
     if component.interface(PROVIDED, connection.consumer_interface) is None:
         raise LinkageError(
@@ -204,8 +198,7 @@ def integrate(
             E_INTERFACE_MISMATCH, f"project has no connection {connection.label()}"
         )
 
-    rewritten = _pin(replace(project, connections=tuple(new_connections)), component)
-    return IntegratedProject(original=project, project=rewritten, added=(component,))
+    return _pin(replace(project, connections=tuple(new_connections)), component)
 
 
 def _pin(project: ProjectSpec, component: ComponentSpec) -> ProjectSpec:
@@ -261,6 +254,25 @@ def run_workflow(
     unresolved: list[Demand] = []
     diagnostics: list[str] = []
 
+    def splice(
+        fp: str, value: ComponentSpec | AdapterSpec, source: str, target: Connection | Demand
+    ) -> None:
+        """Rewire a connection through the healing component, or only pin
+        it for a project demand; a component whose name the project
+        already uses is not added a second time."""
+        nonlocal current
+        component = as_component(value)
+        if current.use(component.name) is None:
+            added.append(component)
+        if isinstance(target, Connection):
+            current = integrate(current, target, component)
+            label, where = target.label(), f"into {target.label()}"
+        else:
+            current = _pin(current, component)
+            label, where = f"demand:{target.concept}", f"for demand {target.concept}"
+        integrations.append(Integration(label, source, fp, component.name))
+        trace.add("integrate", f"{component.name} {where}")
+
     for verdict in report.verdicts:
         if verdict.status == EXACT:
             continue
@@ -284,8 +296,7 @@ def run_workflow(
             accept=lambda value: _healing_hit(value, consumer_iface, provider_iface),
         )
         if hit is not None:
-            fp, value = hit
-            source = POOL_HIT
+            splice(*hit, POOL_HIT, conn)
         elif verdict.status == ADAPTABLE:
             trace.add("invite", f"generate adapter for {conn.label()}")
             value = generate_adapter(verdict, consumer, provider, project.name)
@@ -293,19 +304,13 @@ def run_workflow(
             generated.append(value)
             descriptors.append(emit_descriptor(value))
             fp = pool_add_generated(pool_root, value, descriptors[-1])
-            source = GENERATED
             trace.add("store", f"{value.name} as {fp}")
+            splice(fp, value, GENERATED, conn)
         else:
             unresolved.extend(_connection_demands(report, verdict, consumer_iface))
             diagnostics.append(
                 f"{conn.label()}: {verdict.reason or 'incompatible'}; needs development"
             )
-            continue
-        component = as_component(value)
-        current = integrate(current, conn, component).project
-        added.append(component)
-        integrations.append(Integration(conn.label(), source, fp, component.name))
-        trace.add("integrate", f"{component.name} into {conn.label()}")
 
     for demand in report.demand:
         if demand.origin != "project":
@@ -316,16 +321,8 @@ def run_workflow(
         )
         if hit is None:
             unresolved.append(demand)
-            continue
-        fp, value = hit
-        component = as_component(value)
-        if current.use(component.name) is None:
-            added.append(component)
-        current = _pin(current, component)
-        integrations.append(
-            Integration(f"demand:{demand.concept}", POOL_HIT, fp, component.name)
-        )
-        trace.add("integrate", f"{component.name} for demand {demand.concept}")
+        else:
+            splice(*hit, POOL_HIT, demand)
 
     all_components = components + added
     final_report = analyse(current, all_components, conv, config)

@@ -110,23 +110,26 @@ class PoolQuery:
 
 
 def init_pool(root: str | Path) -> Path:
-    """Create the pool layout if absent; idempotent and safe to race."""
+    """Create the pool layout if absent; idempotent and safe to race.
+    The index is created last, so once it exists the layout is complete
+    and one `stat` is all a call costs."""
     root = Path(root)
+    index = root / "index"
     try:
+        if index.exists():
+            return root
         (root / "components").mkdir(parents=True, exist_ok=True)
         (root / "adapters").mkdir(parents=True, exist_ok=True)
-        index = root / "index"
-        if not index.exists():
-            tmp = _temp_path(index)
-            tmp.write_bytes(INDEX_HEADER)
-            try:
-                # A link, unlike a rename, never replaces an index that
-                # another process created (and appended to) meanwhile.
-                os.link(tmp, index)
-            except FileExistsError:
-                pass
-            finally:
-                tmp.unlink()
+        tmp = _temp_path(index)
+        tmp.write_bytes(INDEX_HEADER)
+        try:
+            # A link, unlike a rename, never replaces an index that
+            # another process created (and appended to) meanwhile.
+            os.link(tmp, index)
+        except FileExistsError:
+            pass
+        finally:
+            tmp.unlink()
     except OSError as err:
         raise PoolError(E_IO, f"cannot initialize pool at {root}: {err.strerror or err}") from None
     return root

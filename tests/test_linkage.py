@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from adapterforge.adapters import generate_adapter
+from adapterforge.adapters import as_component, generate_adapter
 from adapterforge.analyser import analyse, verify
 from adapterforge.conversions import load_rules
 from adapterforge.linkage import (
@@ -52,15 +52,16 @@ def _figure3_adapter():
 def test_integrate_adds_one_connection():
     project, consumer, provider, adapter, _ = _figure3_adapter()
     integrated = integrate(project, project.connections[0], adapter)
-    assert len(integrated.project.connections) == len(project.connections) + 1
-    assert integrated.original == project
-    first, second = integrated.project.connections
+    assert len(integrated.connections) == len(project.connections) + 1
+    # The project passed in is left as it was read.
+    assert project == parse_project((CORPUS / "figure3" / "figure3.pdl").read_text())
+    first, second = integrated.connections
     assert first.consumer_component == "reportgen"
     assert first.provider_component == adapter.name
     assert second.consumer_component == adapter.name
     assert second.provider_component == "sortkit"
     # The adapter joined the uses list with an exact version pin.
-    use = integrated.project.use(adapter.name)
+    use = integrated.use(adapter.name)
     assert use is not None and str(use.constraint) == '= "1.0.0"'
 
 
@@ -68,17 +69,15 @@ def test_integrate_heals_the_connection(rules):
     conv, config = rules
     project, consumer, provider, adapter, _ = _figure3_adapter()
     integrated = integrate(project, project.connections[0], adapter)
-    components = [consumer, provider, *integrated.added]
-    assert verify(integrated.project, components, conv, config)
+    assert verify(integrated, [consumer, provider, as_component(adapter)], conv, config)
 
 
 def test_integrate_serializes_to_valid_specs():
     project, consumer, provider, adapter, _ = _figure3_adapter()
     integrated = integrate(project, project.connections[0], adapter)
-    reparsed = parse_project(serialize(integrated.project))
-    assert reparsed == integrated.project
-    for added in integrated.added:
-        assert parse_component(serialize(added)) == added
+    assert parse_project(serialize(integrated)) == integrated
+    component = as_component(adapter)
+    assert parse_component(serialize(component)) == component
 
 
 def test_integrate_wrong_interface_rejected():
@@ -312,6 +311,8 @@ def test_duplicate_connections_integrate_cleanly(tmp_path: Path, rules):
     assert len(names) == len(set(names))
     assert parse_project(serialize(result.adapted_project)) == result.adapted_project
     assert len(result.adapted_project.connections) == 4
+    # The adapter that heals both edges is added, and written, once.
+    assert len(result.added_components) == 1
 
 
 def test_incompatible_connection_healed_by_stored_adapter(tmp_path: Path, rules):
