@@ -130,8 +130,11 @@ class _Trace:
 
 def load_specs_dir(specs_dir: str | Path) -> list[ComponentSpec]:
     """Parse every component spec in a directory, sorted by file name."""
+    specs_dir = Path(specs_dir)
+    if not specs_dir.is_dir():
+        raise LinkageError(E_PARSE, f"specs directory {specs_dir} is missing or not a directory")
     specs: list[ComponentSpec] = []
-    for path in sorted(Path(specs_dir).glob("*.cdl")):
+    for path in sorted(specs_dir.glob("*.cdl")):
         specs.append(parse_spec_file(path, parse_component))
     return specs
 
@@ -170,35 +173,17 @@ def integrate(
             f"{component.name} does not delegate to interface {connection.provider_interface!r}",
         )
 
-    new_connections: list[Connection] = []
-    replaced = False
-    for conn in project.connections:
-        if conn == connection and not replaced:
-            replaced = True
-            new_connections.append(
-                Connection(
-                    consumer_component=conn.consumer_component,
-                    consumer_interface=conn.consumer_interface,
-                    provider_component=component.name,
-                    provider_interface=conn.consumer_interface,
-                )
-            )
-            new_connections.append(
-                Connection(
-                    consumer_component=component.name,
-                    consumer_interface=conn.provider_interface,
-                    provider_component=conn.provider_component,
-                    provider_interface=conn.provider_interface,
-                )
-            )
-        else:
-            new_connections.append(conn)
-    if not replaced:
+    try:
+        at = project.connections.index(connection)
+    except ValueError:
         raise LinkageError(
             E_INTERFACE_MISMATCH, f"project has no connection {connection.label()}"
-        )
-
-    return _pin(replace(project, connections=tuple(new_connections)), component)
+        ) from None
+    wanted, offered = connection.consumer_interface, connection.provider_interface
+    into = replace(connection, provider_component=component.name, provider_interface=wanted)
+    out = replace(connection, consumer_component=component.name, consumer_interface=offered)
+    connections = project.connections[:at] + (into, out) + project.connections[at + 1 :]
+    return _pin(replace(project, connections=connections), component)
 
 
 def _pin(project: ProjectSpec, component: ComponentSpec) -> ProjectSpec:

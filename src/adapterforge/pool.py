@@ -12,8 +12,10 @@ once per pool call, ignoring an unterminated last line; a killed
 writer leaves at most that torn line (cut by the next writer) or an
 artifact with no line (reported by `pool_verify`). Files are immutable
 once named, and every artifact read re-hashes its bytes so tampering
-cannot go unnoticed. A `pool/1` index (one JSON document) stays
-readable and is rewritten as a journal by the first add.
+cannot go unnoticed. Every artifact, added or generated, is validated
+once, as its component view, by the one write path `_store`. A
+`pool/1` index (one JSON document) stays readable and is rewritten as
+a journal by the first add.
 
 Every pool call reads the journal once and checks every complete line,
 so a corrupt line fails every call. The check runs a column at a time
@@ -289,38 +291,33 @@ def _index_lock(root: Path, timeout: float) -> Iterator[None]:
         os.close(fd)
 
 
-def _canonicalize(document: str) -> tuple[str, bytes, ComponentSpec | AdapterSpec]:
-    """Validate a document and produce (kind, canonical bytes, value)."""
+def _canonicalize(document: str) -> tuple[str, bytes, ComponentSpec]:
+    """Parse a document into (kind, canonical bytes, component view).
+    A descriptor must read back as the component spec it stands for."""
     stripped = document.lstrip()
     if stripped.startswith("{"):
+        bad = "not a valid adapter descriptor"
         try:
             adapter = parse_descriptor(document)
         except AdapterForgeError as err:
-            raise PoolError(E_INVALID_SPEC, f"not a valid adapter descriptor: {err.message}") from None
-        _validate_adapter(adapter)
-        return KIND_ADAPTER, emit_descriptor(adapter).encode("utf-8"), adapter
+            raise PoolError(E_INVALID_SPEC, f"{bad}: {err.message}") from None
+        view = adapter.to_component_spec()
+        try:
+            same = parse_component(serialize(view)) == view
+        except ParseError as err:
+            raise PoolError(E_INVALID_SPEC, f"{bad}: {err.reason}") from None
+        if not same:
+            raise PoolError(E_INVALID_SPEC, f"{bad}: its component spec reads back changed")
+        return KIND_ADAPTER, emit_descriptor(adapter).encode("utf-8"), view
     try:
         spec = parse_component(document)
     except ParseError as err:
         raise PoolError(E_INVALID_SPEC, err.message) from None
-    violations = validate(spec)
-    if violations:
-        raise PoolError(
-            E_INVALID_SPEC,
-            f"spec {spec.name} has violations: " + "; ".join(v.code for v in violations),
-        )
     return KIND_COMPONENT, serialize(spec).encode("utf-8"), spec
 
 
-def _validate_adapter(adapter: AdapterSpec) -> None:
-    """The check every stored adapter passes, read or generated."""
-    if validate(adapter.to_component_spec()):
-        raise PoolError(E_INVALID_SPEC, f"adapter {adapter.name} fails validation")
-
-
-def _row_for(kind: str, fp: str, value: ComponentSpec | AdapterSpec) -> dict:
+def _row_for(kind: str, fp: str, component: ComponentSpec) -> dict:
     """The index line of a new artifact."""
-    component = as_component(value)
     return {
         "fingerprint": fp,
         "kind": kind,
@@ -344,15 +341,19 @@ def pool_add_generated(
     """Store a generated adapter; `descriptor` must be its
     `emit_descriptor` text, which is already canonical. The same store
     and validation as `pool_add`, without parsing the text back."""
-    _validate_adapter(adapter)
-    return _store(Path(root), KIND_ADAPTER, descriptor.encode("utf-8"), adapter, timeout)
+    view = adapter.to_component_spec()
+    return _store(Path(root), KIND_ADAPTER, descriptor.encode("utf-8"), view, timeout)
 
 
-def _store(
-    root: Path, kind: str, data: bytes, value: ComponentSpec | AdapterSpec, timeout: float
-) -> str:
+def _store(root: Path, kind: str, data: bytes, component: ComponentSpec, timeout: float) -> str:
+    """The one admission check and the one write path: `component` is
+    the artifact's component view, validated here before any write."""
+    violations = validate(component)
+    if violations:
+        codes = "; ".join(v.code for v in violations)
+        raise PoolError(E_INVALID_SPEC, f"spec {component.name} has violations: {codes}")
     fp = fingerprint_of(data)
-    row = _row_for(kind, fp, value)
+    row = _row_for(kind, fp, component)
     index = root / "index"
     with _index_lock(root, timeout):
         journal = _read_index(root)
@@ -384,20 +385,28 @@ def pool_get(root: str | Path, fp: str) -> ComponentSpec | AdapterSpec:
     return _read_artifact(root, fp, row["kind"], row["path"])
 
 
-def _read_artifact(root: Path, fp: str, kind: str, relpath: str) -> ComponentSpec | AdapterSpec:
+def _artifact_bytes(root: Path, relpath: str) -> bytes | None:
+    """The bytes of one artifact file, or None when it is missing."""
     path = root / relpath
     try:
-        data = path.read_bytes()
+        return path.read_bytes()
     except FileNotFoundError:
-        raise PoolError(E_CORRUPT, f"index entry {fp} points at missing {relpath}") from None
+        return None
     except OSError as err:
         raise PoolError(E_IO, f"cannot read {path}: {err.strerror or err}") from None
+
+
+def _read_artifact(root: Path, fp: str, kind: str, relpath: str) -> ComponentSpec | AdapterSpec:
+    data = _artifact_bytes(root, relpath)
+    if data is None:
+        raise PoolError(E_CORRUPT, f"index entry {fp} points at missing {relpath}")
     actual = fingerprint_of(data)
     if actual != fp:
         raise PoolError(E_CORRUPT, f"{relpath} re-hashes to {actual}, expected {fp}")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
+        path = root / relpath
         raise PoolError(E_CORRUPT, f"{path} is not UTF-8: byte {err.start} is invalid") from None
     if kind == KIND_ADAPTER:
         return parse_descriptor(text)
@@ -522,18 +531,12 @@ def pool_verify(root: str | Path) -> list[Finding]:
     rows = _load_index(root)
     for fp in sorted(rows):
         relpath = rows[fp]["path"]
-        path = root / relpath
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
+        data = _artifact_bytes(root, relpath)
+        if data is None:
             findings.append(
                 Finding("dangling", fp, relpath, "index entry points at a missing file")
             )
-            continue
-        except OSError as err:
-            raise PoolError(E_IO, f"cannot read {path}: {err.strerror or err}") from None
-        actual = fingerprint_of(data)
-        if actual != fp:
+        elif (actual := fingerprint_of(data)) != fp:
             findings.append(
                 Finding("hash_mismatch", fp, relpath, f"content re-hashes to {actual}")
             )

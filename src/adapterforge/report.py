@@ -8,6 +8,7 @@ to an equal value, so CI can archive and diff results.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Any
 
@@ -223,12 +224,7 @@ def _verdict_json(verdict: ConnectionVerdict) -> dict:
 def _verdict_from(doc: dict) -> ConnectionVerdict:
     conn_doc = doc["connection"]
     return ConnectionVerdict(
-        connection=Connection(
-            consumer_component=conn_doc["consumer"][0],
-            consumer_interface=conn_doc["consumer"][1],
-            provider_component=conn_doc["provider"][0],
-            provider_interface=conn_doc["provider"][1],
-        ),
+        connection=Connection(*conn_doc["consumer"], *conn_doc["provider"]),
         status=doc["status"],
         op_matches=tuple(_op_match_from(m) for m in doc["op_matches"]),
         mismatches=tuple(mismatch_from_json(m) for m in doc["mismatches"]),
@@ -258,21 +254,10 @@ def workflow_result_to_json(result: WorkflowResult) -> dict:
     return {
         "format": "workflow/1",
         "outcome": result.outcome,
-        "integrations": [
-            {
-                "connection": i.connection,
-                "source": i.source,
-                "fingerprint": i.fingerprint,
-                "component": i.component,
-            }
-            for i in result.integrations
-        ],
+        "integrations": [asdict(i) for i in result.integrations],
         "unresolved": [demand_to_json(d) for d in result.unresolved],
         "final_report": match_report_to_json(result.final_report),
-        "steps": [
-            {"step": s.step, "action": s.action, "detail": s.detail, "at": s.at}
-            for s in result.steps
-        ],
+        "steps": [asdict(s) for s in result.steps],
         "adapted_project": serialize(result.adapted_project),
         "added_components": [serialize(c) for c in result.added_components],
         "generated_adapters": list(result.descriptors),
@@ -283,21 +268,10 @@ def workflow_result_to_json(result: WorkflowResult) -> dict:
 def workflow_result_from_json(doc: dict) -> WorkflowResult:
     return WorkflowResult(
         outcome=doc["outcome"],
-        integrations=tuple(
-            Integration(
-                connection=i["connection"],
-                source=i["source"],
-                fingerprint=i["fingerprint"],
-                component=i["component"],
-            )
-            for i in doc["integrations"]
-        ),
+        integrations=tuple(Integration(**i) for i in doc["integrations"]),
         unresolved=tuple(demand_from_json(d) for d in doc["unresolved"]),
         final_report=match_report_from_json(doc["final_report"]),
-        steps=tuple(
-            StepRecord(step=s["step"], action=s["action"], detail=s["detail"], at=s["at"])
-            for s in doc["steps"]
-        ),
+        steps=tuple(StepRecord(**s) for s in doc["steps"]),
         adapted_project=parse_project(doc["adapted_project"]),
         added_components=tuple(parse_component(c) for c in doc["added_components"]),
         generated_adapters=tuple(parse_descriptor(t) for t in doc["generated_adapters"]),

@@ -695,6 +695,26 @@ def test_unreadable_spec_names_its_path_once(capsys, tmp_path):
         assert err == f"error: E_PARSE: {path}: {reason}\n"
 
 
+def test_generated_adapter_passes_the_pool_admission_check(capsys, tmp_path):
+    """A generated adapter is validated as an added artifact is: one
+    that breaks a rule fails the store with that rule's code."""
+    specs = tmp_path / "figure3"
+    shutil.copytree(CORPUS / "figure3", specs)
+    for cdl in specs.glob("*.cdl"):
+        cdl.write_text(cdl.read_text().replace("list<i32>", "list<list<list<list<i32>>>>"))
+    project = str(specs / "figure3.pdl")
+    pool = str(tmp_path / "pool")
+    assert run(capsys, "check", project, "--conversions", RULES)[0] == 1
+    argv = ["adapt", project, "--conversions", RULES, "--pool", pool, "--emit", str(tmp_path / "o")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "error: E_INVALID_SPEC: spec adapt_reportgen_sortkit_449e7545 has violations: V_LIST_DEPTH"
+    ), err
+    assert err.count("\n") == 1
+    assert run(capsys, "pool", "list", "--pool", pool)[:2] == (0, "")
+
+
 def test_adapt_resolves_uses_once_before_final_verification(capsys, monkeypatch, tmp_path):
     from adapterforge import aslt
 
@@ -723,6 +743,12 @@ def _golden_descriptor(tmp_path: Path, name: str, **edits) -> Path:
         doc["implements"]["operations"][0]["concept"] = edits["concept"]
     if "score" in edits:
         doc["provenance"]["score"] = edits["score"]
+    if "adapter_name" in edits:
+        doc["name"] = edits["adapter_name"]
+    if "param" in edits:
+        doc["implements"]["operations"][0]["params"][0]["name"] = edits["param"]
+    if edits.get("dup_op"):
+        doc["implements"]["operations"] *= 2
     path = tmp_path / name
     path.write_text(canonjson.dumps(doc))
     return path
@@ -778,6 +804,9 @@ def _error_rows(tmp_path: Path) -> dict[str, tuple[list[str], str, Path, bool]]:
     bad_cdl.write_text('component "A" version "1.0.0" { provides interface X { op f() -> unit } }\n')
     bad_descriptor = _golden_descriptor(tmp_path, "bad.adapter", score="+17/20")
     bad_concept = _golden_descriptor(tmp_path, "concept.adapter", concept="Data..Sort!")
+    bad_name = _golden_descriptor(tmp_path, "name.adapter", adapter_name="bad name")
+    dup_op = _golden_descriptor(tmp_path, "dup.adapter", dup_op=True)
+    bad_param = _golden_descriptor(tmp_path, "param.adapter", param="not an ident")
     corrupt = tmp_path / "corrupt"
     shutil.copytree(CORPUS / "figure3", corrupt / "specs")
     assert main(["pool", "add", sortkit, "--pool", str(corrupt)]) == 0
@@ -808,6 +837,18 @@ def _error_rows(tmp_path: Path) -> dict[str, tuple[list[str], str, Path, bool]]:
         ),
         "malformed concept": (
             ["pool", "add", str(bad_concept), "--pool", pool], "E_INVALID_SPEC", bad_concept, True
+        ),
+        "descriptor name not an identifier": (
+            ["pool", "add", str(bad_name), "--pool", pool], "E_INVALID_SPEC", bad_name, True
+        ),
+        "descriptor op listed twice": (
+            ["pool", "add", str(dup_op), "--pool", pool], "E_INVALID_SPEC", dup_op, True
+        ),
+        "descriptor param not an identifier": (
+            ["pool", "add", str(bad_param), "--pool", pool], "E_INVALID_SPEC", bad_param, True
+        ),
+        "missing specs directory": (
+            ["check", figure3, "--specs", str(tmp_path / "nope")], "E_PARSE", tmp_path / "nope", True
         ),
         "planted directory, verify": (
             ["pool", "verify", "--pool", str(planted_pool)], "E_IO", planted, False
@@ -842,6 +883,10 @@ _ERROR_ROWS = [
     "bad cdl",
     "second file bad descriptor",
     "malformed concept",
+    "descriptor name not an identifier",
+    "descriptor op listed twice",
+    "descriptor param not an identifier",
+    "missing specs directory",
     "planted directory, verify",
     "planted directory, adapt",
     "corrupt index line",
@@ -859,9 +904,13 @@ def test_error_shape(capsys, tmp_path, row):
     rows = _error_rows(tmp_path)
     assert list(rows) == _ERROR_ROWS
     argv, code_name, path, named = rows[row]
+    index = tmp_path / "pool" / "index"
+    before = index.read_bytes()
     capsys.readouterr()
     code, _, err = run(capsys, *argv)
     assert code == 3
+    if row.startswith("descriptor "):
+        assert index.read_bytes() == before
     assert err.startswith(f"error: {code_name}: ") and err.count("\n") == 1, err
     assert re.findall(r"\bE_[A-Z_]+", err) == [code_name], err
     assert err.count(str(path)) == 1 if named else err.count(str(path)) <= 1, err

@@ -123,6 +123,37 @@ def test_invalid_spec_rejected(pool: Path):
     assert pool_list(pool) == []
 
 
+def _golden_adapter_doc() -> dict:
+    return canonjson.loads((Path(__file__).parent / "golden" / "figure3.adapter").read_text())
+
+
+def test_components_and_adapters_share_one_admission_message(pool: Path):
+    """A component and an adapter that break a rule get the same message."""
+    deep = "list<list<list<list<i32>>>>"
+    doc = _golden_adapter_doc()
+    doc["implements"]["operations"][0]["returns"] = deep
+    spec = (CORPUS / "figure3" / "sortkit.cdl").read_text().replace("list<i32>", deep, 1)
+    for document, name in ((canonjson.dumps(doc), doc["name"]), (spec, "sortkit")):
+        with pytest.raises(PoolError) as err:
+            pool_add(pool, document)
+        assert err.value.code == "E_INVALID_SPEC"
+        assert err.value.message.startswith(f"spec {name} has violations: V_LIST_DEPTH")
+    assert pool_list(pool) == []
+
+
+def test_descriptor_must_read_back_as_its_component_spec(pool: Path):
+    """A unit that parses as a shorter one does not survive `.cdl` text."""
+    doc = _golden_adapter_doc()
+    doc["implements"]["operations"][0]["params"][0]["unit"] = "ms // gone"
+    with pytest.raises(PoolError) as err:
+        pool_add(pool, canonjson.dumps(doc))
+    assert err.value.code == "E_INVALID_SPEC"
+    assert err.value.message == (
+        "not a valid adapter descriptor: its component spec reads back changed"
+    )
+    assert pool_list(pool) == []
+
+
 def test_adapter_descriptor_roundtrip(pool: Path):
     conv, config = load_rules(CORPUS / "conversions.rules")
     consumer = parse_component((CORPUS / "figure3" / "reportgen.cdl").read_text())
