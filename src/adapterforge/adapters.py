@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
@@ -168,6 +169,47 @@ def as_component(value: AdapterSpec | ComponentSpec) -> ComponentSpec:
     """The component view of a pool value: an adapter integrates as its
     component spec, a component as itself."""
     return value.to_component_spec() if isinstance(value, AdapterSpec) else value
+
+
+def check_adapter(adapter: AdapterSpec) -> list[str]:
+    """Why the adapter could not run as its mappings say; empty when it
+    can. Each consumer op must be mapped exactly once, onto an op of
+    `delegates_to`, with one slot per provider param; the TAKE and
+    CONVERT slots must take each consumer param once, and every CONVERT
+    must bridge the declared types and units of the ends it joins."""
+    consumer = {op.name: op for op in adapter.implements.operations}
+    provider = {op.name: op for op in adapter.delegates_to.operations}
+    mapped = Counter(m.from_op for m in adapter.mappings)
+    problems = [
+        f"op {name} is mapped {mapped[name]} times" for name in consumer if mapped[name] != 1
+    ]
+    for m in adapter.mappings:
+        required, provided = consumer.get(m.from_op), provider.get(m.to_op)
+        if required is None:
+            problems.append(f"op {m.from_op} is not in {adapter.implements.name}")
+            continue
+        if provided is None:
+            problems.append(f"{m.from_op} maps to {m.to_op}, not in {adapter.delegates_to.name}")
+            continue
+        arrow = f"{m.from_op}->{m.to_op}"
+        if len(m.slots) != len(provided.params):
+            problems.append(f"{arrow} has {len(m.slots)} slots for {len(provided.params)} params")
+        taken = sorted(a.index for a in m.slots if a.kind in (TAKE, CONVERT))
+        if taken != list(range(len(required.params))):
+            problems.append(f"{arrow} takes params {taken} of {len(required.params)}")
+        for a, to in zip(m.slots, provided.params):
+            if a.kind == CONVERT and a.index in range(len(required.params)):
+                frm = required.params[a.index]
+                ports = (TypePort(frm.ty, frm.unit), TypePort(to.ty, to.unit))
+                if (a.from_port, a.to_port) != ports:
+                    problems.append(f"{arrow} converts {a.from_port} to {a.to_port} for {frm.name}")
+        ret = m.return_action
+        if not ret.is_pass and (ret.from_port, ret.to_port) != (
+            TypePort(provided.returns),
+            TypePort(required.returns),
+        ):
+            problems.append(f"{arrow} converts its return from {ret.from_port} to {ret.to_port}")
+    return problems
 
 
 def generate_adapter(

@@ -7,7 +7,7 @@ append-only journal (`pool/2`): a header line, then one compact
 canonical JSON line per entry. A writer holds `flock` on the
 persistent `index.lock` (released by the kernel if the writer dies),
 renames the artifact into place and appends one line, so an add costs
-the same at any pool size. Readers never lock and fold the journal
+the same at any pool size. Readers never lock and read the journal
 once per pool call, ignoring an unterminated last line; a killed
 writer leaves at most that torn line (cut by the next writer) or an
 artifact with no line (reported by `pool_verify`). Files are immutable
@@ -17,10 +17,17 @@ once, as its component view, by the one write path `_store`. A
 `pool/1` index (one JSON document) stays readable and is rewritten as
 a journal by the first add.
 
-Every pool call reads the journal once and checks every complete line,
-so a corrupt line fails every call. The check runs a column at a time
-over the decoded lines; an `IndexEntry` is built only for an entry a
-call hands out.
+A writer seals what it has checked: it records in `index.lock` the
+length and SHA-256 of the journal prefix whose lines it checked, the
+line it appended included. Every pool call checks that digest and
+column-checks only the lines after the seal, so a corrupt line still
+fails every call; without a seal that verifies, the whole journal is
+checked. The sealed prefix holds only canonical lines, one per
+fingerprint, so lookups read it by byte search: `_store` and
+`pool_get` find one fingerprint's line, and `pool_query` decodes only
+the lines that hold a concept string related to the demand. The check
+runs a column at a time over the decoded lines; an `IndexEntry` is
+built only for an entry a call hands out.
 """
 
 from __future__ import annotations
@@ -42,7 +49,13 @@ from pathlib import Path
 from typing import Iterator
 
 from . import canonjson
-from .adapters import AdapterSpec, as_component, emit_descriptor, parse_descriptor
+from .adapters import (
+    AdapterSpec,
+    as_component,
+    check_adapter,
+    emit_descriptor,
+    parse_descriptor,
+)
 from .analyser import Demand, match_operation, shape_as_operation
 from .conversions import DEFAULT_CONFIG, ConversionTable, MatchConfig
 from .speclang import (
@@ -83,6 +96,9 @@ _COLUMNS = operator.itemgetter(
 )
 _NOT_HEX = str.maketrans("", "", "0123456789abcdef")  # deletes the lowercase hex digits
 _VERSION_RE = re.compile(r"(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\Z")  # as parse_version
+# `index.lock`'s body once a writer has sealed: `<length> <sha256>\n`.
+_SEAL_RE = re.compile(rb"([1-9][0-9]{0,18}) ([0-9a-f]{64})\n\Z")
+_SEAL_READ = 128  # more than the longest seal, so a longer body never parses
 _temp_counter = itertools.count()
 
 
@@ -181,17 +197,43 @@ def _check(rows: list, wheres: Iterator[str]) -> None:
         raise PoolError(E_CORRUPT, f"{where}: malformed pool index entry")
 
 
-def _bad_line(body: bytes) -> PoolError:
+def _line_names(data: bytes, start: int) -> Iterator[str]:
+    """`index line <n>` for each journal line from byte `start` on,
+    counted from the top of the file (the header is line 1). Lazy: the
+    count is taken only when an error names a line."""
+    yield from (f"index line {n}" for n in itertools.count(data.count(b"\n", 0, start) + 1))
+
+
+def _bad_line(body: bytes, names: Iterator[str]) -> PoolError:
     """The error for the first journal line that is not one JSON value."""
-    for number, line in enumerate(body.split(b"\n")[:-1], 2):
+    for name, line in zip(names, body.split(b"\n")[:-1]):
         try:
             json.loads(line.decode("utf-8"))
         except (ValueError, RecursionError) as err:
             detail = err
             if isinstance(err, json.JSONDecodeError):
                 detail = f"{err.msg} (column {err.colno})"
-            return PoolError(E_CORRUPT, f"index line {number}: not one JSON value: {detail}")
+            return PoolError(E_CORRUPT, f"{name}: not one JSON value: {detail}")
     return PoolError(E_CORRUPT, "malformed pool index: its lines nest too deeply")
+
+
+def _decode(lines: bytes) -> list:
+    """The values of newline-terminated JSON lines, in one `json.loads`."""
+    return json.loads("[" + lines[:-1].decode("utf-8").replace("\n", ",") + "]")
+
+
+def _checked_lines(data: bytes, start: int, end: int) -> list:
+    """The rows of the complete journal lines in `data[start:end]`, each
+    checked as an entry; E_CORRUPT names the first bad line."""
+    lines = data[start:end]
+    try:
+        rows = _decode(lines)
+    except (ValueError, RecursionError):
+        raise _bad_line(lines, _line_names(data, start)) from None
+    if len(rows) != lines.count(b"\n"):
+        raise _bad_line(lines, _line_names(data, start))
+    _check(rows, _line_names(data, start))
+    return rows
 
 
 def _read_index(root: Path) -> bytes:
@@ -206,24 +248,15 @@ def _read_index(root: Path) -> bytes:
 
 def _fold(data: bytes) -> tuple[dict[str, dict], int | None]:
     """Fold index bytes into fingerprint -> checked row, the first line
-    of a fingerprint winning.
+    of a fingerprint winning, checking every line as if unsealed.
 
     Also returns where the journal's complete lines end, or None for a
     `pool/1` document. An unterminated last line is a torn append and
     is not part of the index.
     """
     if data.startswith(INDEX_HEADER):
-        end = data.rfind(b"\n") + 1
-        body = data[len(INDEX_HEADER) : end]
-        try:
-            rows = json.loads("[" + body[:-1].decode("utf-8").replace("\n", ",") + "]")
-        except (ValueError, RecursionError):
-            raise _bad_line(body) from None
-        if len(rows) != body.count(b"\n"):
-            raise _bad_line(body)
-        _check(rows, (f"index line {n}" for n in itertools.count(2)))
-        rows.reverse()
-        return dict(zip(map(operator.itemgetter("fingerprint"), rows), rows)), end
+        journal = _open_journal(data, b"")
+        return journal.tail, journal.end
     try:
         doc = json.loads(data)
     except (ValueError, RecursionError) as err:
@@ -245,8 +278,107 @@ def _fold(data: bytes) -> tuple[dict[str, dict], int | None]:
     return dict(zip(entries, rows)), None
 
 
+@dataclass(frozen=True)
+class _Journal:
+    """One read of `index`. A verified seal covers its first `sealed`
+    bytes (`digest` holds their SHA-256, None without a seal); `rows`
+    are the checked lines after them, in file order, and `tail` maps
+    each fingerprint the sealed prefix lacks to its first row there.
+    A `pool/1` index has no sealed prefix and no `end`."""
+
+    data: bytes
+    sealed: int
+    digest: hashlib._Hash | None
+    rows: list
+    tail: dict[str, dict]
+    end: int | None
+
+
+def _read_seal(root: Path) -> bytes:
+    """The body of `index.lock`; empty when it cannot be read, which
+    only means that the whole journal is checked."""
+    try:
+        with open(root / "index.lock", "rb") as f:
+            return f.read(_SEAL_READ)
+    except OSError:
+        return b""
+
+
+def _open_journal(data: bytes, seal: bytes) -> _Journal:
+    """Check `data` against the seal body read before it: a seal that
+    parses, ends on a complete line and matches its digest spares its
+    prefix the line check; anything else leaves every line checked."""
+    if not data.startswith(INDEX_HEADER):
+        rows, _ = _fold(data)
+        return _Journal(data, 0, None, list(rows.values()), rows, None)
+    end = data.rfind(b"\n") + 1
+    sealed, digest = len(INDEX_HEADER), None
+    match = _SEAL_RE.match(seal)
+    if match and (length := int(match[1])) <= end and data[length - 1] == ord("\n"):
+        hashed = hashlib.sha256(memoryview(data)[:length])
+        if hashed.hexdigest().encode() == match[2]:
+            sealed, digest = length, hashed
+    rows = _checked_lines(data, sealed, end)
+    tail: dict[str, dict] = {}
+    for row in rows:
+        fp = row["fingerprint"]
+        if fp not in tail and _sealed_line(data, sealed, fp) < 0:
+            tail[fp] = row
+    return _Journal(data, sealed, digest, rows, tail, end)
+
+
+def _load(root: Path) -> _Journal:
+    # The seal first: the journal only grows, so the index read after
+    # it holds every line it covers (a `pool/1` rewrite fails its digest).
+    seal = _read_seal(root)
+    return _open_journal(_read_index(root), seal)
+
+
+def _sealed_line(data: bytes, sealed: int, fp: str) -> int:
+    """Where `fp`'s line starts in the first `sealed` bytes, or -1.
+    Sealed lines are canonical, so each starts with its fingerprint."""
+    if len(fp) != 64 or fp.translate(_NOT_HEX):
+        return -1
+    at = data.find(b'\n{"fingerprint":"%s"' % fp.encode(), 0, sealed)
+    return at + 1 if at >= 0 else -1
+
+
+def _row_of(journal: _Journal, fp: str) -> dict | None:
+    """The row of `fp`'s first line, decoding no other line."""
+    start = _sealed_line(journal.data, journal.sealed, fp)
+    if start < 0:
+        return journal.tail.get(fp)
+    return _decode(journal.data[start : journal.data.index(b"\n", start) + 1])[0]
+
+
 def _load_index(root: Path) -> dict[str, dict]:
-    return _fold(_read_index(root))[0]
+    """Every entry's row: the sealed lines decoded without a second
+    check, then the checked tail."""
+    journal = _load(root)
+    rows = _decode(journal.data[len(INDEX_HEADER) : journal.sealed])
+    return {**dict(zip(map(operator.itemgetter("fingerprint"), rows), rows)), **journal.tail}
+
+
+def _sealable_end(journal: _Journal) -> int:
+    """Where a new seal may end: after the leading tail lines that are
+    canonical and their fingerprint's first line, so that a byte search
+    finds every sealed entry."""
+    data, at = journal.data, journal.sealed
+    for row in journal.rows:
+        line = canonjson.dump_line(row)
+        if journal.tail.get(row["fingerprint"]) is not row or not data.startswith(line, at):
+            break
+        at += len(line)
+    return at
+
+
+def _write_seal(lock: int, length: int, digest: hashlib._Hash) -> None:
+    """Record `<length> <sha256>` in `index.lock` through the writer's
+    own descriptor. A reader that catches it half-written sees a seal
+    that does not parse or verify, and checks every line."""
+    body = b"%d %s\n" % (length, digest.hexdigest().encode())
+    os.pwrite(lock, body, 0)
+    os.ftruncate(lock, len(body))
 
 
 def _temp_path(path: Path) -> Path:
@@ -262,7 +394,9 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 
 @contextmanager
-def _index_lock(root: Path, timeout: float) -> Iterator[None]:
+def _index_lock(root: Path, timeout: float) -> Iterator[int]:
+    """Hold the pool's write lock; yields the lock file's descriptor,
+    through which the holder reads and writes the seal."""
     # The kernel drops a flock when its holder closes the file or dies,
     # so no lock outlives its writer. Never unlink the file: a waiter on
     # the old inode and a newcomer on a new one could both hold "the
@@ -272,7 +406,7 @@ def _index_lock(root: Path, timeout: float) -> Iterator[None]:
     lock_path = root / "index.lock"
     deadline = time.monotonic() + timeout
     try:
-        fd = os.open(lock_path, os.O_RDWR | os.O_CREAT)
+        fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o666)
     except OSError as err:
         raise PoolError(E_IO, f"cannot open {lock_path}: {err.strerror or err}") from None
     try:
@@ -286,13 +420,13 @@ def _index_lock(root: Path, timeout: float) -> Iterator[None]:
                         E_LOCK, f"could not acquire {lock_path} within {timeout:.1f}s"
                     ) from None
                 time.sleep(_LOCK_POLL)
-        yield
+        yield fd
     finally:
         os.close(fd)
 
 
-def _canonicalize(document: str) -> tuple[str, bytes, ComponentSpec]:
-    """Parse a document into (kind, canonical bytes, component view).
+def _canonicalize(document: str) -> tuple[bytes, ComponentSpec | AdapterSpec, ComponentSpec]:
+    """Parse a document into (canonical bytes, value, component view).
     A descriptor must read back as the component spec it stands for."""
     stripped = document.lstrip()
     if stripped.startswith("{"):
@@ -308,12 +442,12 @@ def _canonicalize(document: str) -> tuple[str, bytes, ComponentSpec]:
             raise PoolError(E_INVALID_SPEC, f"{bad}: {err.reason}") from None
         if not same:
             raise PoolError(E_INVALID_SPEC, f"{bad}: its component spec reads back changed")
-        return KIND_ADAPTER, emit_descriptor(adapter).encode("utf-8"), view
+        return emit_descriptor(adapter).encode("utf-8"), adapter, view
     try:
         spec = parse_component(document)
     except ParseError as err:
         raise PoolError(E_INVALID_SPEC, err.message) from None
-    return KIND_COMPONENT, serialize(spec).encode("utf-8"), spec
+    return serialize(spec).encode("utf-8"), spec, spec
 
 
 def _row_for(kind: str, fp: str, component: ComponentSpec) -> dict:
@@ -342,35 +476,58 @@ def pool_add_generated(
     `emit_descriptor` text, which is already canonical. The same store
     and validation as `pool_add`, without parsing the text back."""
     view = adapter.to_component_spec()
-    return _store(Path(root), KIND_ADAPTER, descriptor.encode("utf-8"), view, timeout)
+    return _store(Path(root), descriptor.encode("utf-8"), adapter, view, timeout)
 
 
-def _store(root: Path, kind: str, data: bytes, component: ComponentSpec, timeout: float) -> str:
+def _store(
+    root: Path,
+    data: bytes,
+    value: ComponentSpec | AdapterSpec,
+    component: ComponentSpec,
+    timeout: float,
+) -> str:
     """The one admission check and the one write path: `component` is
-    the artifact's component view, validated here before any write."""
+    the artifact's component view, validated here before any write, and
+    an adapter must also pass `check_adapter`."""
     violations = validate(component)
     if violations:
         codes = "; ".join(v.code for v in violations)
         raise PoolError(E_INVALID_SPEC, f"spec {component.name} has violations: {codes}")
+    kind = KIND_COMPONENT
+    if isinstance(value, AdapterSpec):
+        kind = KIND_ADAPTER
+        problems = "; ".join(check_adapter(value))
+        if problems:
+            raise PoolError(E_INVALID_SPEC, f"adapter {value.name} cannot run: {problems}")
     fp = fingerprint_of(data)
     row = _row_for(kind, fp, component)
     index = root / "index"
-    with _index_lock(root, timeout):
-        journal = _read_index(root)
-        rows, end = _fold(journal)
-        if fp in rows:
+    with _index_lock(root, timeout) as lock:
+        seal = os.pread(lock, _SEAL_READ, 0)
+        journal = _open_journal(_read_index(root), seal)
+        if fp in journal.tail or _sealed_line(journal.data, journal.sealed, fp) >= 0:
             return fp
         try:
             _write_atomic(root / row["path"], data)
-            if end is None:
-                rows[fp] = row
+            if journal.end is None:
+                rows = {**journal.tail, fp: row}
                 lines = (canonjson.dump_line(rows[f]) for f in sorted(rows))
-                _write_atomic(index, INDEX_HEADER + b"".join(lines))
+                converted = INDEX_HEADER + b"".join(lines)
+                _write_atomic(index, converted)
+                _write_seal(lock, len(converted), hashlib.sha256(converted))
             else:
+                line, end = canonjson.dump_line(row), journal.end
                 with open(index, "ab") as f:
-                    if end < len(journal):
+                    if end < len(journal.data):
                         f.truncate(end)  # a torn line from a killed writer
-                    f.write(canonjson.dump_line(row))
+                    f.write(line)
+                sealed = _sealable_end(journal)
+                digest = journal.digest or hashlib.sha256(INDEX_HEADER)
+                digest.update(memoryview(journal.data)[journal.sealed : sealed])
+                if sealed == end:
+                    digest.update(line)
+                    sealed += len(line)
+                _write_seal(lock, sealed, digest)
         except OSError as err:
             raise PoolError(E_IO, f"cannot write to pool {root}: {err.strerror or err}") from None
     return fp
@@ -379,7 +536,7 @@ def _store(root: Path, kind: str, data: bytes, component: ComponentSpec, timeout
 def pool_get(root: str | Path, fp: str) -> ComponentSpec | AdapterSpec:
     """Load and re-verify one stored artifact."""
     root = Path(root)
-    row = _load_index(root).get(fp)
+    row = _row_of(_load(root), fp)
     if row is None:
         raise PoolError(E_NO_ENTRY, f"no pool entry {fp}")
     return _read_artifact(root, fp, row["kind"], row["path"])
@@ -454,6 +611,35 @@ class Candidate(tuple):
         return self._value
 
 
+def _related_lines(journal: _Journal, concept: str) -> bytes:
+    """The sealed lines holding a JSON string that is `concept` or one
+    of its ancestors, or that starts with `concept + "."`: every sealed
+    entry that provides a related concept, and maybe a few that do not."""
+    data, stop = journal.data, journal.sealed
+    parts = concept.split(".")
+    needles = [json.dumps(".".join(parts[:k])).encode() for k in range(1, len(parts) + 1)]
+    needles.append(json.dumps(concept + ".")[:-1].encode())
+    spans = set()
+    for needle in needles:
+        at = data.find(needle, len(INDEX_HEADER), stop)
+        while at >= 0:
+            after = data.index(b"\n", at) + 1
+            spans.add((data.rfind(b"\n", 0, at) + 1, after))
+            at = data.find(needle, after, stop)
+    return b"".join(data[start:after] for start, after in sorted(spans))
+
+
+def _hops(demanded: str, concept: str) -> int | None:
+    """`ConceptId.hops_to` on concept texts: 0 when equal, the
+    difference in segment count when one extends the other by whole
+    segments, None when they are unrelated."""
+    if concept == demanded:
+        return 0
+    if demanded.startswith(concept + ".") or concept.startswith(demanded + "."):
+        return abs(demanded.count(".") - concept.count("."))
+    return None
+
+
 def pool_query(
     root: str | Path,
     query: PoolQuery,
@@ -465,9 +651,10 @@ def pool_query(
     Candidates provide a concept equal to or related by ancestry to the
     demanded one, and their index entry lists every concept in
     `query.provides`; an entry that does not is passed over before its
-    version is parsed or its artifact read. With a shaped demand each
-    candidate is read from the one index fold and priced by its best
-    provided operation through the regular matcher; a bare concept
+    version is parsed or its artifact read. Of the sealed journal lines
+    only those holding a related concept string are decoded. With a
+    shaped demand each candidate's artifact is read and priced by its
+    best provided operation through the regular matcher; a bare concept
     demand is priced by concept distance alone. An empty result is the
     miss answer: nothing stored can serve the demand. Each result is a
     `(fingerprint, score)` pair, and every score is at least
@@ -479,22 +666,19 @@ def pool_query(
     demand = query.demand
     wanted = shape_as_operation(demand.concept, demand.shape) if demand.shape is not None else None
     provides = frozenset(map(str, query.provides))
+    demanded = str(demand.concept)
+    journal = _load(root)
+    rows = _decode(_related_lines(journal, demanded)) + list(journal.tail.values())
     results: list[Candidate] = []
-    for fp, row in sorted(_load_index(root).items()):
-        concepts = row["provided_concepts"]
+    for row in sorted(rows, key=operator.itemgetter("fingerprint")):
+        fp, concepts = row["fingerprint"], row["provided_concepts"]
         if provides and not provides.issubset(concepts):
             continue
         if query.constraint is not None and not query.constraint.satisfies(
             parse_version(row["version"])
         ):
             continue
-        # Index concepts were checked when their artifact was added, so
-        # they are split here without a second check.
-        related_hops = [
-            hops
-            for concept_text in concepts
-            if (hops := demand.concept.hops_to(ConceptId(tuple(concept_text.split("."))))) is not None
-        ]
+        related_hops = [hops for text in concepts if (hops := _hops(demanded, text)) is not None]
         if not related_hops:
             continue
         if wanted is None:

@@ -27,7 +27,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from adapterforge.adapters import AdapterSpec
 from adapterforge.analyser import (
@@ -317,15 +317,21 @@ def fold_conservation_holds(tree, pattern) -> bool:
 
 
 def oracle_pool_query(
-    root, query: PoolQuery, conv: ConversionTable, config: MatchConfig
+    root,
+    query: PoolQuery,
+    conv: ConversionTable,
+    config: MatchConfig,
+    listed: list[tuple[str, IndexEntry]] | None = None,
+    load: Callable[[str, IndexEntry], object] | None = None,
 ) -> list[tuple[str, Fraction]]:
     """`pool_query` as a scan: list the index, then read each related
     candidate that lists every concept of `query.provides` through
     `pool_get` and price it by its best provided op (shaped demand) or
-    by concept distance (bare demand)."""
+    by concept distance (bare demand). `listed` and `load` replace
+    `pool_list(root)` and `pool_get` when given."""
     demand = query.demand
     results: list[tuple[str, Fraction]] = []
-    for fp, entry in pool_list(root):
+    for fp, entry in pool_list(root) if listed is None else listed:
         if not all(str(c) in entry.provided_concepts for c in query.provides):
             continue
         if query.constraint is not None and not query.constraint.satisfies(
@@ -344,7 +350,7 @@ def oracle_pool_query(
             if score >= config.threshold:
                 results.append((fp, score))
             continue
-        value = pool_get(root, fp)
+        value = pool_get(root, fp) if load is None else load(fp, entry)
         component = value.to_component_spec() if isinstance(value, AdapterSpec) else value
         wanted = shape_as_operation(demand.concept, demand.shape)
         scores = [

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genspecs
 from adapterforge import canonjson
 from adapterforge.adapters import (
     CONVERT,
@@ -19,6 +22,7 @@ from adapterforge.adapters import (
     OpMapping,
     ReturnAction,
     SlotAction,
+    check_adapter,
     emit_descriptor,
     emit_stub,
     generate_adapter,
@@ -29,6 +33,7 @@ from adapterforge.analyser import ADAPTABLE, EXACT, analyse
 from adapterforge.conversions import ConversionRule, ConversionTable, TypePort, load_rules
 from adapterforge.speclang import (
     BOOL,
+    F64,
     I32,
     I64,
     Literal,
@@ -437,3 +442,109 @@ def test_fraction_text_is_ascii_decimal_everywhere(units_adapter, text):
 )
 def test_fraction_text_decodes_ascii_decimal(text, value):
     assert canonjson.fraction_from_text(text) == value
+
+
+# --- check_adapter: the static structure an adapter needs to run ----------
+
+
+def _generated_adapters():
+    """Every adapter generated from an ADAPTABLE connection of a
+    `tests/corpus` project, then from 300 seeded `genspecs` pairs."""
+    conv, config = load_rules(CORPUS / "conversions.rules")
+    for directory in sorted(p for p in CORPUS.iterdir() if p.is_dir()):
+        specs = {s.name: s for s in map(parse_component, map(Path.read_text, directory.glob("*.cdl")))}
+        for path in sorted(directory.glob("*.pdl")):
+            project = parse_project(path.read_text())
+            for verdict in analyse(project, list(specs.values()), conv, config).verdicts:
+                if verdict.status == ADAPTABLE:
+                    connection = verdict.connection
+                    consumer = specs[connection.consumer_component]
+                    provider = specs[connection.provider_component]
+                    yield generate_adapter(verdict, consumer, provider, project.name)
+    rng = random.Random(0xC4EC)
+    for _ in range(300):
+        consumer, provider, project = genspecs.adaptable_pair(rng, config)
+        (verdict,) = analyse(project, [consumer, provider], conv, config).verdicts
+        if verdict.status == ADAPTABLE:
+            yield generate_adapter(verdict, consumer, provider, project.name)
+
+
+def test_generated_adapters_pass_check_adapter():
+    adapters = list(_generated_adapters())
+    assert len(adapters) >= 200
+    assert [(a.name, check_adapter(a)) for a in adapters if check_adapter(a)] == []
+
+
+def _with_mapping(adapter: AdapterSpec, **changes) -> AdapterSpec:
+    return dataclasses.replace(
+        adapter, mappings=(dataclasses.replace(adapter.mappings[0], **changes),)
+    )
+
+
+_SCALE = ConversionRule("UNIT_SCALE", Fraction(1, 1000))
+BROKEN_ADAPTERS = {
+    "to op missing": (
+        "figure3",
+        lambda a: _with_mapping(a, to_op="no_such_op", slots=()),
+        "sortAscending maps to no_such_op, not in BulkSort",
+    ),
+    "too few slots": (
+        "figure3",
+        lambda a: _with_mapping(a, slots=a.mappings[0].slots[:1]),
+        "sortAscending->sort has 1 slots for 2 params",
+    ),
+    "param not taken": (
+        "figure3",
+        lambda a: _with_mapping(a, slots=(a.mappings[0].slots[1],) * 2),
+        "sortAscending->sort takes params [] of 1",
+    ),
+    "op mapped twice": (
+        "figure3",
+        lambda a: dataclasses.replace(a, mappings=a.mappings * 2),
+        "op sortAscending is mapped 2 times",
+    ),
+    "op not mapped": (
+        "figure3",
+        lambda a: dataclasses.replace(a, mappings=()),
+        "op sortAscending is mapped 0 times",
+    ),
+    "unknown from op": (
+        "figure3",
+        lambda a: _with_mapping(a, from_op="elsewhere"),
+        "op sortAscending is mapped 0 times; op elsewhere is not in Sorting",
+    ),
+    "convert port": (
+        "units",
+        lambda a: _with_mapping(
+            a,
+            slots=(
+                a.mappings[0].slots[0],
+                SlotAction(CONVERT, 0, _SCALE, TypePort(F64, "ms"), TypePort(F64, "min")),
+            ),
+        ),
+        "converts f64@ms to f64@min for",
+    ),
+    "return port": (
+        "units",
+        lambda a: _with_mapping(
+            a, return_action=ReturnAction(ConversionRule("FORMAT"), TypePort(I64), TypePort(BOOL))
+        ),
+        "converts its return from i64 to bool",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_ADAPTERS))
+def test_check_adapter_names_what_cannot_run(figure3_adapter, units_adapter, case, tmp_path):
+    base, edit, problem = BROKEN_ADAPTERS[case]
+    adapter = edit(figure3_adapter[0] if base == "figure3" else units_adapter)
+    problems = "; ".join(check_adapter(adapter))
+    assert problem in problems, problems
+    pool = init_pool(tmp_path / "pool")
+    before = (pool / "index").read_bytes()
+    with pytest.raises(AdapterForgeError) as err:
+        pool_add(pool, emit_descriptor(adapter))
+    assert err.value.code == "E_INVALID_SPEC"
+    assert err.value.message == f"adapter {adapter.name} cannot run: {problems}"
+    assert (pool / "index").read_bytes() == before
+    assert not list((pool / "adapters").iterdir())

@@ -453,6 +453,25 @@ def test_pool_add_malformed_concept_exit_3(capsys, tmp_path):
     assert run(capsys, "pool", "list", "--pool", str(pool))[:2] == (0, "")
 
 
+def test_pool_add_refuses_an_adapter_that_cannot_run(capsys, tmp_path):
+    doc = canonjson.loads((Path(__file__).parent / "golden" / "figure3.adapter").read_text())
+    doc["mappings"][0]["to"] = "no_such_op"
+    doc["mappings"][0]["slots"] = []
+    bad = tmp_path / "bad.adapter"
+    bad.write_text(canonjson.dumps(doc))
+    pool = tmp_path / "pool"
+    assert run(capsys, "pool", "add", str(CORPUS / "figure3" / "sortkit.cdl"), "--pool", str(pool))[0] == 0
+    before = _dir_state(pool)
+    code, out, err = run(capsys, "pool", "add", str(bad), "--pool", str(pool))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: E_INVALID_SPEC: {bad}: adapter adapt_reportgen_sortkit_449e7545 cannot run: "
+        "sortAscending maps to no_such_op, not in BulkSort\n"
+    )
+    assert _dir_state(pool) == before
+    assert run(capsys, "pool", "verify", "--pool", str(pool)) == (0, "", "")
+
+
 def test_pool_verify_reports_orphan_exit_1(capsys, tmp_path):
     from adapterforge.pool import init_pool
 

@@ -3,11 +3,14 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import fcntl
+import hashlib
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -21,10 +24,12 @@ import adapterforge
 from oracles import oracle_fold, oracle_pool_query
 from testutil import component, concept, op, param
 from adapterforge import canonjson
+from adapterforge import pool as pool_module
 from adapterforge.adapters import generate_adapter, emit_descriptor
 from adapterforge.analyser import Demand, analyse, match_operation, shape_as_operation, shape_of
-from adapterforge.conversions import ConversionTable, load_rules
+from adapterforge.conversions import DEFAULT_CONFIG, ConversionTable, load_rules
 from adapterforge.pool import (
+    IndexEntry,
     PoolError,
     PoolQuery,
     fingerprint_of,
@@ -37,6 +42,7 @@ from adapterforge.pool import (
     _artifact_path,
     _entry,
     _fold,
+    _read_artifact,
     _write_atomic,
 )
 from adapterforge.speclang import (
@@ -885,3 +891,247 @@ def test_concurrent_init_pool_on_a_fresh_root(tmp_path: Path):
     assert sorted(fp for fp, _ in pool_list(root)) == sorted(fps)
     assert _lines(root)[0] == HEADER and len(_lines(root)) == 9
     assert not [p for p in root.rglob(".tmp-*")]
+
+
+# --- the sealed journal ---------------------------------------------------
+
+
+def _assert_seal_verifies(root: Path) -> int:
+    """The seal in `index.lock` covers a prefix of `index` that ends on
+    a line and matches its digest, and that prefix holds canonical
+    lines only, one per fingerprint; returns the sealed length."""
+    data = (root / "index").read_bytes()
+    length, digest = (root / "index.lock").read_bytes().split(b" ")
+    sealed = int(length)
+    assert data[sealed - 1 : sealed] == b"\n" and digest.endswith(b"\n")
+    assert hashlib.sha256(data[:sealed]).hexdigest().encode() == digest[:-1]
+    lines = data[len(HEADER) : sealed].splitlines(keepends=True)
+    rows = [json.loads(line) for line in lines]
+    assert [canonjson.dump_line(row) for row in rows] == lines
+    assert len({row["fingerprint"] for row in rows}) == len(rows)
+    return sealed
+
+
+def test_index_lock_is_not_executable(pool: Path):
+    pool_add(pool, spec_text("alpha"))
+    assert stat.S_IMODE((pool / "index.lock").stat().st_mode) & 0o111 == 0
+
+
+def test_each_add_seals_the_whole_journal(pool: Path):
+    for name in ("alpha", "beta", "gamma"):
+        pool_add(pool, spec_text(name))
+        assert _assert_seal_verifies(pool) == len((pool / "index").read_bytes())
+    _as_pool1(pool)
+    pool_add(pool, spec_text("delta"))  # rewrites the journal by rename, then seals all of it
+    assert _assert_seal_verifies(pool) == len((pool / "index").read_bytes())
+    assert len(_lines(pool)) == 5
+
+
+_SEAL_DOCUMENTS = (
+    spec_text("alpha", "1.0.0", "data.k.x"),
+    spec_text("beta", "1.1.0", "data.k"),
+    spec_text("gamma", "2.0.0", "data.m.z"),
+    (GOLDEN / "figure3.adapter").read_text(),
+    spec_text("delta", "1.0.0", "data.k.x.deep"),
+    spec_text("eps", "0.1.0", "data"),
+)
+_SEAL_QUERIES = (
+    PoolQuery(Demand(concept("data.k.x"), None, "project")),
+    PoolQuery(Demand(concept("data.k"), None, "project"), VersionConstraint(">=", (1, 0, 0))),
+    PoolQuery(Demand(concept("data.m"), None, "project")),
+    PoolQuery(Demand(concept("data.sorting.sort"), None, "project")),
+    PoolQuery(Demand(concept("net"), None, "project")),
+    PoolQuery(_shaped_demand()),
+    PoolQuery(_shaped_demand(), provides=frozenset({concept("data.k.x")})),
+)
+
+
+def _second_line(row: dict, how: str) -> bytes:
+    """Another line for `row`'s entry: canonical but for another name,
+    or with the same fields not in canonical form."""
+    if how == "renamed":
+        return canonjson.dump_line({**row, "name": "renamed"})
+    if how == "keys reversed":
+        return json.dumps(dict(reversed(row.items())), separators=(",", ":")).encode() + b"\n"
+    return json.dumps(row, sort_keys=True).encode() + b"\n"  # a space after each separator
+
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("older writer appends"), st.integers(0, len(_SEAL_DOCUMENTS) - 1)),
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 10**6)),
+    st.tuples(
+        st.just("second line"),
+        st.integers(0, 10**6),
+        st.sampled_from(("renamed", "keys reversed", "spaces")),
+        st.booleans(),
+    ),
+    st.tuples(st.just("seal"), st.sampled_from(("garble", "shorten", "lengthen")), st.integers(1, 10**6)),
+    st.tuples(st.just("reseal shorter"), st.integers(0, 10**6)),
+    st.tuples(st.just("old lock body")),
+    st.tuples(st.just("no lock file")),
+)
+
+
+def _mutate(root: Path, mutation: tuple) -> None:
+    index, lock = root / "index", root / "index.lock"
+    data = index.read_bytes()
+    kind, *args = mutation
+    if kind == "older writer appends":  # appends a line and leaves the seal as it was
+        seal = lock.read_bytes() if lock.exists() else None
+        with contextlib.suppress(PoolError):
+            pool_add(root, _SEAL_DOCUMENTS[args[0]])
+        if seal is None:
+            lock.unlink()
+        else:
+            lock.write_bytes(seal)
+    elif kind == "flip" and data:
+        at = args[0] % len(data)
+        index.write_bytes(data[:at] + bytes([data[at] ^ args[1]]) + data[at + 1 :])
+    elif kind == "cut":
+        index.write_bytes(data[: args[0] % (len(data) + 1)])
+    elif kind == "second line":
+        lines = data[len(HEADER) :].splitlines(keepends=True)
+        complete = [line for line in lines if line.endswith(b"\n")]
+        try:
+            row = json.loads(complete[args[0] % len(complete)])
+        except (ValueError, ZeroDivisionError):  # no line, or one an earlier flip broke
+            return
+        if not (data.startswith(HEADER) and isinstance(row, dict)):
+            return
+        if args[2] and row.get("kind") in ("component", "adapter"):
+            row["fingerprint"] = "c" * 64  # a fresh entry, not a second line for one
+            row["path"] = _artifact_path(row["kind"], "c" * 64)
+        index.write_bytes(data[: data.rfind(b"\n") + 1] + _second_line(row, args[1]))
+    elif kind == "seal" and lock.exists():
+        body = lock.read_bytes()
+        if args[0] == "garble" and body:
+            at = args[1] % len(body)
+            lock.write_bytes(body[:at] + bytes([body[at] ^ 0x01]) + body[at + 1 :])
+        elif body[:1].isdigit():
+            length, _, rest = body.partition(b" ")
+            step = args[1] % 400 + 1
+            length = int(length) - step if args[0] == "shorten" else int(length) + step
+            lock.write_bytes(b"%d %s" % (max(length, 1), rest))
+    elif kind == "reseal shorter" and lock.exists():  # the seal of a shorter prefix
+        try:
+            sealed = _assert_seal_verifies(root)
+        except (AssertionError, ValueError):
+            return
+        ends = [i + 1 for i in range(len(HEADER) - 1, sealed) if data[i : i + 1] == b"\n"]
+        length = ends[args[0] % len(ends)]
+        digest = hashlib.sha256(data[:length]).hexdigest().encode()
+        lock.write_bytes(b"%d %s\n" % (length, digest))
+    elif kind == "old lock body":
+        lock.write_text(str(os.getpid()))
+    elif kind == "no lock file" and lock.exists():
+        lock.unlink()
+
+
+def _outcome(action) -> tuple:
+    try:
+        return ("ok", action())
+    except PoolError as err:
+        return ("error", err.code, err.message)
+
+
+def _assert_as_oracle(outcome: tuple, expected, oracle_outcome) -> None:
+    """`outcome` is what the oracle's fold allows: E_CORRUPT at the same
+    line or entry when the index is corrupt, else `oracle_outcome()`."""
+    if isinstance(expected, str):
+        assert outcome[:2] == ("error", "E_CORRUPT"), outcome
+        if expected:
+            assert outcome[2].startswith(f"{expected}: "), (outcome, expected)
+        else:
+            assert not outcome[2].startswith("index "), outcome
+    else:
+        assert outcome == oracle_outcome(), outcome
+
+
+@given(
+    adds=st.integers(1, len(_SEAL_DOCUMENTS)),
+    mutations=st.lists(_MUTATIONS, min_size=1, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_sealed_reads_match_the_oracle_on_mutated_pools(adds: int, mutations: list):
+    conv, config = load_rules(CORPUS / "conversions.rules")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = init_pool(Path(tmp) / "pool")
+        fps = [pool_add(root, document) for document in _SEAL_DOCUMENTS[:adds]]
+        for mutation in mutations:
+            _mutate(root, mutation)
+        expected = oracle_fold((root / "index").read_bytes())
+        entries = {} if isinstance(expected, str) else expected[0]
+        listed = sorted(entries.items())
+
+        def load(fp: str, entry: IndexEntry):
+            return _read_artifact(root, fp, entry.kind, entry.path)
+
+        def expected_get(fp: str) -> tuple:
+            if fp not in entries:
+                return ("error", "E_NO_ENTRY", f"no pool entry {fp}")
+            return _outcome(lambda: load(fp, entries[fp]))
+
+        _assert_as_oracle(_outcome(lambda: pool_list(root)), expected, lambda: ("ok", listed))
+        for fp in sorted({*fps, *entries, "c" * 64}):
+            _assert_as_oracle(_outcome(lambda: pool_get(root, fp)), expected, lambda: expected_get(fp))
+        for query in _SEAL_QUERIES:
+            _assert_as_oracle(
+                _outcome(lambda: pool_query(root, query, conv, config)),
+                expected,
+                lambda: _outcome(lambda: oracle_pool_query(root, query, conv, config, listed, load)),
+            )
+        # Re-adding decides "already stored" by the same fold, and every
+        # write leaves a seal that verifies.
+        for document in _SEAL_DOCUMENTS:
+            before = (root / "index").read_bytes()
+            expected = oracle_fold(before)
+            outcome = _outcome(lambda: pool_add(root, document))
+            after = (root / "index").read_bytes()
+            if isinstance(expected, str):
+                _assert_as_oracle(outcome, expected, None)
+                assert after == before
+                continue
+            assert outcome[0] == "ok", outcome
+            if outcome[1] in expected[0]:
+                assert after == before
+            else:
+                assert after.startswith(before[: expected[1]])
+                assert json.loads(after[expected[1] :])["fingerprint"] == outcome[1]
+                _assert_seal_verifies(root)
+
+
+def test_sealed_lookups_decode_only_the_lines_they_use(pool: Path, monkeypatch):
+    lines = []
+    for i in range(10_000):
+        fp = hashlib.sha256(b"%d" % i).hexdigest()
+        row = {**_GOOD_LINE, "fingerprint": fp, "path": _artifact_path("component", fp)}
+        row["provided_concepts"] = sorted({f"dom{i % 100}.op{i % 7}", f"dom{i % 100}"})
+        lines.append(canonjson.dump_line(row))
+    with open(pool / "index", "ab") as f:
+        f.write(b"".join(lines))
+    alpha = pool_add(pool, spec_text("alpha", concept_text="dom3.op3.x"))  # checks all, seals all
+    assert _assert_seal_verifies(pool) == len((pool / "index").read_bytes())
+    related = sum(b'"dom3"' in line or b'"dom3.op3' in line for line in lines) + 1
+
+    decoded, checked, folds = [], [], []
+    real_decode, real_valid_rows, real_fold = pool_module._decode, pool_module._valid_rows, _fold
+    monkeypatch.setattr(pool_module, "_decode", lambda b: decoded.append(b.count(b"\n")) or real_decode(b))
+    monkeypatch.setattr(pool_module, "_valid_rows", lambda r: checked.append(len(r)) or real_valid_rows(r))
+    monkeypatch.setattr(pool_module, "_fold", lambda d: folds.append(1) or real_fold(d))
+
+    def spied(action) -> tuple[int, int, int]:
+        decoded.clear(), checked.clear(), folds.clear()
+        action()
+        return sum(decoded), sum(checked), len(folds)
+
+    bare = PoolQuery(Demand(concept("dom3.op3"), None, "project"))
+    found = []
+    assert spied(lambda: found.extend(pool_query(pool, bare))) == (related, 0, 0)
+    assert len(found) == related and alpha in {c.fingerprint for c in found}
+    assert spied(lambda: pool_get(pool, alpha)) == (1, 0, 0)
+    index, seal = (pool / "index").read_bytes(), (pool / "index.lock").read_bytes()
+    assert spied(lambda: pool_add(pool, spec_text("alpha", concept_text="dom3.op3.x"))) == (0, 0, 0)
+    assert (pool / "index").read_bytes() == index and (pool / "index.lock").read_bytes() == seal
+    monkeypatch.undo()
+    assert found == oracle_pool_query(pool, bare, ConversionTable(), DEFAULT_CONFIG)
