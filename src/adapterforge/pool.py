@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import canonjson
 from .adapters import (
@@ -278,8 +278,7 @@ def _fold(data: bytes) -> tuple[dict[str, dict], int | None]:
     return dict(zip(entries, rows)), None
 
 
-@dataclass(frozen=True)
-class _Journal:
+class _Journal(NamedTuple):
     """One read of `index`. A verified seal covers its first `sealed`
     bytes (`digest` holds their SHA-256, None without a seal); `rows`
     are the checked lines after them, in file order, and `tail` maps
@@ -614,19 +613,23 @@ class Candidate(tuple):
 def _related_lines(journal: _Journal, concept: str) -> bytes:
     """The sealed lines holding a JSON string that is `concept` or one
     of its ancestors, or that starts with `concept + "."`: every sealed
-    entry that provides a related concept, and maybe a few that do not."""
+    entry that provides a related concept, and maybe a few that do not.
+    Each of those strings starts with `"<first segment>`, so one scan
+    for that finds them all."""
     data, stop = journal.data, journal.sealed
     parts = concept.split(".")
-    needles = [json.dumps(".".join(parts[:k])).encode() for k in range(1, len(parts) + 1)]
-    needles.append(json.dumps(concept + ".")[:-1].encode())
-    spans = set()
-    for needle in needles:
-        at = data.find(needle, len(INDEX_HEADER), stop)
-        while at >= 0:
+    needles = tuple(json.dumps(".".join(parts[:k])).encode() for k in range(1, len(parts) + 1))
+    needles += (json.dumps(concept + ".")[:-1].encode(),)
+    first = needles[0][:-1]
+    lines = []
+    at = data.find(first, len(INDEX_HEADER), stop)
+    while at >= 0:
+        after = at + 1
+        if data.startswith(needles, at):
             after = data.index(b"\n", at) + 1
-            spans.add((data.rfind(b"\n", 0, at) + 1, after))
-            at = data.find(needle, after, stop)
-    return b"".join(data[start:after] for start, after in sorted(spans))
+            lines.append(data[data.rfind(b"\n", 0, at) + 1 : after])
+        at = data.find(first, after, stop)
+    return b"".join(lines)
 
 
 def _hops(demanded: str, concept: str) -> int | None:

@@ -338,10 +338,11 @@ def oracle_pool_query(
             parse_version(entry.version)
         ):
             continue
+        # The index check holds a concept to a non-empty string only.
         hops = [
             h
             for text in entry.provided_concepts
-            if (h := demand.concept.hops_to(ConceptId.from_text(text))) is not None
+            if (h := demand.concept.hops_to(ConceptId(tuple(text.split("."))))) is not None
         ]
         if not hops:
             continue

@@ -1008,8 +1008,8 @@ def _mutate(root: Path, mutation: tuple) -> None:
         if args[0] == "garble" and body:
             at = args[1] % len(body)
             lock.write_bytes(body[:at] + bytes([body[at] ^ 0x01]) + body[at + 1 :])
-        elif body[:1].isdigit():
-            length, _, rest = body.partition(b" ")
+        elif (parts := body.partition(b" "))[0].isdigit():
+            length, _, rest = parts
             step = args[1] % 400 + 1
             length = int(length) - step if args[0] == "shorten" else int(length) + step
             lock.write_bytes(b"%d %s" % (max(length, 1), rest))
