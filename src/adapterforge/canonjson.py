@@ -9,13 +9,80 @@ escaping with no whitespace, one value per line.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
-from typing import Any
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, ensure_ascii=True, indent=2)` and
+    a newline. `json` indents through nested Python generators; this
+    walk appends to one list and quotes strings with the same C escaper."""
+    out: list[str] = []
+    _encode(obj, out.append, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(obj: Any, emit: Callable[[str], Any], newline: str) -> None:
+    if isinstance(obj, str):
+        emit(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                text = _scalar(key)
+                if text is None:
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = text
+            emit(sep)
+            emit(_quote(key))
+            emit(": ")
+            _encode(value, emit, inner)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            emit(sep)
+            _encode(value, emit, inner)
+            sep = "," + inner
+        emit(newline + "]")
+    else:
+        text = _scalar(obj)
+        if text is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        emit(text)
+
+
+def _scalar(value: Any) -> str | None:
+    """The text `json` gives None, a bool, an int or a float; None for
+    any other value."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
 
 
 def dump_bytes(obj: Any) -> bytes:

@@ -15,11 +15,20 @@ or `E`); anything else is a punctuator, and `""` is the end of input.
 Keywords and punctuators are matched by `==` on the text. An error
 site keeps a token index, and `lexer.position` turns it into a line
 and column only when the error is raised.
+
+A component is first offered to a declaration-level fast path
+(`_fast_component`): one anchored regex match per declaration (the
+header, a meta entry, an interface line, or an `op` with its `@param`
+clauses), with the parameter list and annotations split out of the
+match. It accepts only text the token parser accepts, returns the spec
+the token parser would return, and otherwise declines with `None`, so
+every parse error still comes from the token parser.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 from . import lexer
@@ -61,7 +70,21 @@ MAX_TYPE_NESTING = 32
 
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _NUMBER_START = frozenset("-0123456789")
-_SCALAR_TYPES = {kind: SemType(kind) for kind in SCALAR_KINDS}
+
+
+def _canonical_types() -> dict[str, SemType]:
+    """Each scalar and its lists up to the validator's depth, keyed by
+    canonical spelling."""
+    table = {}
+    for kind in SCALAR_KINDS:
+        ty = SemType(kind)
+        for _ in range(4):
+            table[str(ty)] = ty
+            ty = SemType("list", ty)
+    return table
+
+
+_TYPES = _canonical_types()
 
 
 class _TokenStream:
@@ -136,6 +159,11 @@ def read_spec_text(path: str | Path) -> str:
 
 def parse_component(text: str) -> ComponentSpec:
     """Parse a `.cdl` component specification."""
+    spec = _fast_component(text)
+    return spec if spec is not None else _token_component(text)
+
+
+def _token_component(text: str) -> ComponentSpec:
     ts = _TokenStream(text)
     ts.expect("component")
     spec = _component_body(ts)
@@ -154,6 +182,9 @@ def parse_project(text: str) -> ProjectSpec:
 
 def parse_any(text: str) -> ComponentSpec | ProjectSpec:
     """Parse either kind of spec, dispatching on the leading keyword."""
+    fast = _fast_component(text)
+    if fast is not None:
+        return fast
     ts = _TokenStream(text)
     if ts.accept("component"):
         spec: ComponentSpec | ProjectSpec = _component_body(ts)
@@ -167,6 +198,9 @@ def parse_any(text: str) -> ComponentSpec | ProjectSpec:
 
 def parse_type(text: str) -> SemType:
     """Parse a standalone type expression like `list<i32>`."""
+    ty = _TYPES.get(text)
+    if ty is not None:
+        return ty
     ts = _TokenStream(text)
     ty = _type(ts)
     _expect_eof(ts)
@@ -249,19 +283,15 @@ def _op_decl(ts: _TokenStream) -> OperationSig:
     name = ts.expect_ident()
     ts.expect("(")
 
-    names: list[str] = []
-    types: list[SemType] = []
-    defaults: list[Literal | None] = []
+    declared: dict[str, tuple[SemType, Literal | None]] = {}
     if ts.peek() != ")":
         while True:
             at = ts.i
             param = ts.expect_ident()
-            if param in names:
+            if param in declared:
                 raise ts.error(E_DUP_NAME, f"duplicate parameter {param!r}", at)
             ts.expect(":")
-            types.append(_type(ts))
-            defaults.append(_literal(ts) if ts.accept("=") else None)
-            names.append(param)
+            declared[param] = (_type(ts), _literal(ts) if ts.accept("=") else None)
             if not ts.accept(","):
                 break
     ts.expect(")")
@@ -284,7 +314,7 @@ def _op_decl(ts: _TokenStream) -> OperationSig:
         elif kind == "param":
             target_at = ts.i
             target = ts.expect_ident()
-            if target not in names:
+            if target not in declared:
                 raise ts.error(E_SYNTAX, f"@param names unknown parameter {target!r}", target_at)
             if target in annotated:
                 raise ts.error(E_DUP_NAME, f"duplicate @param clause for {target!r}", target_at)
@@ -304,7 +334,7 @@ def _op_decl(ts: _TokenStream) -> OperationSig:
             unit=param_units.get(pname),
             default=pdefault,
         )
-        for pname, ptype, pdefault in zip(names, types, defaults)
+        for pname, (ptype, pdefault) in declared.items()
     )
     return OperationSig(name=name, params=params, returns=returns, concept=op_concept)
 
@@ -356,7 +386,7 @@ def _type(ts: _TokenStream, depth: int = 0) -> SemType:
         elem = _type(ts, depth + 1)
         ts.expect(">")
         return SemType("list", elem)
-    scalar = _SCALAR_TYPES.get(tok)
+    scalar = _TYPES.get(tok)
     if scalar is None:
         raise ts.error(E_SYNTAX, f"unknown type {tok!r}", at)
     return scalar
@@ -460,3 +490,149 @@ def _connection(ts: _TokenStream, uses: list[UseDecl]) -> Connection:
         provider_component=provider_component,
         provider_interface=provider_interface,
     )
+
+
+# Declaration-level fast path. Between declarations it skips what the
+# lexer skips; inside one it allows only whitespace, so a comment there
+# makes it decline. `\s` also reads `\f` and `\v`, which the lexer
+# takes only inside strings and comments; a text holding either is read
+# only once it lexes. Every quantifier is possessive, so a match never
+# backtracks and a failed one costs only the length it read. After each
+# token a pattern demands what may follow it, so every token it reads
+# is the token the lexer would read there. A type is any run of `\w<>`,
+# looked up in `_TYPES`; a parameter's may not run into `=`, since `>=`
+# is one token.
+_SKIP = r"(?:\s++|//.*)*+"
+_IDENT = r"(?!\d)\w++"
+# Any quoted text; a string is read as a token before its value is used.
+_STRING = r'"(?:\\.|[^"\\])*+"'
+# One declaration, named by the last group it sets: the component header
+# (`version`), a meta entry (`meta`), an interface's opening line
+# (`interface`), an operation (`op`), or a closing brace (none). A
+# header string holding more than a name or a version could not be
+# valid; an operation's parameter list is any text up to its `)`,
+# strings included.
+_DECL_RE = re.compile(
+    rf'{_SKIP}(?:component\s*+"(\w++)"\s*+version\s*+"(?P<version>[\d.]++)"\s*+\{{'
+    rf"|meta\s++({_IDENT})\s*+=\s*+(?P<meta>{_STRING})"
+    rf"|(provides|requires)\s++interface\s++(?P<interface>{_IDENT})\s*+\{{"
+    rf'|op\s++({_IDENT})\s*+\(((?:[^")]++|{_STRING})*+)\)\s*+->\s*+([\w<>]++)'
+    r"(?P<op>(?:\s*+@\s*+\w++\s++[\w.]++)*+)|\})",
+    re.ASCII,
+)
+# One parameter and its comma. The last group catches a character that
+# starts none, so the matches tile the list and a stray has no type. A
+# default is checked by reading it as a token.
+_PARAM_RE = re.compile(
+    rf"\s*+({_IDENT})\s*+:\s*+([\w<>]++)(?!=)\s*+(?:=\s*+({_STRING}|[-+.\w]++)\s*+)?+(,?+)|(.)",
+    re.ASCII | re.DOTALL,
+)
+
+
+def _fast_component(text: str) -> ComponentSpec | None:
+    """The spec `parse_component` returns for `text`, or None where this
+    path declines: not a component, a comment inside a declaration, a
+    type outside `_TYPES`, or anything the token parser would reject.
+    Never raises."""
+    m = _DECL_RE.match(text, int(text.startswith("\ufeff")))
+    if m is None or m.lastgroup != "version":
+        return None
+    if "\f" in text or "\v" in text:
+        try:
+            lexer.tokenize(text)
+        except ParseError:
+            return None
+    name = m[1]
+    try:
+        version = parse_version(m[2])
+    except ValueError:
+        return None
+    concepts = {}
+    interfaces = {"provides": {}, "requires": {}}
+    meta = []
+    operations = None  # of the open interface
+    pos = m.end()
+    while m := _DECL_RE.match(text, pos):
+        pos = m.end()
+        kind = m.lastgroup
+        if operations is None:
+            if kind == "meta" and (value := _fast_literal(m[4])):
+                meta.append(MetaEntry(m[3], value.value))
+            elif kind == "interface" and m[6] not in interfaces[m[5]]:
+                operations, keyword, iface = {}, m[5], m[6]
+            elif kind is None and IDENT_RE.match(name) and not text[pos:].strip(" \t\r\n"):
+                # The component's closing brace, and only whitespace after it.
+                provided, required = (tuple(named.values()) for named in interfaces.values())
+                return ComponentSpec(name, version, provided, required, tuple(meta))
+            else:
+                return None
+        elif kind == "op":
+            op = _fast_op(text, m, concepts)
+            if op is None or op.name in operations:
+                return None
+            operations[op.name] = op
+        elif kind is None:  # the interface's closing brace
+            direction = PROVIDED if keyword == "provides" else REQUIRED
+            interfaces[keyword][iface] = InterfaceSpec(iface, direction, tuple(operations.values()))
+            operations = None
+        else:
+            return None
+    return None
+
+
+def _fast_op(text: str, m: re.Match[str], concepts: dict[str, ConceptId]) -> OperationSig | None:
+    # The operation's `@concept`, then `@param` clauses: each names a
+    # parameter and carries `@concept`, `@unit` or both.
+    annotations = [clause.split() for clause in m["op"].split("@")[1:]]
+    if not annotations or annotations[0][0] != "concept":
+        return None
+    clauses = {}
+    current = None
+    for kind, value in annotations[1:]:
+        if kind == "param" and current != {} and value not in clauses:
+            current = clauses[value] = {}
+        elif current is None or kind in current:
+            return None
+        elif kind == "concept" and (concept := _fast_concept(value, concepts)):
+            current[kind] = concept
+        elif kind == "unit" and IDENT_RE.match(value):
+            current[kind] = value
+        else:
+            return None
+    found = _PARAM_RE.findall(text, *m.span(8))
+    names = {param[0] for param in found}
+    op_concept = _fast_concept(annotations[0][1], concepts)
+    returns = _TYPES.get(m[9])
+    if current == {} or len(names) < len(found) or not names >= clauses.keys() or not (op_concept and returns):
+        return None
+    params = []
+    last = len(found) - 1
+    for i, (pname, ptype, literal, comma, _) in enumerate(found):
+        ty = _TYPES.get(ptype)
+        default = _fast_literal(literal) if literal else None
+        if ty is None or bool(comma) == (i == last) or (literal and default is None):
+            return None
+        clause = clauses.get(pname, {})
+        params.append(ParamSig(pname, ty, clause.get("concept"), clause.get("unit"), default))
+    return OperationSig(m[7], tuple(params), returns, op_concept)
+
+
+def _fast_concept(text: str, concepts: dict[str, ConceptId]) -> ConceptId | None:
+    """One ConceptId per concept text within a parse."""
+    concept = concepts.get(text)
+    if concept is None:
+        try:
+            concept = concepts[text] = ConceptId.from_text(text)
+        except ValueError:
+            pass
+    return concept
+
+
+def _fast_literal(tok: str) -> Literal | None:
+    """The literal `tok` is when the lexer reads it as one literal token."""
+    try:
+        ts = _TokenStream(tok)
+        literal = _literal(ts)
+    except ParseError:
+        return None
+    return None if ts.peek() else literal

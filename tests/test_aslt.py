@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import strategies
@@ -20,7 +20,7 @@ from adapterforge.aslt import (
     fold,
     traverse,
 )
-from adapterforge.speclang import parse_component, parse_project, serialize
+from adapterforge.speclang import ComponentSpec, MetaEntry, parse_component, parse_project, serialize
 
 
 def load_figure3(corpus_dir: Path):
@@ -250,9 +250,9 @@ def _assert_preorder_ids_and_labelled_lines(tree: Aslt, texts: dict[str, list[st
         text = texts[file][line - 1]
         if node.kind != "meta":
             assert node.label in text, (node, text)
-        elif node.key in _PROJECT_META_KEYS:
-            # Project wiring points at its own line, not the project's.
-            assert tree.node(owner[node_id]).kind == "project"
+        elif node.key in _PROJECT_META_KEYS and tree.node(owner[node_id]).kind == "project":
+            # Project wiring points at its own line, not the project's; a
+            # component's meta entry may use the same key.
             assert text.startswith(f"  {node.key} "), (node, text)
             if node.key == "uses":
                 name, _, constraint = node.value.partition(" ")
@@ -261,10 +261,11 @@ def _assert_preorder_ids_and_labelled_lines(tree: Aslt, texts: dict[str, list[st
                 assert text == f"  {node.key} {node.value}", (node, text)
         else:
             assert tree.source_map[owner[node_id]] == (file, line), node
+    root = tree.node(tree.root)
     wiring = [
         tree.source_map[m]
-        for m in tree.node(tree.root).meta_children
-        if tree.node(m).key in _PROJECT_META_KEYS
+        for m in root.meta_children
+        if root.kind == "project" and tree.node(m).key in _PROJECT_META_KEYS
     ]
     assert len(set(wiring)) == len(wiring)
 
@@ -279,6 +280,10 @@ def test_corpus_trees_preorder_ids_and_source_lines(corpus_dir: Path):
 
 
 @given(spec=strategies.component_specs())
+@example(spec=ComponentSpec(name="__", version=(0, 0, 0), meta=(MetaEntry("demand", ""),)))
+@example(
+    spec=ComponentSpec(name="__", version=(0, 0, 0), meta=(MetaEntry("demand", ""), MetaEntry("uses", "")))
+)
 @settings(max_examples=80)
 def test_generated_component_preorder_ids_and_source_lines(spec):
     tree = build_component_aslt(spec)

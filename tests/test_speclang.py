@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import strategies
+from adapterforge.cli import main
 from adapterforge.speclang import (
     ComponentSpec,
     ConceptId,
@@ -35,7 +37,7 @@ from adapterforge.speclang import (
 )
 from adapterforge.speclang import BOOL, F64, I32, I64, STRING, UNIT
 from adapterforge.speclang.lexer import position, tokenize, unquote
-from adapterforge.speclang.parser import parse_type
+from adapterforge.speclang.parser import _fast_component, _token_component, parse_type
 from conftest import corpus_spec_paths
 from genspecs import adaptable_pair, random_component
 from oracles import oracle_parse_any, oracle_parse_type, oracle_tokenize
@@ -559,18 +561,42 @@ _KEYWORD_OR_PUNCT = re.compile(
 )
 
 
+# Whitespace and comments that may sit between two tokens.
+_GAPS = [" ", "\t", "\n", "\r\n", "\n      ", "  // note\n", " // ), @param x: i32\n"]
+
+
+def _gap_in_op(draw: st.DrawFn, text: str) -> str:
+    """`text` with a whitespace or comment gap put before one of the
+    tokens of an `op` declaration (the keyword or one of the 40 tokens
+    after it), or `text` itself if it has no `op` or does not lex."""
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        return text
+    ops = [i for i, token in enumerate(tokens) if token == "op"]
+    if not ops:
+        return text
+    index = min(draw(st.sampled_from(ops)) + draw(st.integers(0, 40)), len(tokens) - 1)
+    line, col = position(text, index)
+    at = sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + col - 1
+    return text[:at] + draw(st.sampled_from(_GAPS)) + text[at:]
+
+
 @st.composite
 def _parser_inputs(draw: st.DrawFn) -> str:
-    """A valid spec with up to three edits: a splice, a deletion, or the
-    next keyword or punctuator put in quotes."""
+    """A valid spec with up to three edits: a splice, a deletion, the
+    next keyword or punctuator put in quotes, or a gap between two
+    tokens of an operation."""
     base = draw(st.sampled_from(_CORPUS_TEXTS + _GENERATED_TEXTS) | _wide_texts())
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(base)))
-        edit = draw(st.sampled_from(["splice", "delete", "quote"]))
+        edit = draw(st.sampled_from(["splice", "delete", "quote", "gap"]))
         if edit == "splice":
             base = base[:at] + draw(_parser_fragments) + base[at:]
         elif edit == "delete":
             base = base[:at] + base[at + draw(st.integers(1, 12)) :]
+        elif edit == "gap":
+            base = _gap_in_op(draw, base)
         elif m := _KEYWORD_OR_PUNCT.search(base, at):
             base = f'{base[: m.start()]}"{m.group()}"{base[m.end() :]}'
     return base
@@ -587,6 +613,83 @@ def test_parse_any_matches_oracle(text: str):
     assert _parse_outcome(parse_any, text) == _parse_outcome(oracle_parse_any, text)
 
 
+@given(text=_parser_inputs())
+@settings(max_examples=400, deadline=None)
+def test_fast_path_declines_or_agrees(text: str):
+    # The fast path only ever returns what the token parser returns; a
+    # text it accepts must parse.
+    fast = _fast_component(text)
+    assert fast is None or fast == _token_component(text)
+
+
+_TWO_PARAMS = "op f(x: i32, y: i32) -> i32 @concept a @param x"
+# Invalid texts, each one check of the fast path away from being read.
+_NEAR_MISSES = {
+    "type-then-ge": _op_line("x: list<i32>= 1"),
+    "missing-comma": _op_line("x: i32 y: i32"),
+    "trailing-comma": _op_line("x: i32,"),
+    "form-feed": _op_line("x: i32\f"),
+    "vertical-tab": _op_line("\vx: i32"),
+    "empty-param-clause": _op_line("").replace("op f() -> i32 @concept a", f"{_TWO_PARAMS} @param y @unit ms"),
+    "unknown-param-annotation": _op_line("").replace("op f() -> i32 @concept a", f"{_TWO_PARAMS} @foo ms"),
+    "unit-not-ident": _op_line("").replace("op f() -> i32 @concept a", f"{_TWO_PARAMS} @unit 1ms"),
+    "default-of-two-tokens": _op_line("x: f64 = 1e5x"),
+    "duplicate-param": _op_line("x: i32, x: i32"),
+    "duplicate-op": _op_line("").replace("  }", "    op f() -> i32 @concept b\n  }"),
+    "duplicate-interface": _op_line("").replace("}\n}", "}\n  provides interface I { }\n}"),
+    "name-not-ident": _op_line("").replace('"A"', '"1A"'),
+    "hash-between-declarations": _op_line("").replace("  }", "  # note\n  }"),
+    "brace-after-closing-brace": _op_line("") + "}\n",
+}
+
+
+@pytest.mark.parametrize("text", list(_NEAR_MISSES.values()), ids=list(_NEAR_MISSES))
+def test_fast_path_declines_near_misses(text: str):
+    with pytest.raises(ParseError):
+        _token_component(text)
+    assert _fast_component(text) is None
+
+
+# The fast path must accept the specs the toolchain reads: one that
+# always declined would pass every equality test and save nothing.
+@given(spec=strategies.component_specs())
+@settings(max_examples=150)
+def test_fast_path_reads_canonical_components(spec: ComponentSpec):
+    assert _fast_component(serialize(spec)) == spec
+
+
+def test_fast_path_reads_hand_written_and_generated_components(tmp_path: Path, capsys):
+    project = tmp_path / "figure3"
+    shutil.copytree(Path(__file__).parent / "corpus" / "figure3", project)
+    rules = str(Path(__file__).parent / "corpus" / "conversions.rules")
+    pool = str(tmp_path / "pool")
+    assert main(["adapt", str(project / "figure3.pdl"), "--conversions", rules, "--pool", pool]) == 1
+    capsys.readouterr()
+    adapters = sorted(project.glob("adapt_*.cdl"))
+    assert len(adapters) == 1
+    corpus = [p for p in corpus_spec_paths() if p.suffix == ".cdl"]
+    assert len(corpus) == 9
+    generated = [text for text in _GENERATED_TEXTS if text.startswith("component")]
+    assert len(generated) >= 12
+    texts = [p.read_text(encoding="utf-8") for p in corpus + adapters] + generated
+    assert sum("//" in text for text in texts) >= 2
+    for text in texts:
+        spec = _fast_component(text)
+        assert spec is not None and spec == _token_component(text), text
+
+
+def test_parse_type_table_matches_the_token_parser():
+    # Each scalar at list depths 0-3 is answered from the table, with
+    # the value the token parser gives for the same text.
+    spellings = ["i32", "i64", "f64", "bool", "string", "bytes", "unit"]
+    for _ in range(3):
+        spellings += [f"list<{text}>" for text in spellings[-7:]]
+    assert len(spellings) == 28
+    for text in spellings:
+        assert parse_type(text) is parse_type(text) == oracle_parse_type(text)
+    assert parse_type(" list< i32 >") == parse_type("list<i32>")
+
+
 _TYPE_PIECES = ["list", "<", ">", "i32", "f64", "string", "unit", "nope", " ", "\n", ",", '"i32"', "1", "-", "//x"]
 
 
@@ -597,6 +700,8 @@ def test_parse_type_matches_oracle(text: str):
 
 
 _ONE_LINE = 'component "A" version "1.0.0" { ' + 'meta k = "v" ' * 12_500 + "}"
+_WIDE_OP = ", ".join(f"a{i}: i32" for i in range(50_000))
+_GAP = " \t\r\n" * 250_000  # 1 MB
 _TRAILER = " \t// comment\r\n" * 80_000  # about 1 MB
 _TIMED_PARSE = """
 import sys, time
@@ -624,8 +729,25 @@ print(outcome)
             "expected 'meta', 'provides', 'requires' or '}', got 'end of input'",
         ),
         ('component "A" version "1.0.0" { }' + _TRAILER + "#", "unexpected character '#'"),
+        (_op_line(_WIDE_OP).replace(") ->", " ->"), "expected ')', got '->'"),
+        (_op_line(f"x: i32{_GAP}"), "ok"),
+        (_op_line(f"x: i32{_GAP}").replace(") ->", " ->"), "expected ')', got '->'"),
+        (
+            _op_line("").replace("@concept a", "@concept " + "a." * 50_000 + "B"),
+            "concept segment 'B' must match [a-z][a-z0-9_]*",
+        ),
     ],
-    ids=["50k-tokens", "50k-tokens-error", "1mb-trailer", "1mb-trailer-eof", "1mb-trailer-error"],
+    ids=[
+        "50k-tokens",
+        "50k-tokens-error",
+        "1mb-trailer",
+        "1mb-trailer-eof",
+        "1mb-trailer-error",
+        "50k-params-no-paren",
+        "1mb-gap-in-op",
+        "1mb-gap-in-op-no-paren",
+        "50k-segment-concept-upper-case",
+    ],
 )
 def test_scan_stays_linear(text, outcome):
     # A skip that backtracks, or a scan that retries at every character
