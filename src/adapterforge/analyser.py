@@ -18,6 +18,15 @@ consumer's parameter order; the better of the two, once a permuted one
 is charged the permutation penalty, wins. Ties resolve
 deterministically: fewest mismatches, then the lexicographically
 smallest slot assignment.
+
+A concept group skips the assignment solver when it is forced: it has
+as many provider slots as required params, each param has exactly one
+feasible slot (equal port, or one the conversion table bridges to), and
+no two params share that slot. That placement is then the only one
+that costs less than an infeasible entry, so it is the solver's optimum.
+Groups with a real choice, or with spare slots to fill, still go to the
+solver. Slots are priced from the conversion table's by-source index:
+one set test per pair, and only for ports that have an outgoing rule.
 """
 
 from __future__ import annotations
@@ -302,12 +311,14 @@ def _least_cost_alignment(
     for req_idx, prov_idx in groups.values():
         for i in req_idx:
             a = required.params[i]
+            bridges = conv.bridges_from(a.ty, a.unit)
+            line = price[i]
             for j in prov_idx:
                 b = provided.params[j]
                 if a.ty == b.ty and a.unit == b.unit:
-                    price[i][j] = i * weight[j]
-                elif conv.lookup(TypePort(a.ty, a.unit), TypePort(b.ty, b.unit)) is not None:
-                    price[i][j] = per_conversion + i * weight[j]
+                    line[j] = i * weight[j]
+                elif bridges and (b.ty, b.unit) in bridges:
+                    line[j] = per_conversion + i * weight[j]
 
     cost = 0
     assignment: dict[int, int] = {}
@@ -347,6 +358,20 @@ def _assign_group(
 ) -> tuple[int, dict[int, int]] | None:
     """Least-cost placement of one concept group's required params onto
     its provider slots; the slots left over are filled."""
+    if len(req_idx) == len(prov_idx):
+        # A forced group: when each param has one feasible slot and no two
+        # share it, that placement is the only one below `blocked`.
+        forced: dict[int, int] = {}
+        total = 0
+        for i in req_idx:
+            line = price[i]
+            feasible = [j for j in prov_idx if line[j] is not None]
+            if len(feasible) != 1 or feasible[0] in forced:
+                break
+            forced[feasible[0]] = i
+            total += line[feasible[0]]
+        else:
+            return total, forced
     # Square matrix: one row per required param, padded with identical
     # "left unassigned" rows; infeasible entries cost `blocked`.
     rows = []

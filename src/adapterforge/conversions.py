@@ -67,17 +67,43 @@ class ConversionRule:
         return self.kind
 
 
+_NO_BRIDGES: frozenset[tuple[SemType, str | None]] = frozenset()
+
+
 @dataclass
 class ConversionTable:
+    """Directional rules keyed by (from port, to port).
+
+    The table is extended through `add` or the constructor's `entries`.
+    Both also build a by-source index, `(ty, unit)` -> the `(ty, unit)`
+    ports it bridges to, which the matcher reads to price port pairs
+    without building `TypePort` keys. The index is not a field, so `==`
+    and `repr` see `entries` alone.
+    """
+
     entries: dict[tuple[TypePort, TypePort], ConversionRule] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._bridges: dict[tuple[SemType, str | None], frozenset[tuple[SemType, str | None]]] = {}
+        for frm, to in self.entries:
+            self._index(frm, to)
+
+    def _index(self, frm: TypePort, to: TypePort) -> None:
+        key = (frm.ty, frm.unit)
+        self._bridges[key] = self._bridges.get(key, _NO_BRIDGES) | {(to.ty, to.unit)}
 
     def add(self, frm: TypePort, to: TypePort, rule: ConversionRule) -> None:
         if frm == to:
             raise ValueError(f"identity conversion {frm} -> {to} is not allowed")
         self.entries[(frm, to)] = rule
+        self._index(frm, to)
 
     def lookup(self, frm: TypePort, to: TypePort) -> ConversionRule | None:
         return self.entries.get((frm, to))
+
+    def bridges_from(self, ty: SemType, unit: str | None) -> frozenset[tuple[SemType, str | None]]:
+        """The `(ty, unit)` ports that some rule bridges `(ty, unit)` to."""
+        return self._bridges.get((ty, unit), _NO_BRIDGES)
 
 
 @dataclass(frozen=True)

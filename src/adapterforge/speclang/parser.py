@@ -527,6 +527,9 @@ _PARAM_RE = re.compile(
     rf"\s*+({_IDENT})\s*+:\s*+([\w<>]++)(?!=)\s*+(?:=\s*+({_STRING}|[-+.\w]++)\s*+)?+(,?+)|(.)",
     re.ASCII | re.DOTALL,
 )
+# A whole dotted concept path: every segment matches CONCEPT_SEGMENT_RE.
+_SEGMENT = CONCEPT_SEGMENT_RE.pattern.removesuffix(r"\Z")
+_CONCEPT_PATH_RE = re.compile(rf"{_SEGMENT}(?:\.{_SEGMENT})*+")
 
 
 def _fast_component(text: str) -> ComponentSpec | None:
@@ -618,13 +621,11 @@ def _fast_op(text: str, m: re.Match[str], concepts: dict[str, ConceptId]) -> Ope
 
 
 def _fast_concept(text: str, concepts: dict[str, ConceptId]) -> ConceptId | None:
-    """One ConceptId per concept text within a parse."""
+    """One ConceptId per concept text within a parse, or None for a path
+    that `ConceptId.from_text` would refuse."""
     concept = concepts.get(text)
-    if concept is None:
-        try:
-            concept = concepts[text] = ConceptId.from_text(text)
-        except ValueError:
-            pass
+    if concept is None and _CONCEPT_PATH_RE.fullmatch(text):
+        concept = concepts[text] = ConceptId(tuple(text.split(".")))
     return concept
 
 

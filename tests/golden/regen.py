@@ -1,0 +1,90 @@
+"""Rewrite every golden file in this directory from the current program.
+
+    PYTHONPATH=src python tests/golden/regen.py [OUTDIR]
+
+Without OUTDIR the goldens beside this script are overwritten; with it
+they are written there instead, which is how `tests/test_goldens.py`
+checks that the committed bytes are what the program produces. A change
+that rewrites a golden must say so, and why, in CHANGES.md.
+
+The goldens:
+- `figure3_report.txt`, `figure3.adapter`: stdout and the one emitted
+  descriptor of `adapt` on the figure3 corpus case against a fresh pool;
+- `figure3_stub.txt`: the delegation stub of that descriptor rendered
+  with the packaged template;
+- `figure3_aslt.txt`: `aslt dump` of the figure3 project;
+- `check_<case>_<format>.txt`: stdout of `check` on each other corpus
+  case, for both `--format` values, and `check_exit_codes.txt`: one
+  `<case> <format> <exit code>` line per run.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.resources
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from adapterforge.adapters import emit_stub, parse_descriptor
+from adapterforge.cli import main
+
+GOLDEN = Path(__file__).resolve().parent
+CORPUS = GOLDEN.parent / "corpus"
+RULES = CORPUS / "conversions.rules"
+CHECK_CASES = {
+    "exact": "exactpair.pdl",
+    "golden": "shopfront.pdl",
+    "missing": "wantsign.pdl",
+    "units": "unitsync.pdl",
+}
+FORMATS = ("human", "structured")
+
+
+def _run(*argv: str | Path) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    if err.getvalue():
+        raise RuntimeError(f"{argv}: unexpected stderr {err.getvalue()!r}")
+    return code, out.getvalue()
+
+
+def render_goldens() -> dict[str, str]:
+    """File name -> contents of every golden."""
+    files: dict[str, str] = {}
+    figure3 = CORPUS / "figure3" / "figure3.pdl"
+    with tempfile.TemporaryDirectory() as tmp:
+        emit = Path(tmp) / "emit"
+        _, files["figure3_report.txt"] = _run(
+            "adapt", figure3, "--conversions", RULES, "--pool", Path(tmp) / "pool", "--emit", emit
+        )
+        (descriptor,) = emit.glob("*.adapter")
+        files["figure3.adapter"] = descriptor.read_text(encoding="utf-8")
+    template = importlib.resources.files("adapterforge") / "templates" / "adapter_stub.txt"
+    files["figure3_stub.txt"] = emit_stub(
+        parse_descriptor(files["figure3.adapter"]), template.read_text(encoding="utf-8")
+    )
+    _, files["figure3_aslt.txt"] = _run("aslt", "dump", figure3)
+
+    exits = []
+    for case, project in CHECK_CASES.items():
+        for fmt in FORMATS:
+            code, out = _run(
+                "check", CORPUS / case / project, "--conversions", RULES, "--format", fmt
+            )
+            files[f"check_{case}_{fmt}.txt"] = out
+            exits.append(f"{case} {fmt} {code}\n")
+    files["check_exit_codes.txt"] = "".join(exits)
+    return files
+
+
+def write_goldens(outdir: Path) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in render_goldens().items():
+        (outdir / name).write_bytes(text.encode("utf-8"))
+
+
+if __name__ == "__main__":
+    write_goldens(Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN)

@@ -22,13 +22,15 @@ from hypothesis import given, settings
 import genspecs
 from oracles import oracle_best_alignment
 from testutil import op, param
-from adapterforge import canonjson
+from adapterforge import analyser, canonjson
 from adapterforge.analyser import ADAPTABLE, match_operation
 from adapterforge.cli import main
 from adapterforge.conversions import (
     DEFAULT_FILL,
     PARAM_PERMUTATION,
     TYPE_CONVERSION,
+    UNIT_SCALE,
+    ConversionTable,
     load_rules,
 )
 from adapterforge.report import match_report_from_json
@@ -229,3 +231,120 @@ def test_check_of_a_12_param_op_finishes(capsys, tmp_path):
     assert verdict.status == ADAPTABLE
     assert verdict.score == 1 - DEFAULT.permutation_penalty
     assert elapsed < 2.0  # enumeration would try 12! placements
+
+
+@pytest.fixture
+def solver_calls(monkeypatch) -> list[int]:
+    """Sizes of the matrices handed to the assignment solver."""
+    calls: list[int] = []
+    original = analyser._min_cost_assignment
+
+    def counted(cost):
+        calls.append(len(cost))
+        return original(cost)
+
+    monkeypatch.setattr(analyser, "_min_cost_assignment", counted)
+    return calls
+
+
+@pytest.mark.parametrize("conv", [CONV, ConversionTable()], ids=["unit-scale", "no-rules"])
+@pytest.mark.parametrize("units", [("ms", "s"), ("s", "ms")])
+def test_unit_only_mismatch_matches_oracle(conv, units):
+    # f64 on both sides, only the unit differs: the corpus rules bridge
+    # ms -> s and nothing bridges s -> ms. The group is square with one
+    # feasible slot per param, so it also takes the forced path.
+    have, want = units
+    required = op(
+        "f",
+        (param("d", F64, "t.delay", unit=have), param("r", BOOL, "t.delay")),
+        I32,
+        "data.k",
+    )
+    provided = op(
+        "f",
+        (param("r", BOOL, "t.delay"), param("d", F64, "t.delay", unit=want)),
+        I32,
+        "data.k",
+    )
+    match = match_operation(required, provided, conv, DEFAULT)
+    assert match == oracle_best_alignment(required, provided, conv, DEFAULT)
+    if conv is CONV and have == "ms":
+        assert [(m.kind, m.order, m.slot) for m in match.mismatches] == [
+            (PARAM_PERMUTATION, (1, 0), None),
+            (TYPE_CONVERSION, None, 1),
+        ]
+        assert match.mismatches[1].rule.kind == UNIT_SCALE
+        assert str(match.mismatches[1].from_port) == "f64@ms"
+    else:
+        assert match is None
+
+
+@pytest.mark.parametrize(
+    "conv,solved", [(ConversionTable(), []), (CONV, [7])], ids=["no-rules", "corpus-rules"]
+)
+def test_forced_group_of_7_skips_the_solver(solver_calls, conv, solved):
+    # Without rules each param's only feasible slot is its own type's;
+    # the corpus rules widen i32 into the i64 and f64 slots too, so the
+    # group has a real choice and goes to the solver.
+    required, provided, order = _rotated_single_group(7)
+    match = match_operation(required, provided, conv, DEFAULT)
+    assert match == oracle_best_alignment(required, provided, conv, DEFAULT)
+    assert [(m.kind, m.order) for m in match.mismatches] == [(PARAM_PERMUTATION, order)]
+    assert solver_calls == solved
+
+
+def test_square_group_with_equal_ports_reaches_the_solver(solver_calls):
+    # x and y could each take either i32 slot: a real choice.
+    required = op(
+        "f",
+        (param("x", I32, "g.one"), param("y", I32, "g.one"), param("s", STRING, "g.one")),
+        I32,
+        "data.k",
+    )
+    provided = op(
+        "f",
+        (param("s", STRING, "g.one"), param("p", I32, "g.one"), param("q", I32, "g.one")),
+        I32,
+        "data.k",
+    )
+    match = match_operation(required, provided, CONV, DEFAULT)
+    assert match == oracle_best_alignment(required, provided, CONV, DEFAULT)
+    assert [(m.kind, m.order) for m in match.mismatches] == [(PARAM_PERMUTATION, (2, 0, 1))]
+    assert solver_calls == [3]
+
+
+def test_params_sharing_their_only_slot_do_not_match(solver_calls):
+    # Square, one feasible slot per param, but both need slot 0.
+    required = op("f", (param("x", I32, "g.one"), param("y", I32, "g.one")), I32, "data.k")
+    provided = op("f", (param("p", I32, "g.one"), param("q", BOOL, "g.one")), I32, "data.k")
+    assert match_operation(required, provided, CONV, DEFAULT) is None
+    assert oracle_best_alignment(required, provided, CONV, DEFAULT) is None
+    assert solver_calls == [2]
+
+
+@pytest.mark.parametrize("config_name", ["all-zero", "permutation==conversion"])
+def test_spare_slot_fill_counts_in_the_permutation_tie_break(config_name):
+    # Group g.one is not square: `a` has one feasible slot (2) and slot 0
+    # is filled. The permuted alignment (b in slot 3) and the in-order one
+    # (b widened into slot 1) tie on score and mismatch count, so the
+    # slot keys decide, and slot 0's fill must count in both of them.
+    config = CONFIGS[config_name]
+    required = op("f", (param("b", I32, "g.two"), param("a", BOOL, "g.one")), I32, "data.k")
+    provided = op(
+        "f",
+        (
+            param("s", STRING, "g.one", default=Literal("string", "x")),
+            param("l", I64, "g.two", default=Literal("int", 8)),
+            param("a", BOOL, "g.one"),
+            param("b", I32, "g.two", default=Literal("int", 7)),
+        ),
+        I32,
+        "data.k",
+    )
+    match = match_operation(required, provided, CONV, config)
+    assert match == oracle_best_alignment(required, provided, CONV, config)
+    assert [(m.kind, m.slot) for m in match.mismatches] == [
+        (DEFAULT_FILL, 0),
+        (TYPE_CONVERSION, 1),
+        (DEFAULT_FILL, 3),
+    ]

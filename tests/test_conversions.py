@@ -15,7 +15,7 @@ from adapterforge.conversions import (
     load_rules,
     parse_rules_text,
 )
-from adapterforge.speclang import F64, I32, I64, AdapterForgeError, ParseError, list_of
+from adapterforge.speclang import F64, I32, I64, STRING, AdapterForgeError, ParseError, list_of
 
 
 def test_load_corpus_rules_table(corpus_dir):
@@ -174,3 +174,33 @@ def test_error_totality_on_arbitrary_rules_bytes(tmp_path_factory, data: bytes):
         load_rules(path)
     except AdapterForgeError:
         pass
+
+
+_TABLE_PORTS = [
+    TypePort(ty, unit) for ty in (I32, I64, F64, list_of(I32)) for unit in (None, "ms", "s")
+]
+_OUTSIDE_PORTS = [TypePort(STRING), TypePort(F64, "h"), TypePort(list_of(I64), "ms")]
+_RULES = [ConversionRule("WIDEN"), ConversionRule("PARSE"), ConversionRule("UNIT_SCALE", Fraction(1, 1000))]
+_table_rows = st.lists(
+    st.tuples(st.sampled_from(_TABLE_PORTS), st.sampled_from(_TABLE_PORTS), st.sampled_from(_RULES))
+    .filter(lambda row: row[0] != row[1]),
+    max_size=20,
+)
+
+
+@given(rows=_table_rows)
+@settings(max_examples=300, deadline=None)
+def test_bridge_index_agrees_with_lookup(rows):
+    added = ConversionTable()
+    for frm, to, rule in rows:
+        added.add(frm, to, rule)
+    built = ConversionTable(entries={(frm, to): rule for frm, to, rule in rows})
+    # The index is not a field: equal entries, equal tables and reprs.
+    assert added == built
+    assert repr(added) == repr(built) == f"ConversionTable(entries={added.entries!r})"
+    ports = [frm for frm, _, _ in rows] + [to for _, to, _ in rows] + _OUTSIDE_PORTS
+    for table in (added, built):
+        for frm in ports:
+            bridges = table.bridges_from(frm.ty, frm.unit)
+            for to in ports:
+                assert ((to.ty, to.unit) in bridges) == (table.lookup(frm, to) is not None)

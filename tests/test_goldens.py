@@ -1,0 +1,44 @@
+"""Every committed golden is exactly what `tests/golden/regen.py` writes.
+
+This pins the `check` reports (both formats) and exit codes of the
+exact, golden, missing and units corpus cases byte for byte, and checks
+that the regeneration script reproduces the figure3 goldens that other
+tests compare against.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _load_regen():
+    spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def regenerated(tmp_path_factory) -> Path:
+    outdir = tmp_path_factory.mktemp("golden")
+    _load_regen().write_goldens(outdir)
+    return outdir
+
+
+def test_regeneration_writes_every_committed_golden(regenerated):
+    committed = {p.name for p in GOLDEN.iterdir() if p.is_file() and p.suffix != ".py"}
+    assert {p.name for p in regenerated.iterdir()} == committed
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in GOLDEN.iterdir() if p.is_file() and p.suffix != ".py")
+)
+def test_golden_is_byte_identical(regenerated, name):
+    assert (regenerated / name).read_bytes() == (GOLDEN / name).read_bytes()
+

@@ -37,7 +37,7 @@ from adapterforge.speclang import (
 )
 from adapterforge.speclang import BOOL, F64, I32, I64, STRING, UNIT
 from adapterforge.speclang.lexer import position, tokenize, unquote
-from adapterforge.speclang.parser import _fast_component, _token_component, parse_type
+from adapterforge.speclang.parser import _fast_component, _fast_concept, _token_component, parse_type
 from conftest import corpus_spec_paths
 from genspecs import adaptable_pair, random_component
 from oracles import oracle_parse_any, oracle_parse_type, oracle_tokenize
@@ -677,6 +677,20 @@ def test_fast_path_reads_hand_written_and_generated_components(tmp_path: Path, c
         spec = _fast_component(text)
         assert spec is not None and spec == _token_component(text), text
 
+
+_CONCEPT_CHARS = "az09_.Z\u00e9\u0663\n"
+
+
+@given(text=st.text(_CONCEPT_CHARS, max_size=12) | st.from_regex(r"[a-z][a-z0-9_]*(\.[a-z0-9_]*)*", fullmatch=True))
+@settings(max_examples=500, deadline=None)
+def test_fast_concept_accepts_what_from_text_accepts(text: str):
+    # One regex over the whole path must accept exactly the paths whose
+    # every segment passes CONCEPT_SEGMENT_RE.
+    try:
+        expected = ConceptId.from_text(text)
+    except ValueError:
+        expected = None
+    assert _fast_concept(text, {}) == expected
 
 def test_parse_type_table_matches_the_token_parser():
     # Each scalar at list depths 0-3 is answered from the table, with
