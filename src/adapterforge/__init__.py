@@ -4,73 +4,102 @@ Parse component (`.cdl`) and project (`.pdl`) specifications, compare
 required against provided interfaces by semantic concept, classify the
 mismatches, retrieve or generate bridging adapters from a
 content-addressed pool, integrate them, and re-verify the result.
+
+The public names below load on first access (PEP 562): `import
+adapterforge` loads no layer, and `adapterforge.analyse` or `from
+adapterforge import analyse` imports the analyser, and only it. Each
+access reads the defining module's current binding.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .adapters import (
-    AdapterSpec,
-    OpMapping,
-    emit_descriptor,
-    emit_stub,
-    generate_adapter,
-    interpret_mapping,
-    parse_descriptor,
-)
-from .analyser import (
-    ConnectionVerdict,
-    Demand,
-    MatchReport,
-    Mismatch,
-    OperationMatch,
-    analyse,
-    match_operation,
-    verify,
-)
-from .aslt import (
-    Aslt,
-    AsltNode,
-    FoldPattern,
-    FoldView,
-    attach_meta,
-    build_aslt,
-    build_component_aslt,
-    dump,
-    fold,
-    traverse,
-)
-from .conversions import ConversionRule, ConversionTable, MatchConfig, TypePort, load_rules
-from .linkage import (
-    WorkflowResult,
-    integrate,
-    run_workflow,
-)
-from .pool import (
-    PoolQuery,
-    init_pool,
-    pool_add,
-    pool_get,
-    pool_list,
-    pool_query,
-    pool_verify,
-)
-from .speclang import (
-    ComponentSpec,
-    ConceptId,
-    Connection,
-    InterfaceSpec,
-    OperationSig,
-    ParamSig,
-    ParseError,
-    ProjectSpec,
-    SemType,
-    Violation,
-    parse_any,
-    parse_component,
-    parse_project,
-    serialize,
-    validate,
-)
+# Public name -> the module that defines it.
+_MODULE_OF = {
+    name: module
+    for module, names in (
+        (
+            "adapters",
+            (
+                "AdapterSpec",
+                "OpMapping",
+                "emit_descriptor",
+                "emit_stub",
+                "generate_adapter",
+                "interpret_mapping",
+                "parse_descriptor",
+            ),
+        ),
+        (
+            "analyser",
+            (
+                "ConnectionVerdict",
+                "Demand",
+                "MatchReport",
+                "Mismatch",
+                "OperationMatch",
+                "analyse",
+                "match_operation",
+                "verify",
+            ),
+        ),
+        (
+            "aslt",
+            (
+                "Aslt",
+                "AsltNode",
+                "FoldPattern",
+                "FoldView",
+                "attach_meta",
+                "build_aslt",
+                "build_component_aslt",
+                "dump",
+                "fold",
+                "traverse",
+            ),
+        ),
+        ("conversions", ("ConversionRule", "ConversionTable", "MatchConfig", "TypePort", "load_rules")),
+        ("linkage", ("WorkflowResult", "integrate", "run_workflow")),
+        (
+            "pool",
+            ("PoolQuery", "init_pool", "pool_add", "pool_get", "pool_list", "pool_query", "pool_verify"),
+        ),
+        (
+            "speclang",
+            (
+                "ComponentSpec",
+                "ConceptId",
+                "Connection",
+                "InterfaceSpec",
+                "OperationSig",
+                "ParamSig",
+                "ParseError",
+                "ProjectSpec",
+                "SemType",
+                "Violation",
+                "parse_any",
+                "parse_component",
+                "parse_project",
+                "serialize",
+                "validate",
+            ),
+        ),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})
+
 
 __all__ = [
     "AdapterSpec",

@@ -11,7 +11,6 @@ byte-identical artifacts, and the descriptor is what the pool stores.
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,11 +35,14 @@ from .conversions import (
     ConversionRule,
     TypePort,
 )
+from .conversions import port_from_json as _port_from_json
+from .conversions import port_to_json as _port_to_json
+from .conversions import rule_from_json as _rule_from_json
+from .conversions import rule_to_json as _rule_to_json
 from .speclang import (
     PROVIDED,
     REQUIRED,
     ComponentSpec,
-    ConceptId,
     InterfaceSpec,
     Literal,
     MetaEntry,
@@ -48,15 +50,20 @@ from .speclang import (
     ParamSig,
     format_float,
     format_version,
+    parse_version,
 )
-from .speclang.errors import AdapterForgeError
+from .speclang.errors import E_DESCRIPTOR, AdapterForgeError, AdapterGenError
+from .speclang.errors import json_field as _field
+from .speclang.errors import json_objects as _objects
+from .speclang.model import concept_from_json as _concept_from_json
+from .speclang.model import literal_from_json as _literal_from_json
+from .speclang.model import literal_to_json as _literal_to_json
 from .speclang.parser import parse_type
 
 E_NOT_ADAPTABLE = "E_NOT_ADAPTABLE"
 E_TEMPLATE = "E_TEMPLATE"
 E_NARROW = "E_NARROW"
 E_PARSE = "E_PARSE"
-E_DESCRIPTOR = "E_DESCRIPTOR"
 
 TAKE = "TAKE"
 CONVERT = "CONVERT"
@@ -64,10 +71,6 @@ FILL = "FILL"
 
 I32_RANGE = (-(2**31), 2**31 - 1)
 I64_RANGE = (-(2**63), 2**63 - 1)
-
-
-class AdapterGenError(AdapterForgeError):
-    pass
 
 
 class InterpretError(AdapterForgeError):
@@ -323,8 +326,6 @@ def parse_descriptor(text: str) -> AdapterSpec:
         raise AdapterGenError(E_DESCRIPTOR, f"descriptor is not JSON: {err}") from None
     if not isinstance(doc, dict) or doc.get("format") != "adapter/1":
         raise AdapterGenError(E_DESCRIPTOR, "not an adapter descriptor")
-    from .speclang import parse_version
-
     delegates = _field(doc, "delegates", dict)
     provenance = _field(doc, "provenance", dict)
     try:
@@ -344,28 +345,6 @@ def parse_descriptor(text: str) -> AdapterSpec:
         )
     except (ValueError, ArithmeticError) as err:
         raise AdapterGenError(E_DESCRIPTOR, f"malformed descriptor: {err}") from None
-
-
-def _field(doc: dict, key: str, kind: type | tuple[type, ...], optional: bool = False) -> Any:
-    """`doc[key]`, which must hold the given JSON type (a bool is never
-    a number); a missing or mistyped field is E_DESCRIPTOR."""
-    if key not in doc:
-        if optional:
-            return None
-        raise AdapterGenError(E_DESCRIPTOR, f"descriptor field {key!r} is missing")
-    value = doc[key]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise AdapterGenError(
-            E_DESCRIPTOR, f"descriptor field {key!r} has type {type(value).__name__}"
-        )
-    return value
-
-
-def _objects(doc: dict, key: str) -> list[dict]:
-    items = _field(doc, key, list)
-    if not all(isinstance(item, dict) for item in items):
-        raise AdapterGenError(E_DESCRIPTOR, f"descriptor field {key!r} holds a non-object")
-    return items
 
 
 def _iface_to_json(iface: InterfaceSpec) -> dict:
@@ -412,67 +391,6 @@ def _iface_from_json(doc: dict, direction: str) -> InterfaceSpec:
         for op in _objects(doc, "operations")
     )
     return InterfaceSpec(_field(doc, "name", str), direction, ops)
-
-
-def _concept_from_json(text: str | None) -> ConceptId | None:
-    """A stored concept, held to the segment syntax a spec enforces."""
-    if text is None:
-        return None
-    try:
-        return ConceptId.from_text(text)
-    except ValueError as err:
-        raise AdapterGenError(E_DESCRIPTOR, f"malformed concept {text!r}: {err}") from None
-
-
-def _literal_to_json(lit: Literal) -> dict:
-    return {"kind": lit.kind, "value": lit.value}
-
-
-_LITERAL_JSON_TYPES: dict[str, type | tuple[type, ...]] = {
-    "int": int,
-    "float": (int, float),
-    "bool": bool,
-    "string": str,
-}
-
-
-def _literal_from_json(doc: Any) -> Literal:
-    if not isinstance(doc, dict):
-        raise AdapterGenError(E_DESCRIPTOR, "a literal must be an object")
-    kind = _field(doc, "kind", str)
-    value = _field(doc, "value", _LITERAL_JSON_TYPES.get(kind, object))
-    if kind == "float":
-        value = float(value)
-        if not math.isfinite(value):  # a spec could not write it back
-            raise AdapterGenError(E_DESCRIPTOR, f"float literal {value} is not finite")
-    return Literal(kind, value)
-
-
-def _port_to_json(port: TypePort | None) -> Any:
-    if port is None:
-        return None
-    return {"type": str(port.ty), **({"unit": port.unit} if port.unit else {})}
-
-
-def _port_from_json(doc: dict) -> TypePort:
-    return TypePort(parse_type(_field(doc, "type", str)), _field(doc, "unit", str, optional=True))
-
-
-def _rule_to_json(rule: ConversionRule | None) -> Any:
-    if rule is None:
-        return None
-    out: dict[str, Any] = {"kind": rule.kind}
-    if rule.factor is not None:
-        out["factor"] = canonjson.fraction_to_text(rule.factor)
-    return out
-
-
-def _rule_from_json(doc: dict) -> ConversionRule:
-    factor = _field(doc, "factor", str, optional=True)
-    return ConversionRule(
-        _field(doc, "kind", str),
-        canonjson.fraction_from_text(factor) if factor is not None else None,
-    )
 
 
 def _conversion_from_json(doc: dict) -> tuple[ConversionRule, TypePort, TypePort]:

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .aslt import E_UNRESOLVED, resolve_components
 from .conversions import (
     CONCEPT_DISTANCE,
     DEFAULT_CONFIG,
@@ -59,10 +58,12 @@ from .speclang import (
     InterfaceSpec,
     Literal,
     OperationSig,
+    ParamSig,
     ProjectSpec,
     SemType,
 )
-from .speclang.errors import AdapterForgeError
+from .speclang.errors import E_UNRESOLVED, AdapterForgeError
+from .speclang.model import resolve_components
 
 EXACT = "EXACT"
 ADAPTABLE = "ADAPTABLE"
@@ -157,8 +158,6 @@ def shape_of(op: OperationSig) -> OperationShape:
 
 def shape_as_operation(concept: ConceptId, shape: OperationShape) -> OperationSig:
     """Rebuild a nameless signature so shapes can run through matching."""
-    from .speclang import ParamSig
-
     params = tuple(
         ParamSig(name=f"p{i}", ty=ty, concept=c, unit=unit)
         for i, (ty, unit, c) in enumerate(shape.params)
@@ -202,34 +201,27 @@ def match_operation(
     provided: OperationSig,
     conv: ConversionTable,
     config: MatchConfig = DEFAULT_CONFIG,
+    *,
+    location: tuple[str, str] | None = None,
 ) -> OperationMatch | None:
     """Best concept-driven alignment of one required op onto one
-    provided op, or None when no alignment reaches the threshold."""
+    provided op, or None when no alignment reaches the threshold.
+    Every mismatch is located at `location`, by default `("",
+    required.name)`; analysis passes `(connection label, required.name)`."""
     hops = required.concept.hops_to(provided.concept)
     if hops is None:
         return None
 
+    loc = location if location is not None else ("", required.name)
     base: list[Mismatch] = []
     if hops >= 1:
-        base.append(
-            Mismatch(
-                CONCEPT_DISTANCE,
-                location=("", required.name),
-                hops=hops,
-                concept=provided.concept,
-            )
-        )
+        base.append(Mismatch(CONCEPT_DISTANCE, location=loc, hops=hops, concept=provided.concept))
     if required.name != provided.name:
         base.append(
-            Mismatch(
-                RENAME,
-                location=("", required.name),
-                renamed_from=required.name,
-                renamed_to=provided.name,
-            )
+            Mismatch(RENAME, location=loc, renamed_from=required.name, renamed_to=provided.name)
         )
 
-    best = _best_alignment(required, provided, conv, config, tuple(base))
+    best = _best_alignment(required, provided, conv, config, tuple(base), loc)
     if best is None:
         return None
     mismatches, score = best
@@ -249,6 +241,7 @@ def _best_alignment(
     conv: ConversionTable,
     config: MatchConfig,
     base: tuple[Mismatch, ...],
+    loc: tuple[str, str],
 ) -> tuple[tuple[Mismatch, ...], Fraction] | None:
     """The classified alignment with the least key `(-score,
     len(mismatches), slot_key)`, or None when no alignment is feasible.
@@ -276,7 +269,7 @@ def _best_alignment(
         assignment = {
             prov_idx[0]: req_idx[0] for req_idx, prov_idx in groups.values() if req_idx
         }
-    return _classify_assignment(required, provided, assignment, conv, config, base)
+    return _classify_assignment(required, provided, assignment, conv, config, base, loc)
 
 
 def _least_cost_alignment(
@@ -471,8 +464,12 @@ def _classify_assignment(
     conv: ConversionTable,
     config: MatchConfig,
     base: tuple[Mismatch, ...],
+    loc: tuple[str, str] | None = None,
 ) -> tuple[tuple[Mismatch, ...], Fraction] | None:
-    loc = ("", required.name)
+    """The mismatches and score of one alignment, located at `loc` (by
+    default `("", required.name)`), or None when it is infeasible."""
+    if loc is None:
+        loc = ("", required.name)
     mismatches = list(base)
 
     order = tuple(
@@ -594,23 +591,12 @@ def _judge_connection(
     op_matches: list[OperationMatch] = []
     missing: list[Mismatch] = []
     for req_op in required_iface.operations:
-        best = _best_candidate(req_op, provided_iface, conv, config)
+        loc = (label, req_op.name)
+        best = _best_candidate(req_op, provided_iface, conv, config, loc)
         if best is None:
-            missing.append(
-                Mismatch(
-                    MISSING_OPERATION,
-                    location=(label, req_op.name),
-                    concept=req_op.concept,
-                )
-            )
+            missing.append(Mismatch(MISSING_OPERATION, location=loc, concept=req_op.concept))
         else:
-            relocated = replace(
-                best,
-                mismatches=tuple(
-                    replace(m, location=(label, req_op.name)) for m in best.mismatches
-                ),
-            )
-            op_matches.append(relocated)
+            op_matches.append(best)
 
     all_mismatches = tuple(
         itertools.chain(*(m.mismatches for m in op_matches), missing)
@@ -662,11 +648,12 @@ def _best_candidate(
     provided_iface: InterfaceSpec,
     conv: ConversionTable,
     config: MatchConfig,
+    loc: tuple[str, str] | None = None,
 ) -> OperationMatch | None:
     best: OperationMatch | None = None
     best_key: tuple | None = None
     for prov_op in provided_iface.operations:
-        match = match_operation(req_op, prov_op, conv, config)
+        match = match_operation(req_op, prov_op, conv, config, location=loc)
         if match is None:
             continue
         key = (-match.score, len(match.mismatches), match.provided_name)

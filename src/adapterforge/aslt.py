@@ -24,12 +24,12 @@ from fnmatch import fnmatchcase
 from itertools import count
 
 from .speclang import ComponentSpec, ParamSig, ProjectSpec, format_version
-from .speclang.errors import AdapterForgeError
+from .speclang.errors import E_UNRESOLVED, AdapterForgeError
+from .speclang.model import resolve_components
 from .speclang.serializer import serialize_with_positions
 
 E_NO_NODE = "E_NO_NODE"
 E_META_ON_META = "E_META_ON_META"
-E_UNRESOLVED = "E_UNRESOLVED"
 
 KINDS = ("project", "component", "interface", "operation", "parameter", "meta")
 _CHILD_KIND = {
@@ -95,29 +95,12 @@ class FoldView:
     hidden: frozenset[int]
 
 
-def resolve_components(
-    project: ProjectSpec, components: list[ComponentSpec]
-) -> dict[str, ComponentSpec]:
-    """Pick, per uses entry, the highest version satisfying its constraint."""
-    resolved: dict[str, ComponentSpec] = {}
-    for use in project.uses:
-        candidates = [
-            c
-            for c in components
-            if c.name == use.name and use.constraint.satisfies(c.version)
-        ]
-        if not candidates:
-            raise AsltError(
-                E_UNRESOLVED,
-                f"no component satisfies uses {use.name!r} {use.constraint}",
-            )
-        resolved[use.name] = max(candidates, key=lambda c: c.version)
-    return resolved
-
-
 def build_aslt(project: ProjectSpec, components: list[ComponentSpec]) -> Aslt:
     """Deterministic tree for a project and the components it uses."""
-    resolved = resolve_components(project, components)
+    try:
+        resolved = resolve_components(project, components)
+    except AdapterForgeError as err:  # E_UNRESOLVED, raised as this module's error
+        raise AsltError(err.code, err.message) from None
     file = f"{project.name}.pdl"
     _, pos = serialize_with_positions(project)
 

@@ -5,6 +5,9 @@ Exit codes are a CI contract: 0 clean, 1 adaptable/adapted (or verify
 findings), 2 incompatible/demand/unresolvable, 3 any error. Reports go
 to stdout, diagnostics to stderr, and only `adapt` and `pool add`
 touch the filesystem.
+
+Importing this module loads only the spec language; each command
+imports the layers it runs when its handler starts.
 """
 
 from __future__ import annotations
@@ -14,31 +17,12 @@ import functools
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analyser import ADAPTABLE, INCOMPATIBLE, Demand, analyse
-from .aslt import FoldPattern, build_aslt, build_component_aslt, dump, fold
-from .conversions import DEFAULT_CONFIG, ConversionTable, MatchConfig, load_rules
-from .linkage import (
-    ADAPTED,
-    ALREADY_EXACT,
-    load_specs_dir,
-    parse_spec_file,
-    run_workflow,
-)
-from .pool import (
-    E_INVALID_SPEC,
-    PoolError,
-    PoolQuery,
-    init_pool,
-    pool_add,
-    pool_list,
-    pool_query,
-    pool_verify,
-)
-from .report import HUMAN, STRUCTURED, render_match_report, render_workflow
 from .speclang import (
     ConceptId,
+    ProjectSpec,
     VersionConstraint,
     parse_any,
     parse_project,
@@ -48,12 +32,19 @@ from .speclang import (
 from .speclang.errors import AdapterForgeError
 from .speclang.parser import read_spec_text
 
+if TYPE_CHECKING:
+    from .conversions import ConversionTable, MatchConfig
+
 POOL_ENV = "ADAPTERFORGE_POOL"
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_BLOCKED = 2
 EXIT_ERROR = 3
+
+# `report.HUMAN` and `report.STRUCTURED`, spelled out so that building
+# the parser does not load the report layer.
+FORMATS = ("human", "structured")
 
 
 class _UsageError(Exception):
@@ -79,7 +70,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--pool", metavar="DIR", help=f"pool directory (or ${POOL_ENV})")
         if fmt:
             p.add_argument(
-                "--format", choices=[HUMAN, STRUCTURED], default=HUMAN, help="report format"
+                "--format", choices=FORMATS, default=FORMATS[0], help="report format"
             )
 
     p_check = sub.add_parser("check", help="analyse a project without mutating anything")
@@ -130,6 +121,8 @@ def _pool_root(args: argparse.Namespace) -> Path:
 
 
 def _load_rules(args: argparse.Namespace) -> tuple[ConversionTable, MatchConfig]:
+    from .conversions import DEFAULT_CONFIG, ConversionTable, load_rules
+
     path = getattr(args, "conversions", None)
     if path:
         return load_rules(path)
@@ -143,6 +136,10 @@ def _specs_dir(args: argparse.Namespace, project_path: Path) -> Path:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .analyser import ADAPTABLE, INCOMPATIBLE, analyse
+    from .linkage import load_specs_dir, parse_spec_file
+    from .report import render_match_report
+
     project_path = Path(args.project)
     conv, config = _load_rules(args)
     project = parse_spec_file(project_path, parse_project)
@@ -157,6 +154,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_adapt(args: argparse.Namespace) -> int:
+    from .linkage import ADAPTED, ALREADY_EXACT, run_workflow
+    from .report import STRUCTURED, render_workflow
+
     project_path = Path(args.project)
     conv, config = _load_rules(args)
     result = run_workflow(
@@ -184,6 +184,8 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
+    from .linkage import parse_spec_file
+
     for file in args.files:
         spec = parse_spec_file(Path(file), parse_any)
         sys.stdout.write(serialize(spec))
@@ -191,6 +193,17 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def _cmd_pool(args: argparse.Namespace) -> int:
+    from .pool import (
+        E_INVALID_SPEC,
+        PoolError,
+        PoolQuery,
+        init_pool,
+        pool_add,
+        pool_list,
+        pool_query,
+        pool_verify,
+    )
+
     root = _pool_root(args)
     if args.pool_command == "add":
         init_pool(root)
@@ -205,6 +218,8 @@ def _cmd_pool(args: argparse.Namespace) -> int:
             sys.stdout.write(f"{fp}\n")
         return EXIT_OK
     if args.pool_command == "query":
+        from .analyser import Demand
+
         conv, config = _load_rules(args)
         constraint = _parse_constraint(args.constraint) if args.constraint else None
         demand = Demand(
@@ -246,10 +261,11 @@ def _parse_constraint(text: str) -> VersionConstraint:
 
 
 def _cmd_aslt(args: argparse.Namespace) -> int:
+    from .aslt import FoldPattern, build_aslt, build_component_aslt, dump, fold
+    from .linkage import load_specs_dir, parse_spec_file
+
     path = Path(args.path)
     spec = parse_spec_file(path, parse_any)
-    from .speclang import ProjectSpec
-
     if isinstance(spec, ProjectSpec):
         components = load_specs_dir(_specs_dir(args, path))
         tree = build_aslt(spec, components)

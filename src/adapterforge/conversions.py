@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Any
 
-from .canonjson import fraction_from_text
+from .canonjson import fraction_from_text, fraction_to_text
 from .speclang import SemType
-from .speclang.errors import E_SYNTAX, ParseError
+from .speclang.errors import E_SYNTAX, ParseError, json_field
 from .speclang.parser import parse_type, read_spec_text
 
 WIDEN = "WIDEN"
@@ -67,26 +68,71 @@ class ConversionRule:
         return self.kind
 
 
+def port_to_json(port: TypePort | None) -> Any:
+    if port is None:
+        return None
+    return {"type": str(port.ty), **({"unit": port.unit} if port.unit else {})}
+
+
+def port_from_json(doc: dict) -> TypePort:
+    unit = json_field(doc, "unit", str, optional=True)
+    return TypePort(parse_type(json_field(doc, "type", str)), unit)
+
+
+def rule_to_json(rule: ConversionRule | None) -> Any:
+    if rule is None:
+        return None
+    out: dict[str, Any] = {"kind": rule.kind}
+    if rule.factor is not None:
+        out["factor"] = fraction_to_text(rule.factor)
+    return out
+
+
+def rule_from_json(doc: dict) -> ConversionRule:
+    factor = json_field(doc, "factor", str, optional=True)
+    return ConversionRule(
+        json_field(doc, "kind", str),
+        fraction_from_text(factor) if factor is not None else None,
+    )
+
+
 _NO_BRIDGES: frozenset[tuple[SemType, str | None]] = frozenset()
+
+
+class _Rules(dict):
+    """`ConversionTable.entries`: a dict that refuses writes, so every
+    rule enters through `add` and reaches the bridge index too."""
+
+    def _refuse(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("ConversionTable.entries is read-only; use ConversionTable.add")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self) -> tuple:
+        return _Rules, (dict(self),)
 
 
 @dataclass
 class ConversionTable:
     """Directional rules keyed by (from port, to port).
 
-    The table is extended through `add` or the constructor's `entries`.
-    Both also build a by-source index, `(ty, unit)` -> the `(ty, unit)`
-    ports it bridges to, which the matcher reads to price port pairs
-    without building `TypePort` keys. The index is not a field, so `==`
-    and `repr` see `entries` alone.
+    The table is extended through `add` or the constructor's `entries`;
+    `entries` itself is read-only. Setting `entries` (the constructor
+    does) copies the rules and rebuilds a by-source index, `(ty, unit)`
+    -> the `(ty, unit)` ports it bridges to, which `add` extends and the
+    matcher reads to price port pairs without building `TypePort` keys.
+    The index is not a field, so `==` and `repr` see `entries` alone.
     """
 
     entries: dict[tuple[TypePort, TypePort], ConversionRule] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self._bridges: dict[tuple[SemType, str | None], frozenset[tuple[SemType, str | None]]] = {}
-        for frm, to in self.entries:
-            self._index(frm, to)
+    def __setattr__(self, name: str, value: object) -> None:
+        if name == "entries":
+            value = _Rules(value)  # type: ignore[arg-type]
+            object.__setattr__(self, "_bridges", {})
+            for frm, to in value:
+                self._index(frm, to)
+        object.__setattr__(self, name, value)
 
     def _index(self, frm: TypePort, to: TypePort) -> None:
         key = (frm.ty, frm.unit)
@@ -95,7 +141,7 @@ class ConversionTable:
     def add(self, frm: TypePort, to: TypePort, rule: ConversionRule) -> None:
         if frm == to:
             raise ValueError(f"identity conversion {frm} -> {to} is not allowed")
-        self.entries[(frm, to)] = rule
+        dict.__setitem__(self.entries, (frm, to), rule)
         self._index(frm, to)
 
     def lookup(self, frm: TypePort, to: TypePort) -> ConversionRule | None:

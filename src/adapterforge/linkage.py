@@ -11,6 +11,10 @@ otherwise an adapter is generated when the connection is adaptable.
 Generated adapters are always stored, even when later verification
 fails; a failed verification turns the outcome unresolvable instead of
 unwinding the pool.
+
+Reading specs needs only the spec language, so `fmt` and `check` load
+this module without the workflow's layers: `run_workflow` and
+`integrate` import the analyser, adapters and pool when they run.
 """
 
 from __future__ import annotations
@@ -18,22 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .adapters import AdapterSpec, as_component, emit_descriptor, generate_adapter
-from .analyser import (
-    ADAPTABLE,
-    EXACT,
-    ConnectionVerdict,
-    Demand,
-    MatchReport,
-    analyse,
-    analyse_resolved,
-    shape_of,
-)
-from .aslt import resolve_components
 from .conversions import DEFAULT_CONFIG, ConversionTable, MatchConfig
-from .pool import PoolQuery, init_pool, pool_add_generated, pool_query
 from .speclang import (
     PROVIDED,
     REQUIRED,
@@ -48,7 +39,12 @@ from .speclang import (
     parse_project,
 )
 from .speclang.errors import AdapterForgeError
+from .speclang.model import resolve_components
 from .speclang.parser import read_spec_text
+
+if TYPE_CHECKING:
+    from .adapters import AdapterSpec
+    from .analyser import Demand, MatchReport
 
 E_PARSE = "E_PARSE"
 E_INTERFACE_MISMATCH = "E_INTERFACE_MISMATCH"
@@ -161,6 +157,8 @@ def integrate(
     """Splice an adapter into one connection: the single consumer ->
     provider edge becomes consumer -> adapter -> provider, and the
     adapter is pinned in `uses`."""
+    from .adapters import as_component
+
     component = as_component(adapter)
     if component.interface(PROVIDED, connection.consumer_interface) is None:
         raise LinkageError(
@@ -196,14 +194,11 @@ def _pin(project: ProjectSpec, component: ComponentSpec) -> ProjectSpec:
 
 
 def _healing_hit(
-    candidate: ComponentSpec | AdapterSpec,
-    consumer_iface: InterfaceSpec,
-    provider_iface: InterfaceSpec,
+    component: ComponentSpec, consumer_iface: InterfaceSpec, provider_iface: InterfaceSpec
 ) -> bool:
     """A usable pool hit must re-verify as exact on both rewritten
     edges: provide the consumer's interface verbatim and require the
     provider's verbatim."""
-    component = as_component(candidate)
     provides = component.interface(PROVIDED, consumer_iface.name)
     requires = component.interface(REQUIRED, provider_iface.name)
     return (
@@ -219,6 +214,10 @@ def run_workflow(
     conv: ConversionTable,
     config: MatchConfig = DEFAULT_CONFIG,
 ) -> WorkflowResult:
+    from .adapters import as_component, emit_descriptor, generate_adapter
+    from .analyser import ADAPTABLE, EXACT, Demand, analyse, analyse_resolved, shape_of
+    from .pool import PoolQuery, init_pool, pool_add_generated, pool_query
+
     trace = _Trace()
 
     project = parse_spec_file(Path(project_path), parse_project)
@@ -258,6 +257,21 @@ def run_workflow(
         integrations.append(Integration(label, source, fp, component.name))
         trace.add("integrate", f"{component.name} {where}")
 
+    def consult(
+        query: PoolQuery, note: str, accept: Callable[[ComponentSpec | AdapterSpec], bool]
+    ) -> tuple[str, ComponentSpec | AdapterSpec] | None:
+        """The best-ranked candidate for `query` that `accept` takes, as
+        `(fingerprint, value)`; `pool_query` returns only candidates that
+        reach the threshold."""
+        trace.add("query", note)
+        ranked = pool_query(pool_root, query, conv, config)
+        trace.add("return", f"{len(ranked)} candidate(s)")
+        for candidate in ranked:
+            value = candidate.load()
+            if accept(value):
+                return candidate.fingerprint, value
+        return None
+
     for verdict in report.verdicts:
         if verdict.status == EXACT:
             continue
@@ -275,10 +289,9 @@ def run_workflow(
         # index entry lists every op concept of it; other entries are not
         # priced.
         provides = frozenset(op.concept for op in consumer_iface.operations)
-        hit = _consult_pool(
-            pool_root, PoolQuery(demand, provides=provides), f"{demand.concept} for {conn.label()}",
-            conv, config, trace,
-            accept=lambda value: _healing_hit(value, consumer_iface, provider_iface),
+        hit = consult(
+            PoolQuery(demand, provides=provides), f"{demand.concept} for {conn.label()}",
+            accept=lambda value: _healing_hit(as_component(value), consumer_iface, provider_iface),
         )
         if hit is not None:
             splice(*hit, POOL_HIT, conn)
@@ -292,7 +305,12 @@ def run_workflow(
             trace.add("store", f"{value.name} as {fp}")
             splice(fp, value, GENERATED, conn)
         else:
-            unresolved.extend(_connection_demands(report, verdict, consumer_iface))
+            label = conn.label()
+            # Low-score incompatibility: every required operation is unmet demand.
+            unresolved.extend(
+                [d for d in report.demand if d.origin == label]
+                or [Demand(op.concept, shape_of(op), label) for op in consumer_iface.operations]
+            )
             diagnostics.append(
                 f"{conn.label()}: {verdict.reason or 'incompatible'}; needs development"
             )
@@ -301,9 +319,7 @@ def run_workflow(
         if demand.origin != "project":
             continue
         note = f"{demand.concept} (project demand)"
-        hit = _consult_pool(
-            pool_root, PoolQuery(demand), note, conv, config, trace, accept=lambda value: True
-        )
+        hit = consult(PoolQuery(demand), note, accept=lambda value: True)
         if hit is None:
             unresolved.append(demand)
         else:
@@ -336,40 +352,3 @@ def run_workflow(
         diagnostics=tuple(diagnostics),
         descriptors=tuple(descriptors),
     )
-
-
-def _consult_pool(
-    pool_root: str | Path,
-    query: PoolQuery,
-    note: str,
-    conv: ConversionTable,
-    config: MatchConfig,
-    trace: _Trace,
-    accept: Callable[[ComponentSpec | AdapterSpec], bool],
-) -> tuple[str, ComponentSpec | AdapterSpec] | None:
-    """The best-ranked candidate for `query` that `accept` takes, as
-    `(fingerprint, value)`; `pool_query` returns only candidates that
-    reach the threshold."""
-    trace.add("query", note)
-    ranked = pool_query(pool_root, query, conv, config)
-    trace.add("return", f"{len(ranked)} candidate(s)")
-    for candidate in ranked:
-        value = candidate.load()
-        if accept(value):
-            return candidate.fingerprint, value
-    return None
-
-
-def _connection_demands(
-    report: MatchReport, verdict: ConnectionVerdict, consumer_iface: InterfaceSpec
-) -> list[Demand]:
-    label = verdict.connection.label()
-    from_report = [d for d in report.demand if d.origin == label]
-    if from_report:
-        return from_report
-    # Low-score incompatibility: every required operation is unmet demand.
-    return [
-        Demand(concept=op.concept, shape=shape_of(op), origin=label)
-        for op in consumer_iface.operations
-    ]
-

@@ -28,6 +28,11 @@ fingerprint, so lookups read it by byte search: `_store` and
 the lines that hold a concept string related to the demand. The check
 runs a column at a time over the decoded lines; an `IndexEntry` is
 built only for an entry a call hands out.
+
+Listing, verifying and storing a component spec need neither the
+analyser nor the adapter layer: those load inside the calls that read,
+store or price an adapter (`pool_query`, `_canonicalize`, `_store`,
+`_read_artifact`).
 """
 
 from __future__ import annotations
@@ -46,17 +51,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import canonjson
-from .adapters import (
-    AdapterSpec,
-    as_component,
-    check_adapter,
-    emit_descriptor,
-    parse_descriptor,
-)
-from .analyser import Demand, match_operation, shape_as_operation
 from .conversions import DEFAULT_CONFIG, ConversionTable, MatchConfig
 from .speclang import (
     ComponentSpec,
@@ -70,6 +67,10 @@ from .speclang import (
     validate,
 )
 from .speclang.errors import AdapterForgeError
+
+if TYPE_CHECKING:
+    from .adapters import AdapterSpec
+    from .analyser import Demand
 
 E_IO = "E_IO"
 E_INVALID_SPEC = "E_INVALID_SPEC"
@@ -429,6 +430,8 @@ def _canonicalize(document: str) -> tuple[bytes, ComponentSpec | AdapterSpec, Co
     A descriptor must read back as the component spec it stands for."""
     stripped = document.lstrip()
     if stripped.startswith("{"):
+        from .adapters import emit_descriptor, parse_descriptor
+
         bad = "not a valid adapter descriptor"
         try:
             adapter = parse_descriptor(document)
@@ -493,7 +496,9 @@ def _store(
         codes = "; ".join(v.code for v in violations)
         raise PoolError(E_INVALID_SPEC, f"spec {component.name} has violations: {codes}")
     kind = KIND_COMPONENT
-    if isinstance(value, AdapterSpec):
+    if not isinstance(value, ComponentSpec):
+        from .adapters import check_adapter
+
         kind = KIND_ADAPTER
         problems = "; ".join(check_adapter(value))
         if problems:
@@ -565,6 +570,8 @@ def _read_artifact(root: Path, fp: str, kind: str, relpath: str) -> ComponentSpe
         path = root / relpath
         raise PoolError(E_CORRUPT, f"{path} is not UTF-8: byte {err.start} is invalid") from None
     if kind == KIND_ADAPTER:
+        from .adapters import parse_descriptor
+
         return parse_descriptor(text)
     return parse_component(text)
 
@@ -664,6 +671,9 @@ def pool_query(
     `config.threshold`: a bare demand is cut at the threshold here, a
     shaped one by `match_operation`.
     """
+    from .adapters import as_component
+    from .analyser import match_operation, shape_as_operation
+
     root = Path(root)
     conv = conv if conv is not None else ConversionTable()
     demand = query.demand

@@ -13,16 +13,6 @@ from fractions import Fraction
 from typing import Any
 
 from . import canonjson
-from .adapters import (
-    _concept_from_json,
-    _literal_from_json,
-    _literal_to_json,
-    _port_from_json,
-    _port_to_json,
-    _rule_from_json,
-    _rule_to_json,
-    parse_descriptor,
-)
 from .analyser import (
     ConnectionVerdict,
     Demand,
@@ -43,7 +33,13 @@ from .speclang import (
     parse_project,
     serialize,
 )
-from .speclang.model import IDENT_RE
+from .conversions import port_from_json, port_to_json, rule_from_json, rule_to_json
+from .speclang.model import (
+    IDENT_RE,
+    concept_from_json,
+    literal_from_json,
+    literal_to_json,
+)
 from .speclang.parser import parse_type
 
 HUMAN = "human"
@@ -109,12 +105,12 @@ def mismatch_to_json(m: Mismatch) -> dict:
     if m.slot is not None:
         doc["slot"] = m.slot
     if m.from_port is not None:
-        doc["from"] = _port_to_json(m.from_port)
-        doc["to"] = _port_to_json(m.to_port)
+        doc["from"] = port_to_json(m.from_port)
+        doc["to"] = port_to_json(m.to_port)
     if m.rule is not None:
-        doc["rule"] = _rule_to_json(m.rule)
+        doc["rule"] = rule_to_json(m.rule)
     if m.fill_value is not None:
-        doc["fill"] = _literal_to_json(m.fill_value)
+        doc["fill"] = literal_to_json(m.fill_value)
     if m.hops is not None:
         doc["hops"] = m.hops
     if m.concept is not None:
@@ -130,12 +126,12 @@ def mismatch_from_json(doc: dict) -> Mismatch:
         renamed_to=doc.get("renamed_to"),
         order=tuple(doc["order"]) if "order" in doc else None,
         slot=doc.get("slot"),
-        from_port=_port_from_json(doc["from"]) if "from" in doc else None,
-        to_port=_port_from_json(doc["to"]) if "to" in doc else None,
-        rule=_rule_from_json(doc["rule"]) if "rule" in doc else None,
-        fill_value=_literal_from_json(doc["fill"]) if "fill" in doc else None,
+        from_port=port_from_json(doc["from"]) if "from" in doc else None,
+        to_port=port_from_json(doc["to"]) if "to" in doc else None,
+        rule=rule_from_json(doc["rule"]) if "rule" in doc else None,
+        fill_value=literal_from_json(doc["fill"]) if "fill" in doc else None,
         hops=doc.get("hops"),
-        concept=_concept_from_json(doc["concept"]) if "concept" in doc else None,
+        concept=concept_from_json(doc["concept"]) if "concept" in doc else None,
     )
 
 
@@ -156,8 +152,8 @@ def _param_concept_from_json(text: str) -> ConceptId:
     concept extended by `arg.<param name>`, whose name is any identifier."""
     head, sep, name = text.rpartition(".arg.")
     if sep and IDENT_RE.match(name):
-        return _concept_from_json(head).child("arg", name)
-    return _concept_from_json(text)
+        return concept_from_json(head).child("arg", name)
+    return concept_from_json(text)
 
 
 def _shape_from(doc: Any) -> OperationShape | None:
@@ -182,7 +178,7 @@ def demand_to_json(demand: Demand) -> dict:
 
 def demand_from_json(doc: dict) -> Demand:
     return Demand(
-        concept=_concept_from_json(doc["concept"]),
+        concept=concept_from_json(doc["concept"]),
         shape=_shape_from(doc["shape"]),
         origin=doc["origin"],
     )
@@ -266,6 +262,8 @@ def workflow_result_to_json(result: WorkflowResult) -> dict:
 
 
 def workflow_result_from_json(doc: dict) -> WorkflowResult:
+    from .adapters import parse_descriptor
+
     return WorkflowResult(
         outcome=doc["outcome"],
         integrations=tuple(Integration(**i) for i in doc["integrations"]),

@@ -1,8 +1,10 @@
-"""Error and violation types shared across the toolchain."""
+"""Error and violation types shared across the toolchain, and the
+typed field access that stored JSON documents are decoded through."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 
 class AdapterForgeError(Exception):
@@ -24,6 +26,11 @@ class ParseError(AdapterForgeError):
         self.col = col
 
 
+class AdapterGenError(AdapterForgeError):
+    """An adapter that cannot be generated, or a stored descriptor or
+    report that does not decode."""
+
+
 # Parse error codes.
 E_SYNTAX = "E_SYNTAX"
 E_DUP_NAME = "E_DUP_NAME"
@@ -31,6 +38,35 @@ E_NO_CONCEPT = "E_NO_CONCEPT"
 E_BAD_VERSION = "E_BAD_VERSION"
 E_DUP_USE = "E_DUP_USE"
 E_BAD_CONSTRAINT = "E_BAD_CONSTRAINT"
+
+# A project `uses` entry that no component satisfies.
+E_UNRESOLVED = "E_UNRESOLVED"
+
+# A stored descriptor or report that does not decode.
+E_DESCRIPTOR = "E_DESCRIPTOR"
+
+
+def json_field(doc: dict, key: str, kind: type | tuple[type, ...], optional: bool = False) -> Any:
+    """`doc[key]`, which must hold the given JSON type (a bool is never
+    a number); a missing or mistyped field is E_DESCRIPTOR."""
+    if key not in doc:
+        if optional:
+            return None
+        raise AdapterGenError(E_DESCRIPTOR, f"descriptor field {key!r} is missing")
+    value = doc[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise AdapterGenError(
+            E_DESCRIPTOR, f"descriptor field {key!r} has type {type(value).__name__}"
+        )
+    return value
+
+
+def json_objects(doc: dict, key: str) -> list[dict]:
+    """`doc[key]` as a list of JSON objects, else E_DESCRIPTOR."""
+    items = json_field(doc, key, list)
+    if not all(isinstance(item, dict) for item in items):
+        raise AdapterGenError(E_DESCRIPTOR, f"descriptor field {key!r} holds a non-object")
+    return items
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,12 @@ no matter how their source text was laid out.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from typing import Any
+
+from .errors import E_DESCRIPTOR, E_UNRESOLVED, AdapterForgeError, AdapterGenError, json_field
 
 SCALAR_KINDS = ("i32", "i64", "f64", "bool", "string", "bytes", "unit")
 NUMERIC_KINDS = ("i32", "i64", "f64")
@@ -112,6 +116,16 @@ class ConceptId:
         return ".".join(self.segments)
 
 
+def concept_from_json(text: str | None) -> ConceptId | None:
+    """A stored concept, held to the segment syntax a spec enforces."""
+    if text is None:
+        return None
+    try:
+        return ConceptId.from_text(text)
+    except ValueError as err:
+        raise AdapterGenError(E_DESCRIPTOR, f"malformed concept {text!r}: {err}") from None
+
+
 Version = tuple[int, int, int]
 
 
@@ -204,6 +218,30 @@ class Literal:
         return str(self.value)
 
 
+def literal_to_json(lit: Literal) -> dict:
+    return {"kind": lit.kind, "value": lit.value}
+
+
+_LITERAL_JSON_TYPES: dict[str, type | tuple[type, ...]] = {
+    "int": int,
+    "float": (int, float),
+    "bool": bool,
+    "string": str,
+}
+
+
+def literal_from_json(doc: Any) -> Literal:
+    if not isinstance(doc, dict):
+        raise AdapterGenError(E_DESCRIPTOR, "a literal must be an object")
+    kind = json_field(doc, "kind", str)
+    value = json_field(doc, "value", _LITERAL_JSON_TYPES.get(kind, object))
+    if kind == "float":
+        value = float(value)
+        if not math.isfinite(value):  # a spec could not write it back
+            raise AdapterGenError(E_DESCRIPTOR, f"float literal {value} is not finite")
+    return Literal(kind, value)
+
+
 def format_float(value: float) -> str:
     """repr round-trips exactly; ensure the text re-lexes as a float."""
     text = repr(value)
@@ -260,10 +298,16 @@ class OperationSig:
         `base` substitutes the anchor for synthesized (unannotated)
         concepts; matching anchors both sides of a comparison on the
         consumer's operation concept so that ancestry-related
-        operations can still align their parameters.
+        operations can still align their parameters. Without `base`
+        the tuple is computed once per op and kept on it.
         """
-        anchor = base if base is not None else self.concept
-        return tuple(p.effective_concept(anchor) for p in self.params)
+        if base is not None:
+            return tuple(p.effective_concept(base) for p in self.params)
+        concepts = self.__dict__.get("_param_concepts")
+        if concepts is None:
+            concepts = tuple(p.effective_concept(self.concept) for p in self.params)
+            object.__setattr__(self, "_param_concepts", concepts)
+        return concepts
 
 
 @dataclass(frozen=True)
@@ -378,3 +422,23 @@ class ProjectSpec:
 
 
 Spec = ComponentSpec | ProjectSpec
+
+
+def resolve_components(
+    project: ProjectSpec, components: list[ComponentSpec]
+) -> dict[str, ComponentSpec]:
+    """Pick, per uses entry, the highest version satisfying its constraint."""
+    resolved: dict[str, ComponentSpec] = {}
+    for use in project.uses:
+        candidates = [
+            c
+            for c in components
+            if c.name == use.name and use.constraint.satisfies(c.version)
+        ]
+        if not candidates:
+            raise AdapterForgeError(
+                E_UNRESOLVED,
+                f"no component satisfies uses {use.name!r} {use.constraint}",
+            )
+        resolved[use.name] = max(candidates, key=lambda c: c.version)
+    return resolved

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -204,3 +206,38 @@ def test_bridge_index_agrees_with_lookup(rows):
             bridges = table.bridges_from(frm.ty, frm.unit)
             for to in ports:
                 assert ((to.ty, to.unit) in bridges) == (table.lookup(frm, to) is not None)
+
+
+def test_entries_cannot_bypass_the_bridge_index():
+    """A rule written into `entries` directly used to reach `lookup` but
+    not `bridges_from`; `entries` is read-only, and setting it anew
+    rebuilds the index."""
+    widen, i32, i64 = ConversionRule("WIDEN"), TypePort(I32), TypePort(I64)
+    table = ConversionTable()
+    writes = [
+        lambda e: e.__setitem__((i32, i64), widen),
+        lambda e: e.update({(i32, i64): widen}),
+        lambda e: e.setdefault((i32, i64), widen),
+    ]
+    for write in writes:
+        with pytest.raises(TypeError):
+            write(table.entries)
+    assert table.lookup(i32, i64) is None and table.bridges_from(I32, None) == frozenset()
+
+    source = {(i32, i64): widen}
+    built = ConversionTable(entries=source)
+    source.clear()  # the table copied the rules it was given
+    for shrink in (lambda e: e.pop((i32, i64)), lambda e: e.clear(), lambda e: e.popitem()):
+        with pytest.raises(TypeError):
+            shrink(built.entries)
+    assert built.lookup(i32, i64) == widen and built.bridges_from(I32, None) == {(I64, None)}
+
+    built.entries = {}
+    assert built.lookup(i32, i64) is None and built.bridges_from(I32, None) == frozenset()
+    built.add(i32, i64, widen)
+    assert built == ConversionTable(entries={(i32, i64): widen})
+    assert repr(built) == f"ConversionTable(entries={dict(built.entries)!r})"
+    for copied in (copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert copied == built and copied.bridges_from(I32, None) == {(I64, None)}
+        with pytest.raises(TypeError):
+            copied.entries[(i64, i32)] = widen

@@ -1,8 +1,9 @@
 """The public API lists in `adapterforge.__all__` and
 `adapterforge.speclang.__all__` match what the two `__init__.py` files
-import: every listed name resolves, and every public class or function
-imported there is listed, so removing a name from one place and not the
-other fails here."""
+export: `adapterforge`'s name -> module table (its names load on first
+access) and `adapterforge.speclang`'s imports. Every listed name
+resolves, and every public class or function exported there is listed,
+so removing a name from one place and not the other fails here."""
 
 from __future__ import annotations
 
@@ -17,8 +18,10 @@ SRC = Path(__file__).parent.parent / "src" / "adapterforge"
 PACKAGES = {"adapterforge": SRC, "adapterforge.speclang": SRC / "speclang"}
 
 
-def _imported_names(package_dir: Path) -> list[str]:
-    path = package_dir / "__init__.py"
+def _exported_names(name: str) -> list[str]:
+    if name == "adapterforge":
+        return list(importlib.import_module(name)._MODULE_OF)
+    path = PACKAGES[name] / "__init__.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [
         alias.asname or alias.name
@@ -38,11 +41,11 @@ def test_every_listed_name_resolves(name):
 @pytest.mark.parametrize("name", sorted(PACKAGES))
 def test_every_imported_class_and_function_is_listed(name):
     module = importlib.import_module(name)
-    imported = _imported_names(PACKAGES[name])
-    assert len(imported) > 10
+    exported = _exported_names(name)
+    assert len(exported) > 10
     public = [
         n
-        for n in imported
+        for n in exported
         if not n.startswith("_")
         and (inspect.isclass(getattr(module, n)) or inspect.isfunction(getattr(module, n)))
     ]
