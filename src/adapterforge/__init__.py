@@ -101,61 +101,4 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_MODULE_OF})
 
 
-__all__ = [
-    "AdapterSpec",
-    "Aslt",
-    "AsltNode",
-    "ComponentSpec",
-    "ConceptId",
-    "Connection",
-    "ConnectionVerdict",
-    "ConversionRule",
-    "ConversionTable",
-    "Demand",
-    "FoldPattern",
-    "FoldView",
-    "InterfaceSpec",
-    "MatchConfig",
-    "MatchReport",
-    "Mismatch",
-    "OpMapping",
-    "OperationMatch",
-    "OperationSig",
-    "ParamSig",
-    "ParseError",
-    "PoolQuery",
-    "ProjectSpec",
-    "SemType",
-    "TypePort",
-    "Violation",
-    "WorkflowResult",
-    "__version__",
-    "analyse",
-    "attach_meta",
-    "build_aslt",
-    "build_component_aslt",
-    "dump",
-    "emit_descriptor",
-    "emit_stub",
-    "fold",
-    "generate_adapter",
-    "init_pool",
-    "integrate",
-    "interpret_mapping",
-    "load_rules",
-    "match_operation",
-    "parse_any",
-    "parse_component",
-    "parse_descriptor",
-    "parse_project",
-    "pool_add",
-    "pool_get",
-    "pool_list",
-    "pool_query",
-    "pool_verify",
-    "run_workflow",
-    "serialize",
-    "traverse",
-    "validate",
-    "verify",
-]
+__all__ = sorted([*_MODULE_OF, "__version__"])

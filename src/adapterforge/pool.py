@@ -10,12 +10,13 @@ renames the artifact into place and appends one line, so an add costs
 the same at any pool size. Readers never lock and read the journal
 once per pool call, ignoring an unterminated last line; a killed
 writer leaves at most that torn line (cut by the next writer) or an
-artifact with no line (reported by `pool_verify`). Files are immutable
-once named, and every artifact read re-hashes its bytes so tampering
-cannot go unnoticed. Every artifact, added or generated, is validated
-once, as its component view, by the one write path `_store`. A
-`pool/1` index (one JSON document) stays readable and is rewritten as
-a journal by the first add.
+artifact with no line (reported by `pool_verify`). An artifact file is
+only ever written with its canonical bytes, and every artifact read
+re-hashes them so tampering cannot go unnoticed. Every artifact, added
+or generated, is validated once, as its component view, by the one
+write path `_store`; re-adding indexed content rewrites its artifact
+if that is missing or damaged. An `index` that does not start with the
+`pool/2` header is E_CORRUPT.
 
 A writer seals what it has checked: it records in `index.lock` the
 length and SHA-256 of the journal prefix whose lines it checked, the
@@ -191,13 +192,6 @@ def _valid_rows(rows: list) -> bool:
     )
 
 
-def _check(rows: list, wheres: Iterator[str]) -> None:
-    """E_CORRUPT naming the first bad row by its `wheres` item, if any."""
-    if not _valid_rows(rows):
-        where = next(w for w, row in zip(wheres, rows) if not _valid_rows([row]))
-        raise PoolError(E_CORRUPT, f"{where}: malformed pool index entry")
-
-
 def _line_names(data: bytes, start: int) -> Iterator[str]:
     """`index line <n>` for each journal line from byte `start` on,
     counted from the top of the file (the header is line 1). Lazy: the
@@ -226,14 +220,16 @@ def _decode(lines: bytes) -> list:
 def _checked_lines(data: bytes, start: int, end: int) -> list:
     """The rows of the complete journal lines in `data[start:end]`, each
     checked as an entry; E_CORRUPT names the first bad line."""
-    lines = data[start:end]
+    lines, names = data[start:end], _line_names(data, start)
     try:
         rows = _decode(lines)
     except (ValueError, RecursionError):
-        raise _bad_line(lines, _line_names(data, start)) from None
+        raise _bad_line(lines, names) from None
     if len(rows) != lines.count(b"\n"):
-        raise _bad_line(lines, _line_names(data, start))
-    _check(rows, _line_names(data, start))
+        raise _bad_line(lines, names)
+    if not _valid_rows(rows):
+        where = next(name for name, row in zip(names, rows) if not _valid_rows([row]))
+        raise PoolError(E_CORRUPT, f"{where}: malformed pool index entry")
     return rows
 
 
@@ -247,51 +243,19 @@ def _read_index(root: Path) -> bytes:
         raise PoolError(E_IO, f"cannot read {index_path}: {err.strerror or err}") from None
 
 
-def _fold(data: bytes) -> tuple[dict[str, dict], int | None]:
-    """Fold index bytes into fingerprint -> checked row, the first line
-    of a fingerprint winning, checking every line as if unsealed.
-
-    Also returns where the journal's complete lines end, or None for a
-    `pool/1` document. An unterminated last line is a torn append and
-    is not part of the index.
-    """
-    if data.startswith(INDEX_HEADER):
-        journal = _open_journal(data, b"")
-        return journal.tail, journal.end
-    try:
-        doc = json.loads(data)
-    except (ValueError, RecursionError) as err:
-        raise PoolError(E_CORRUPT, f"unreadable pool index: {err}") from None
-    if not (
-        isinstance(doc, dict)
-        and doc.get("format") == "pool/1"
-        and isinstance(doc.get("entries"), dict)
-    ):
-        raise PoolError(E_CORRUPT, "pool index is neither pool/2 nor pool/1")
-    entries = doc["entries"]
-    # One rule for both formats: a pool/1 entry is checked as the line
-    # it would be, with its key as its fingerprint.
-    rows = [
-        {**entry, "fingerprint": fp} if type(entry) is dict and "fingerprint" not in entry else None
-        for fp, entry in entries.items()
-    ]
-    _check(rows, (f"index entry {fp}" for fp in entries))
-    return dict(zip(entries, rows)), None
-
-
 class _Journal(NamedTuple):
     """One read of `index`. A verified seal covers its first `sealed`
     bytes (`digest` holds their SHA-256, None without a seal); `rows`
     are the checked lines after them, in file order, and `tail` maps
     each fingerprint the sealed prefix lacks to its first row there.
-    A `pool/1` index has no sealed prefix and no `end`."""
+    Bytes after `end`, the end of the last complete line, are torn."""
 
     data: bytes
     sealed: int
     digest: hashlib._Hash | None
     rows: list
     tail: dict[str, dict]
-    end: int | None
+    end: int
 
 
 def _read_seal(root: Path) -> bytes:
@@ -309,8 +273,7 @@ def _open_journal(data: bytes, seal: bytes) -> _Journal:
     parses, ends on a complete line and matches its digest spares its
     prefix the line check; anything else leaves every line checked."""
     if not data.startswith(INDEX_HEADER):
-        rows, _ = _fold(data)
-        return _Journal(data, 0, None, list(rows.values()), rows, None)
+        raise PoolError(E_CORRUPT, "pool index is not a pool/2 journal: its header is missing")
     end = data.rfind(b"\n") + 1
     sealed, digest = len(INDEX_HEADER), None
     match = _SEAL_RE.match(seal)
@@ -329,7 +292,7 @@ def _open_journal(data: bytes, seal: bytes) -> _Journal:
 
 def _load(root: Path) -> _Journal:
     # The seal first: the journal only grows, so the index read after
-    # it holds every line it covers (a `pool/1` rewrite fails its digest).
+    # it holds every line it covers.
     seal = _read_seal(root)
     return _open_journal(_read_index(root), seal)
 
@@ -466,8 +429,9 @@ def _row_for(kind: str, fp: str, component: ComponentSpec) -> dict:
 
 
 def pool_add(root: str | Path, document: str, timeout: float = LOCK_TIMEOUT) -> str:
-    """Store one document; returns its fingerprint. Re-adding existing
-    content is a no-op that writes nothing."""
+    """Store one document; returns its fingerprint. Re-adding indexed
+    content leaves index and seal alone and rewrites its artifact only
+    if that is missing or no longer re-hashes to the fingerprint."""
     return _store(Path(root), *_canonicalize(document), timeout)
 
 
@@ -505,33 +469,28 @@ def _store(
             raise PoolError(E_INVALID_SPEC, f"adapter {value.name} cannot run: {problems}")
     fp = fingerprint_of(data)
     row = _row_for(kind, fp, component)
-    index = root / "index"
+    artifact = root / row["path"]
     with _index_lock(root, timeout) as lock:
         seal = os.pread(lock, _SEAL_READ, 0)
         journal = _open_journal(_read_index(root), seal)
-        if fp in journal.tail or _sealed_line(journal.data, journal.sealed, fp) >= 0:
-            return fp
         try:
-            _write_atomic(root / row["path"], data)
-            if journal.end is None:
-                rows = {**journal.tail, fp: row}
-                lines = (canonjson.dump_line(rows[f]) for f in sorted(rows))
-                converted = INDEX_HEADER + b"".join(lines)
-                _write_atomic(index, converted)
-                _write_seal(lock, len(converted), hashlib.sha256(converted))
-            else:
-                line, end = canonjson.dump_line(row), journal.end
-                with open(index, "ab") as f:
-                    if end < len(journal.data):
-                        f.truncate(end)  # a torn line from a killed writer
-                    f.write(line)
-                sealed = _sealable_end(journal)
-                digest = journal.digest or hashlib.sha256(INDEX_HEADER)
-                digest.update(memoryview(journal.data)[journal.sealed : sealed])
-                if sealed == end:
-                    digest.update(line)
-                    sealed += len(line)
-                _write_seal(lock, sealed, digest)
+            if fp in journal.tail or _sealed_line(journal.data, journal.sealed, fp) >= 0:
+                if _artifact_bytes(root, row["path"]) != data:
+                    _write_atomic(artifact, data)
+                return fp
+            _write_atomic(artifact, data)
+            line, end = canonjson.dump_line(row), journal.end
+            with open(root / "index", "ab") as f:
+                if end < len(journal.data):
+                    f.truncate(end)  # a torn line from a killed writer
+                f.write(line)
+            sealed = _sealable_end(journal)
+            digest = journal.digest or hashlib.sha256(INDEX_HEADER)
+            digest.update(memoryview(journal.data)[journal.sealed : sealed])
+            if sealed == end:
+                digest.update(line)
+                sealed += len(line)
+            _write_seal(lock, sealed, digest)
         except OSError as err:
             raise PoolError(E_IO, f"cannot write to pool {root}: {err.strerror or err}") from None
     return fp

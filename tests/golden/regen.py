@@ -15,7 +15,12 @@ The goldens:
 - `figure3_aslt.txt`: `aslt dump` of the figure3 project;
 - `check_<case>_<format>.txt`: stdout of `check` on each other corpus
   case, for both `--format` values, and `check_exit_codes.txt`: one
-  `<case> <format> <exit code>` line per run.
+  `<case> <format> <exit code>` line per run;
+- `figure3_pool.txt`: a transcript of `pool add` (the figure3 specs and
+  descriptor), `pool list`, `pool query` with and without
+  `--conversions`, and `pool verify` on a fresh pool: each command as a
+  `$ ` line, its stdout, then `[exit <code>]`. No command prints a store
+  time, so the bytes do not depend on when they were made.
 """
 
 from __future__ import annotations
@@ -77,7 +82,30 @@ def render_goldens() -> dict[str, str]:
             files[f"check_{case}_{fmt}.txt"] = out
             exits.append(f"{case} {fmt} {code}\n")
     files["check_exit_codes.txt"] = "".join(exits)
+    files["figure3_pool.txt"] = _pool_transcript(files["figure3.adapter"])
     return files
+
+
+def _pool_transcript(descriptor: str) -> str:
+    """The figure3 pool transcript; files and the pool are named by
+    their base names, so the text does not depend on where it ran."""
+    with tempfile.TemporaryDirectory() as tmp:
+        adapter = Path(tmp) / "figure3.adapter"
+        adapter.write_text(descriptor, encoding="utf-8")
+        specs = sorted((CORPUS / "figure3").glob("*.cdl"))
+        commands = [
+            ("pool", "add", *specs, adapter),
+            ("pool", "list"),
+            ("pool", "query", "data.sorting.sort", "--conversions", RULES),
+            ("pool", "query", "data.sorting"),
+            ("pool", "verify"),
+        ]
+        lines = []
+        for argv in commands:
+            code, out = _run(*argv, "--pool", Path(tmp) / "pool")
+            shown = " ".join(a.name if isinstance(a, Path) else a for a in argv)
+            lines.append(f"$ {shown}\n{out}[exit {code}]\n")
+    return "".join(lines)
 
 
 def write_goldens(outdir: Path) -> None:

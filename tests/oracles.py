@@ -383,12 +383,14 @@ def oracle_consult(
     return None
 
 
-_ORACLE_ENTRY_KEYS = frozenset({"kind", "name", "version", "provided_concepts", "path", "stored_at"})
+_ORACLE_LINE_KEYS = frozenset(
+    {"fingerprint", "kind", "name", "version", "provided_concepts", "path", "stored_at"}
+)
 _ORACLE_DIRS = {"component": ("components", ".cdl"), "adapter": ("adapters", ".adapter")}
 _ORACLE_VERSION_RE = re.compile(r"(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\Z")
 
 
-def _oracle_entry(fp: object, doc: object, keys: frozenset[str]) -> IndexEntry | None:
+def _oracle_entry(fp: object, doc: object) -> IndexEntry | None:
     """One decoded index entry, checked field by field; None when it is
     malformed."""
     if not (
@@ -396,7 +398,7 @@ def _oracle_entry(fp: object, doc: object, keys: frozenset[str]) -> IndexEntry |
         and len(fp) == 64
         and not fp.strip("0123456789abcdef")
         and type(doc) is dict
-        and doc.keys() == keys
+        and doc.keys() == _ORACLE_LINE_KEYS
     ):
         return None
     kind, name, version = doc["kind"], doc["name"], doc["version"]
@@ -417,47 +419,31 @@ def _oracle_entry(fp: object, doc: object, keys: frozenset[str]) -> IndexEntry |
     return IndexEntry(kind, name, version, tuple(concepts), path, stored_at)
 
 
-def oracle_fold(data: bytes) -> tuple[dict[str, IndexEntry], int | None] | str:
-    """Index bytes folded one line at a time: `(entries, end)` as
-    `pool._fold` hands them out, or where the index is corrupt. That is
-    `index line <n>` for the first journal line that is not one JSON
-    value or, when every line is one, the first that is not an entry;
-    `index entry <fp>` for the first malformed `pool/1` entry; and ""
-    when the file as a whole is neither format."""
-    if data.startswith(INDEX_HEADER):
-        end = data.rfind(b"\n") + 1
-        lines = data[len(INDEX_HEADER) : end].split(b"\n")[:-1]
-        docs = []
-        for number, line in enumerate(lines, 2):
-            try:
-                docs.append(json.loads(line.decode("utf-8")))
-            except (ValueError, RecursionError):
-                return f"index line {number}"
-        entries: dict[str, IndexEntry] = {}
-        for number, doc in enumerate(docs, 2):
-            fp = doc.get("fingerprint") if isinstance(doc, dict) else None
-            entry = _oracle_entry(fp, doc, _ORACLE_ENTRY_KEYS | {"fingerprint"})
-            if entry is None:
-                return f"index line {number}"
-            entries.setdefault(fp, entry)
-        return entries, end
-    try:
-        doc = json.loads(data)
-    except (ValueError, RecursionError):
+def oracle_fold(data: bytes) -> tuple[dict[str, IndexEntry], int] | str:
+    """Index bytes folded one line at a time: `(entries, end)` as an
+    unsealed `pool._open_journal` hands them out (its `tail` and `end`),
+    or where the index is corrupt. That is `index line <n>` for the
+    first journal line that is not one JSON value or, when every line is
+    one, the first that is not an entry; and "" when the file does not
+    start with the `pool/2` header."""
+    if not data.startswith(INDEX_HEADER):
         return ""
-    if not (
-        isinstance(doc, dict)
-        and doc.get("format") == "pool/1"
-        and isinstance(doc.get("entries"), dict)
-    ):
-        return ""
-    entries = {}
-    for fp, raw in doc["entries"].items():
-        entry = _oracle_entry(fp, raw, _ORACLE_ENTRY_KEYS)
+    end = data.rfind(b"\n") + 1
+    lines = data[len(INDEX_HEADER) : end].split(b"\n")[:-1]
+    docs = []
+    for number, line in enumerate(lines, 2):
+        try:
+            docs.append(json.loads(line.decode("utf-8")))
+        except (ValueError, RecursionError):
+            return f"index line {number}"
+    entries: dict[str, IndexEntry] = {}
+    for number, doc in enumerate(docs, 2):
+        fp = doc.get("fingerprint") if isinstance(doc, dict) else None
+        entry = _oracle_entry(fp, doc)
         if entry is None:
-            return f"index entry {fp}"
-        entries[fp] = entry
-    return entries, None
+            return f"index line {number}"
+        entries.setdefault(fp, entry)
+    return entries, end
 
 
 _DIGITS = frozenset("0123456789")

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import fcntl
 import hashlib
+import json
+import os
 import re
 import shutil
 import sys
@@ -410,21 +413,59 @@ def test_pool_add_accepts_adapter_descriptors(capsys, tmp_path):
 
 
 def test_pool_subcommands_on_malformed_index_exit_3(capsys, tmp_path):
-    from adapterforge.pool import init_pool
+    """An index that is not a `pool/2` journal (a `pool/1` document, an
+    empty file, garbage) is refused by every `pool` subcommand and by
+    `adapt`: exit 3, one E_CORRUPT line, no file written, no lock held."""
+    from adapterforge.pool import init_pool, pool_add
 
+    figure3 = CORPUS / "figure3"
     pool = init_pool(tmp_path / "pool")
-    (pool / "index").write_text('{"entries": {"abc": {"kind": "component"}}, "format": "pool/1"}')
-    spec = CORPUS / "figure3" / "sortkit.cdl"
-    for argv in (
-        ["list"],
-        ["query", "data.sorting.sort"],
-        ["verify"],
-        ["add", str(spec)],
-    ):
-        code, out, err = run(capsys, "pool", *argv, "--pool", str(pool))
-        assert code == 3, argv
-        assert out == ""
-        assert err.startswith("error: E_CORRUPT: ") and err.count("\n") == 1
+    for document in (*figure3.glob("*.cdl"), Path(__file__).parent / "golden" / "figure3.adapter"):
+        pool_add(pool, document.read_text())
+    rows = [json.loads(line) for line in (pool / "index").read_bytes().splitlines()[1:]]
+    pool1 = {"entries": {row.pop("fingerprint"): row for row in rows}, "format": "pool/1"}
+    for index in (canonjson.dump_bytes(pool1), b"", b"garbage\n"):
+        (pool / "index").write_bytes(index)
+        before = _dir_state(pool)
+        for argv in (
+            ["pool", "add", str(figure3 / "sortkit.cdl")],
+            ["pool", "query", "data.sorting.sort", "--conversions", RULES],
+            ["pool", "list"],
+            ["pool", "verify"],
+            ["adapt", str(figure3 / "figure3.pdl"), "--conversions", RULES, "--emit", str(tmp_path)],
+        ):
+            code, out, err = run(capsys, *argv, "--pool", str(pool))
+            assert (code, out) == (3, ""), argv
+            assert err == "error: E_CORRUPT: pool index is not a pool/2 journal: its header is missing\n"
+            lock = os.open(pool / "index.lock", os.O_RDONLY)
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)  # BlockingIOError if still held
+            finally:
+                os.close(lock)
+        assert _dir_state(pool) == before
+
+
+@pytest.mark.parametrize("damage", ["deleted", "flipped"])
+def test_pool_add_mends_a_damaged_artifact(capsys, tmp_path, damage):
+    pool = tmp_path / "pool"
+    figure3 = str(CORPUS / "figure3" / "figure3.pdl")
+    adapt = ("adapt", figure3, "--conversions", RULES, "--pool", str(pool), "--emit")
+    assert run(capsys, *adapt, str(tmp_path / "first"))[0] == 1
+    (artifact,) = (pool / "adapters").glob("*.adapter")
+    if damage == "deleted":
+        artifact.unlink()
+    else:
+        artifact.write_bytes(artifact.read_bytes().replace(b"sortkit", b"sortkiT", 1))
+    assert run(capsys, *adapt, str(tmp_path / "broken"))[0] == 3
+    index, seal = (pool / "index").read_bytes(), (pool / "index.lock").read_bytes()
+    descriptor = Path(__file__).parent / "golden" / "figure3.adapter"
+    code, out, err = run(capsys, "pool", "add", str(descriptor), "--pool", str(pool))
+    assert (code, out, err) == (0, f"{artifact.name.partition('.')[0]}\n", "")
+    assert artifact.read_bytes() == descriptor.read_bytes()
+    assert (pool / "index").read_bytes() == index and (pool / "index.lock").read_bytes() == seal
+    assert run(capsys, "pool", "verify", "--pool", str(pool)) == (0, "", "")
+    code, out, _ = run(capsys, *adapt, str(tmp_path / "mended"))
+    assert code == 1 and "(POOL_HIT " in out
 
 
 def test_pool_add_malformed_descriptor_exit_3(capsys, tmp_path):

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
@@ -41,7 +42,7 @@ from adapterforge.pool import (
     pool_verify,
     _artifact_path,
     _entry,
-    _fold,
+    _open_journal,
     _read_artifact,
     _write_atomic,
 )
@@ -395,8 +396,12 @@ def test_torn_last_line_ignored_then_truncated(pool: Path):
     assert sorted(fp for fp, _ in pool_list(pool)) == sorted([alpha, beta])
 
 
-def _as_pool1(pool: Path) -> None:
-    """Rewrite the index in the `pool/1` format: one document."""
+def test_pool1_index_is_refused_and_its_artifacts_move_to_a_fresh_pool(pool: Path, tmp_path: Path):
+    """A `pool/1` index is refused, not converted, and left byte for byte;
+    `pool add` of its artifacts builds a fresh pool with the same entries."""
+    for name in ("alpha", "beta", "gamma"):
+        pool_add(pool, spec_text(name))
+    listed = pool_list(pool)
     entries = {
         fp: {
             "kind": e.kind,
@@ -406,28 +411,36 @@ def _as_pool1(pool: Path) -> None:
             "path": e.path,
             "stored_at": e.stored_at,
         }
-        for fp, e in pool_list(pool)
+        for fp, e in listed
     }
-    (pool / "index").write_bytes(canonjson.dump_bytes({"entries": entries, "format": "pool/1"}))
+    pool1 = canonjson.dump_bytes({"entries": entries, "format": "pool/1"})
+    (pool / "index").write_bytes(pool1)
+    for action in (
+        lambda: pool_list(pool),
+        lambda: pool_add(pool, spec_text("alpha")),
+        lambda: pool_add(pool, spec_text("delta")),
+        lambda: pool_verify(pool),
+    ):
+        with pytest.raises(PoolError) as err:
+            action()
+        assert (err.value.code, err.value.message) == (
+            "E_CORRUPT",
+            "pool index is not a pool/2 journal: its header is missing",
+        )
+        assert (pool / "index").read_bytes() == pool1
+    assert not _lock_is_held(pool)
+
+    fresh = init_pool(tmp_path / "fresh")
+    for _, e in listed:
+        pool_add(fresh, (pool / e.path).read_text())
+    moved = pool_list(fresh)
+    assert [(fp, replace(e, stored_at="")) for fp, e in moved] == [
+        (fp, replace(e, stored_at="")) for fp, e in listed
+    ]
+    assert pool_verify(fresh) == []
 
 
-def test_pool1_index_lists_the_same_entries_after_conversion(pool: Path):
-    for name in ("alpha", "beta", "gamma"):
-        pool_add(pool, spec_text(name))
-    listed = pool_list(pool)
-    _as_pool1(pool)
-    pool1 = (pool / "index").read_bytes()
-    assert pool_list(pool) == listed
-    pool_add(pool, spec_text("alpha"))  # nothing new: the pool/1 file is left alone
-    assert (pool / "index").read_bytes() == pool1
-    delta = pool_add(pool, spec_text("delta"))
-    lines = _lines(pool)
-    assert lines[0] == HEADER and len(lines) == 5
-    assert [(fp, e) for fp, e in pool_list(pool) if fp != delta] == listed
-    assert pool_verify(pool) == []
-
-
-_PATH = "components/" + "a" * 64 + ".cdl"
+_PATH ="components/" + "a" * 64 + ".cdl"
 _GOOD_LINE = {
     "fingerprint": "a" * 64,
     "kind": "component",
@@ -533,11 +546,11 @@ def test_artifact_that_is_not_utf8_is_corrupt(pool: Path):
 
 
 def _assert_fold_agrees(data: bytes) -> None:
-    """`_fold` and the line-at-a-time oracle give the same verdict, the
-    same line or entry, and equal entries."""
+    """The unsealed journal check and the line-at-a-time oracle give the
+    same verdict, the same line, and equal entries."""
     expected = oracle_fold(data)
     try:
-        rows, end = _fold(data)
+        journal = _open_journal(data, b"")
     except PoolError as err:
         assert err.code == "E_CORRUPT"
         assert isinstance(expected, str), err
@@ -547,7 +560,7 @@ def _assert_fold_agrees(data: bytes) -> None:
             assert not err.message.startswith("index "), err.message
         return
     assert not isinstance(expected, str), expected
-    assert ({fp: _entry(row) for fp, row in rows.items()}, end) == expected
+    assert ({fp: _entry(row) for fp, row in journal.tail.items()}, journal.end) == expected
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INDEXES))
@@ -613,24 +626,12 @@ def _index_rows(draw) -> list:
 
 @st.composite
 def _mutated_indexes(draw) -> bytes:
-    rows = draw(_index_rows())
-    if draw(st.booleans()):
-        lines = [canonjson.dump_line(row) for row in rows]
-        if draw(st.integers(0, 3)) == 0:
-            raw = draw(st.sampled_from(_RAW_LINES)) + b"\n"
-            lines.insert(draw(st.integers(0, len(lines))), raw)
-        torn = draw(st.sampled_from((b"", b'{"fingerprint":"ab', b"{oops")))
-        return HEADER + b"".join(lines) + torn
-    entries = {}
-    for row in rows:
-        if isinstance(row, dict) and type(row.get("fingerprint")) is str:
-            fp = row.pop("fingerprint")
-            if draw(st.integers(0, 5)) == 0:
-                row["fingerprint"] = fp  # a pool/1 entry carries no fingerprint key
-            entries[fp] = row
-        else:
-            entries[draw(st.sampled_from(_FPS))] = row
-    return canonjson.dump_bytes({"entries": entries, "format": "pool/1"})
+    lines = [canonjson.dump_line(row) for row in draw(_index_rows())]
+    if draw(st.integers(0, 3)) == 0:
+        raw = draw(st.sampled_from(_RAW_LINES)) + b"\n"
+        lines.insert(draw(st.integers(0, len(lines))), raw)
+    torn = draw(st.sampled_from((b"", b'{"fingerprint":"ab', b"{oops")))
+    return HEADER + b"".join(lines) + torn
 
 
 @given(data=_mutated_indexes())
@@ -678,14 +679,14 @@ def _random_pool(root: Path, rng: random.Random, size: int) -> list:
     return ops
 
 
-@pytest.mark.parametrize("index_format", ["pool/2", "pool/1"])
+@pytest.mark.parametrize("journal", ["pool/2", "pool/2 unsealed"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_query_matches_oracle(tmp_path: Path, index_format: str, seed: int):
+def test_query_matches_oracle(tmp_path: Path, journal: str, seed: int):
     rng = random.Random(seed)
     root = init_pool(tmp_path / "pool")
     ops = _random_pool(root, rng, 40)
-    if index_format == "pool/1":
-        _as_pool1(root)
+    if journal == "pool/2 unsealed":
+        (root / "index.lock").write_bytes(b"")  # every line is checked
     conv, config = load_rules(CORPUS / "conversions.rules")
     demands = [Demand(concept(c), None, "project") for c in _CONCEPTS + ("data.sorting", "net")]
     demands += [Demand(o.concept, shape_of(o), "conn") for o in rng.sample(ops, 8)]
@@ -705,14 +706,14 @@ def test_query_matches_oracle(tmp_path: Path, index_format: str, seed: int):
     assert nonempty >= len(demands)  # the pools exercise ranking, not just misses
 
 
-@pytest.mark.parametrize("index_format", ["pool/2", "pool/1"])
+@pytest.mark.parametrize("journal", ["pool/2", "pool/2 unsealed"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_query_with_provides_matches_oracle(tmp_path: Path, index_format: str, seed: int):
+def test_query_with_provides_matches_oracle(tmp_path: Path, journal: str, seed: int):
     rng = random.Random(seed)
     root = init_pool(tmp_path / "pool")
     ops = _random_pool(root, rng, 40)
-    if index_format == "pool/1":
-        _as_pool1(root)
+    if journal == "pool/2 unsealed":
+        (root / "index.lock").write_bytes(b"")  # every line is checked
     conv, config = load_rules(CORPUS / "conversions.rules")
     demands = [Demand(concept(c), None, "project") for c in ("data", "data.k", "data.sorting")]
     demands += [Demand(o.concept, shape_of(o), "conn") for o in rng.sample(ops, 6)]
@@ -921,10 +922,6 @@ def test_each_add_seals_the_whole_journal(pool: Path):
     for name in ("alpha", "beta", "gamma"):
         pool_add(pool, spec_text(name))
         assert _assert_seal_verifies(pool) == len((pool / "index").read_bytes())
-    _as_pool1(pool)
-    pool_add(pool, spec_text("delta"))  # rewrites the journal by rename, then seals all of it
-    assert _assert_seal_verifies(pool) == len((pool / "index").read_bytes())
-    assert len(_lines(pool)) == 5
 
 
 _SEAL_DOCUMENTS = (
@@ -1114,24 +1111,23 @@ def test_sealed_lookups_decode_only_the_lines_they_use(pool: Path, monkeypatch):
     assert _assert_seal_verifies(pool) == len((pool / "index").read_bytes())
     related = sum(b'"dom3"' in line or b'"dom3.op3' in line for line in lines) + 1
 
-    decoded, checked, folds = [], [], []
-    real_decode, real_valid_rows, real_fold = pool_module._decode, pool_module._valid_rows, _fold
+    decoded, checked = [], []
+    real_decode, real_valid_rows = pool_module._decode, pool_module._valid_rows
     monkeypatch.setattr(pool_module, "_decode", lambda b: decoded.append(b.count(b"\n")) or real_decode(b))
     monkeypatch.setattr(pool_module, "_valid_rows", lambda r: checked.append(len(r)) or real_valid_rows(r))
-    monkeypatch.setattr(pool_module, "_fold", lambda d: folds.append(1) or real_fold(d))
 
-    def spied(action) -> tuple[int, int, int]:
-        decoded.clear(), checked.clear(), folds.clear()
+    def spied(action) -> tuple[int, int]:
+        decoded.clear(), checked.clear()
         action()
-        return sum(decoded), sum(checked), len(folds)
+        return sum(decoded), sum(checked)
 
     bare = PoolQuery(Demand(concept("dom3.op3"), None, "project"))
     found = []
-    assert spied(lambda: found.extend(pool_query(pool, bare))) == (related, 0, 0)
+    assert spied(lambda: found.extend(pool_query(pool, bare))) == (related, 0)
     assert len(found) == related and alpha in {c.fingerprint for c in found}
-    assert spied(lambda: pool_get(pool, alpha)) == (1, 0, 0)
+    assert spied(lambda: pool_get(pool, alpha)) == (1, 0)
     index, seal = (pool / "index").read_bytes(), (pool / "index.lock").read_bytes()
-    assert spied(lambda: pool_add(pool, spec_text("alpha", concept_text="dom3.op3.x"))) == (0, 0, 0)
+    assert spied(lambda: pool_add(pool, spec_text("alpha", concept_text="dom3.op3.x"))) == (0, 0)
     assert (pool / "index").read_bytes() == index and (pool / "index.lock").read_bytes() == seal
     monkeypatch.undo()
     assert found == oracle_pool_query(pool, bare, ConversionTable(), DEFAULT_CONFIG)
