@@ -545,25 +545,11 @@ def analyse_resolved(
     config: MatchConfig,
 ) -> MatchReport:
     """`analyse` given the project's resolved `uses` (`resolve_components`)."""
-    verdicts = tuple(
-        _judge_connection(conn, resolved, conv, config) for conn in project.connections
-    )
-
     demands: list[Demand] = []
-    for verdict in verdicts:
-        consumer = resolved[verdict.connection.consumer_component]
-        iface = consumer.interface(REQUIRED, verdict.connection.consumer_interface)
-        assert iface is not None
-        matched = {m.required_name for m in verdict.op_matches}
-        for op in iface.operations:
-            if op.name not in matched:
-                demands.append(
-                    Demand(
-                        concept=op.concept,
-                        shape=shape_of(op),
-                        origin=verdict.connection.label(),
-                    )
-                )
+    verdicts = tuple(
+        _judge_connection(conn, resolved, conv, config, demands)
+        for conn in project.connections
+    )
 
     provided_concepts = {
         op.concept
@@ -583,7 +569,11 @@ def _judge_connection(
     resolved: dict[str, ComponentSpec],
     conv: ConversionTable,
     config: MatchConfig,
+    demands: list[Demand],
 ) -> ConnectionVerdict:
+    """The connection's verdict; each required op with no candidate is
+    also appended to `demands` as unmet demand. Every match reaches the
+    threshold, so their mean does too."""
     label = conn.label()
     required_iface = _find_interface(resolved, conn.consumer_component, REQUIRED, conn.consumer_interface)
     provided_iface = _find_interface(resolved, conn.provider_component, PROVIDED, conn.provider_interface)
@@ -595,6 +585,7 @@ def _judge_connection(
         best = _best_candidate(req_op, provided_iface, conv, config, loc)
         if best is None:
             missing.append(Mismatch(MISSING_OPERATION, location=loc, concept=req_op.concept))
+            demands.append(Demand(req_op.concept, shape_of(req_op), label))
         else:
             op_matches.append(best)
 
@@ -610,22 +601,10 @@ def _judge_connection(
             score=None,
             reason=f"{len(missing)} required operation(s) have no candidate",
         )
-    if not op_matches:
-        # Interface with no operations: nothing to bridge.
-        return ConnectionVerdict(conn, EXACT, (), (), Fraction(1))
-    mean = sum((m.score for m in op_matches), Fraction(0)) / len(op_matches)
-    if all(not m.mismatches for m in op_matches):
+    if not all_mismatches:
         return ConnectionVerdict(conn, EXACT, tuple(op_matches), (), Fraction(1))
-    if mean >= config.threshold:
-        return ConnectionVerdict(conn, ADAPTABLE, tuple(op_matches), all_mismatches, mean)
-    return ConnectionVerdict(
-        connection=conn,
-        status=INCOMPATIBLE,
-        op_matches=tuple(op_matches),
-        mismatches=all_mismatches,
-        score=mean,
-        reason=f"aggregate score {mean} below threshold {config.threshold}",
-    )
+    mean = sum((m.score for m in op_matches), Fraction(0)) / len(op_matches)
+    return ConnectionVerdict(conn, ADAPTABLE, tuple(op_matches), all_mismatches, mean)
 
 
 def _find_interface(

@@ -306,14 +306,8 @@ def run_workflow(
             splice(fp, value, GENERATED, conn)
         else:
             label = conn.label()
-            # Low-score incompatibility: every required operation is unmet demand.
-            unresolved.extend(
-                [d for d in report.demand if d.origin == label]
-                or [Demand(op.concept, shape_of(op), label) for op in consumer_iface.operations]
-            )
-            diagnostics.append(
-                f"{conn.label()}: {verdict.reason or 'incompatible'}; needs development"
-            )
+            unresolved.extend(d for d in report.demand if d.origin == label)
+            diagnostics.append(f"{label}: {verdict.reason}; needs development")
 
     for demand in report.demand:
         if demand.origin != "project":

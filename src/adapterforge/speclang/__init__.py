@@ -1,5 +1,7 @@
 """Specification language: model, parser, canonical serializer, validator."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     E_BAD_CONSTRAINT,
     E_BAD_VERSION,
@@ -43,46 +45,9 @@ from .parser import parse_any, parse_component, parse_project
 from .serializer import serialize, serialize_with_positions
 from .validate import validate
 
-__all__ = [
-    "ANY_VERSION",
-    "AdapterForgeError",
-    "BOOL",
-    "BYTES",
-    "ComponentSpec",
-    "ConceptId",
-    "Connection",
-    "E_BAD_CONSTRAINT",
-    "E_BAD_VERSION",
-    "E_DUP_NAME",
-    "E_DUP_USE",
-    "E_NO_CONCEPT",
-    "E_SYNTAX",
-    "F64",
-    "I32",
-    "I64",
-    "InterfaceSpec",
-    "Literal",
-    "MetaEntry",
-    "OperationSig",
-    "PROVIDED",
-    "ParamSig",
-    "ParseError",
-    "ProjectSpec",
-    "REQUIRED",
-    "STRING",
-    "SemType",
-    "UNIT",
-    "UseDecl",
-    "VersionConstraint",
-    "Violation",
-    "format_float",
-    "format_version",
-    "list_of",
-    "parse_any",
-    "parse_component",
-    "parse_project",
-    "parse_version",
-    "serialize",
-    "serialize_with_positions",
-    "validate",
-]
+# Every public name bound above; the submodules are not API.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -16,6 +16,10 @@ The goldens:
 - `check_<case>_<format>.txt`: stdout of `check` on each other corpus
   case, for both `--format` values, and `check_exit_codes.txt`: one
   `<case> <format> <exit code>` line per run;
+- `adapt_transcripts.txt`: `adapt` run twice on each of those cases
+  against one fresh pool per case: each command as a `$ ` line, its
+  stdout, `[exit <code>]`, then an `emitted <base name> <sha256>` line
+  per file the run wrote;
 - `figure3_pool.txt`: a transcript of `pool add` (the figure3 specs and
   descriptor), `pool list`, `pool query` with and without
   `--conversions`, and `pool verify` on a fresh pool: each command as a
@@ -26,6 +30,7 @@ The goldens:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import importlib.resources
 import io
 import sys
@@ -41,6 +46,7 @@ RULES = CORPUS / "conversions.rules"
 CHECK_CASES = {
     "exact": "exactpair.pdl",
     "golden": "shopfront.pdl",
+    "incompatible": "checkout.pdl",
     "missing": "wantsign.pdl",
     "units": "unitsync.pdl",
 }
@@ -83,7 +89,26 @@ def render_goldens() -> dict[str, str]:
             exits.append(f"{case} {fmt} {code}\n")
     files["check_exit_codes.txt"] = "".join(exits)
     files["figure3_pool.txt"] = _pool_transcript(files["figure3.adapter"])
+    files["adapt_transcripts.txt"] = _adapt_transcripts()
     return files
+
+
+def _adapt_transcripts() -> str:
+    """Two `adapt` runs per `check` case, the second finding the pool
+    the first left behind; each run emits into its own directory."""
+    lines = []
+    for case, project in CHECK_CASES.items():
+        argv = ("adapt", CORPUS / case / project, "--conversions", RULES)
+        shown = " ".join(a.name if isinstance(a, Path) else a for a in argv)
+        with tempfile.TemporaryDirectory() as tmp:
+            for run in ("first", "second"):
+                emit = Path(tmp) / run
+                code, out = _run(*argv, "--pool", Path(tmp) / "pool", "--emit", emit)
+                lines.append(f"$ {shown}\n{out}[exit {code}]\n")
+                for path in sorted(emit.iterdir()):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    lines.append(f"emitted {path.name} {digest}\n")
+    return "".join(lines)
 
 
 def _pool_transcript(descriptor: str) -> str:

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import strategies
+from genspecs import adaptable_pair
 from oracles import oracle_best_score
-from testutil import concept, op, param
+from testutil import component, concept, op, param
 from adapterforge.analyser import (
     ADAPTABLE,
     EXACT,
     INCOMPATIBLE,
     AnalysisError,
+    Demand,
     Mismatch,
     analyse,
     match_operation,
@@ -25,10 +30,12 @@ from adapterforge.conversions import (
     CONCEPT_DISTANCE,
     DEFAULT_CONFIG,
     DEFAULT_FILL,
+    MISSING_OPERATION,
     PARAM_PERMUTATION,
     RENAME,
     TYPE_CONVERSION,
     ConversionTable,
+    MatchConfig,
     load_rules,
 )
 from adapterforge.speclang import (
@@ -37,10 +44,14 @@ from adapterforge.speclang import (
     F64,
     I32,
     I64,
+    PROVIDED,
+    REQUIRED,
     STRING,
     UNIT,
+    Connection,
     InterfaceSpec,
     Literal,
+    UseDecl,
     list_of,
     parse_component,
     parse_project,
@@ -368,3 +379,81 @@ def test_unresolved_interface(rules):
     with pytest.raises(AnalysisError) as err:
         analyse(project, [consumer, provider], conv, config)
     assert err.value.code == "E_UNRESOLVED"
+
+
+_penalties = st.fractions(min_value=0, max_value=1, max_denominator=20)
+_match_configs = st.builds(
+    MatchConfig,
+    rename_penalty=_penalties,
+    permutation_penalty=_penalties,
+    conversion_penalty=_penalties,
+    fill_penalty=_penalties,
+    concept_hop_penalty=_penalties,
+    threshold=_penalties,
+)
+
+
+@given(
+    config=_match_configs,
+    seed=st.integers(0, 2**32 - 1),
+    wanted=strategies.interface_specs("Wanted", REQUIRED),
+    extra=strategies.interface_specs("Offered", PROVIDED),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_verdicts_and_connection_demand_under_random_configs(
+    rules, config, seed, wanted, extra, data
+):
+    """A verdict is INCOMPATIBLE exactly when it has a MISSING_OPERATION,
+    an ADAPTABLE score reaches the threshold, and the demands a
+    connection originates are its missing ops in interface order."""
+    conv, _ = rules
+    # One connection built adaptable under the default config, and one
+    # whose provider offers some of a random consumer's ops verbatim
+    # beside random ones.
+    consumer, provider, project = adaptable_pair(random.Random(seed))
+    kept = tuple(o for o in wanted.operations if data.draw(st.booleans()))
+    names = {o.name for o in kept}
+    others = tuple(o for o in extra.operations if o.name not in names)
+    offered = replace(extra, operations=kept + others)
+    wild_consumer = component("wildneed", required=(wanted,))
+    wild_provider = component("wildhave", provided=(offered,))
+    project = replace(
+        project,
+        uses=project.uses + (UseDecl("wildneed"), UseDecl("wildhave")),
+        connections=project.connections
+        + (Connection("wildneed", "Wanted", "wildhave", "Offered"),),
+    )
+    components = {c.name: c for c in (consumer, provider, wild_consumer, wild_provider)}
+    report = analyse(project, list(components.values()), conv, config)
+    for verdict in report.verdicts:
+        conn = verdict.connection
+        missing = [m.location[1] for m in verdict.mismatches if m.kind == MISSING_OPERATION]
+        assert (verdict.status == INCOMPATIBLE) == bool(missing)
+        if verdict.status == ADAPTABLE:
+            assert verdict.score >= config.threshold
+        iface = components[conn.consumer_component].interface(REQUIRED, conn.consumer_interface)
+        unmet = [o for o in iface.operations if o.name in missing]
+        assert [o.name for o in unmet] == missing
+        label = conn.label()
+        assert [d for d in report.demand if d.origin == label] == [
+            Demand(o.concept, shape_of(o), label) for o in unmet
+        ]
+
+
+def test_duplicate_op_names_demand_only_the_op_with_no_candidate():
+    """Two required ops of one name cannot come from a spec (the parser
+    gives E_DUP_NAME, pool admission refuses them), but an interface
+    built in code may hold them: only the unmatched one is demand."""
+    served = op("f", (param("x", I32),), I32, "a.b")
+    unserved = op("f", (param("x", I32),), I32, "c.d")
+    consumer = component("c", required=(InterfaceSpec("I", REQUIRED, (served, unserved)),))
+    provider = component("p", provided=(InterfaceSpec("J", PROVIDED, (served,)),))
+    project = parse_project(
+        'project "x" {\n  uses "c" *\n  uses "p" *\n  connect c.requires.I -> p.provides.J\n}'
+    )
+    report = analyse(project, [consumer, provider], EMPTY, DEFAULT_CONFIG)
+    (verdict,) = report.verdicts
+    assert verdict.status == INCOMPATIBLE
+    label = verdict.connection.label()
+    assert report.demand == (Demand(unserved.concept, shape_of(unserved), label),)

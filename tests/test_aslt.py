@@ -276,7 +276,7 @@ def test_corpus_trees_preorder_ids_and_source_lines(corpus_dir: Path):
         check_integrity(tree)
         _assert_preorder_ids_and_labelled_lines(tree, texts)
         seen.append(name)
-    assert len(seen) == 14
+    assert len(seen) == 17
 
 
 @given(spec=strategies.component_specs())

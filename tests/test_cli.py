@@ -367,6 +367,7 @@ def test_readonly_subcommands_do_not_mutate(capsys, tmp_path):
         ("units", "unitsync.pdl", 1, 1),
         ("missing", "wantsign.pdl", 2, 2),
         ("golden", "shopfront.pdl", 0, 0),
+        ("incompatible", "checkout.pdl", 2, 2),
     ],
 )
 def test_exit_code_contract_over_corpus(capsys, tmp_path, case, project, check_exit, adapt_exit):
@@ -492,6 +493,48 @@ def test_pool_add_malformed_concept_exit_3(capsys, tmp_path):
         "malformed concept 'Data..Sort!': bad concept segment 'Data'\n"
     )
     assert run(capsys, "pool", "list", "--pool", str(pool))[:2] == (0, "")
+
+
+def test_pool_add_non_json_descriptor_exit_3(capsys, tmp_path):
+    bad = tmp_path / "bad.adapter"
+    bad.write_text("{not json\n")
+    pool = tmp_path / "pool"
+    code, out, err = run(capsys, "pool", "add", str(bad), "--pool", str(pool))
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        f"error: E_INVALID_SPEC: {bad}: not a valid adapter descriptor: descriptor is not JSON: "
+    )
+    assert err.count("\n") == 1
+
+
+# `pool query data.sorting.sort` on the pool `adapt` leaves on figure3,
+# which holds only the figure3 adapter, version 1.0.0.
+_FIGURE3_HIT = (
+    "91b3e19442ba42d787b8bdd4b2bbaace31e2f20bad7aeda005a93afca73ac940 1.000"
+    " adapt_reportgen_sortkit_449e7545\n"
+)
+
+
+@pytest.mark.parametrize(
+    "constraint,result",
+    [
+        ("*", (0, _FIGURE3_HIT, "")),
+        ("=1.0.0", (0, _FIGURE3_HIT, "")),
+        (">=1.0.0", (0, _FIGURE3_HIT, "")),
+        (">=2.0.0", (0, "", "")),
+        ("~1.0.0", (3, "", "error: bad constraint '~1.0.0': use *, =x.y.z or >=x.y.z\n")),
+        ("=1.0", (3, "", "error: version '1.0' is not MAJOR.MINOR.PATCH\n")),
+    ],
+)
+def test_pool_query_constraints(capsys, tmp_path, constraint, result):
+    assert _adapt_figure3(capsys, tmp_path)[0] == 1
+    argv = ("pool", "query", "data.sorting.sort", constraint, "--pool", str(tmp_path / "pool"))
+    assert run(capsys, *argv) == result
+
+
+def test_pool_query_bad_concept_exit_3(capsys, tmp_path):
+    argv = ("pool", "query", "Data.x", "--pool", str(tmp_path / "pool"))
+    assert run(capsys, *argv) == (3, "", "error: bad concept segment 'Data'\n")
 
 
 def test_pool_add_refuses_an_adapter_that_cannot_run(capsys, tmp_path):

@@ -1,9 +1,10 @@
 """Every committed golden is exactly what `tests/golden/regen.py` writes.
 
 This pins the `check` reports (both formats) and exit codes of the
-exact, golden, missing and units corpus cases byte for byte, and checks
-that the regeneration script reproduces the figure3 goldens that other
-tests compare against.
+exact, golden, incompatible, missing and units corpus cases, and two
+`adapt` runs of each against one pool, byte for byte, and checks that
+the regeneration script reproduces the figure3 goldens that other tests
+compare against.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,27 @@ def test_integrate_wrong_interface_rejected():
     with pytest.raises(LinkageError) as err:
         integrate(project, project.connections[0], stranger)
     assert err.value.code == "E_INTERFACE_MISMATCH"
+
+
+def test_integrate_refuses_a_component_that_does_not_delegate():
+    project, consumer, provider, adapter, _ = _figure3_adapter()
+    connection = project.connections[0]
+    cut_off = replace(as_component(adapter), required=())
+    with pytest.raises(LinkageError) as err:
+        integrate(project, connection, cut_off)
+    assert err.value.code == "E_INTERFACE_MISMATCH"
+    assert err.value.message == (
+        f"{adapter.name} does not delegate to interface {connection.provider_interface!r}"
+    )
+
+
+def test_integrate_refuses_a_connection_the_project_lacks():
+    project, consumer, provider, adapter, _ = _figure3_adapter()
+    elsewhere = replace(project.connections[0], consumer_component="elsewhere")
+    with pytest.raises(LinkageError) as err:
+        integrate(project, elsewhere, adapter)
+    assert err.value.code == "E_INTERFACE_MISMATCH"
+    assert err.value.message == f"project has no connection {elsewhere.label()}"
 
 
 def _run(case_dir: Path, project_file: str, pool_root: Path, rules) -> WorkflowResult:

@@ -88,6 +88,81 @@ def test_parse_error_codes(text, code):
     assert err.value.line >= 1 and err.value.col >= 1
 
 
+def _annotated_op(annotations: str, params: str = "x: i32") -> str:
+    return (
+        'component "A" version "1.0.0" {\n'
+        "  provides interface X {\n"
+        f"    op f({params}) -> unit {annotations}\n"
+        "  }\n"
+        "}\n"
+    )
+
+
+_SWAPPED_ENDPOINTS = (
+    'project "P" {\n  uses "A" *\n  uses "B" *\n  connect A.provides.X -> B.requires.Y\n}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "text,code,reason,line,col",
+    [
+        (_annotated_op("@concept a.b @concept a.c"), "E_SYNTAX",
+         "duplicate operation @concept", 3, 39),
+        # An @concept after an @param clause annotates that parameter.
+        (_annotated_op("@param x @unit ms @concept a.b"), "E_NO_CONCEPT",
+         "operation 'f' is missing its @concept annotation", 3, 5),
+        (_annotated_op("@concept a.b @param z @unit ms"), "E_SYNTAX",
+         "@param names unknown parameter 'z'", 3, 46),
+        (_annotated_op("@concept a.b @param x @unit ms @param x @unit s"), "E_DUP_NAME",
+         "duplicate @param clause for 'x'", 3, 64),
+        (_annotated_op("@concept a.b @param x @concept c.d @concept c.e"), "E_SYNTAX",
+         "duplicate @concept for parameter 'x'", 3, 61),
+        (_annotated_op("@concept a.b @param x @unit ms @unit s"), "E_SYNTAX",
+         "duplicate @unit for parameter 'x'", 3, 57),
+        (_annotated_op("@concept a.b @param x"), "E_SYNTAX",
+         "@param x carries no @concept or @unit", 4, 3),
+        (_annotated_op("@concept a.Bc"), "E_SYNTAX",
+         "concept segment 'Bc' must match [a-z][a-z0-9_]*", 3, 37),
+        (_annotated_op("@concept a.b", params="x: i32 = "), "E_SYNTAX",
+         "expected literal, got ')'", 3, 19),
+        (_SWAPPED_ENDPOINTS, "E_SYNTAX", "expected 'requires' in connection endpoint", 4, 13),
+    ],
+    ids=[
+        "duplicate-op-concept",
+        "concept-after-param",
+        "unknown-param",
+        "duplicate-param-clause",
+        "duplicate-param-concept",
+        "duplicate-param-unit",
+        "bare-param",
+        "uppercase-segment",
+        "missing-literal",
+        "swapped-endpoint",
+    ],
+)
+def test_parse_error_messages_and_positions(text, code, reason, line, col):
+    for parse in (parse_any, oracle_parse_any):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.code, err.value.reason, err.value.line, err.value.col) == (
+            code, reason, line, col
+        ), parse
+        assert err.value.message == f"{reason} (line {line}, column {col})"
+
+
+def test_bare_uses_means_any_version():
+    project = parse_project('project "P" {\n  uses "A"\n}\n')
+    assert project.uses == (UseDecl("A", VersionConstraint("*")),)
+
+
+def test_validate_project_demand_depth():
+    deep = ConceptId(tuple("abcdefghi"))  # 9 segments
+    project = ProjectSpec("P", demands=(ConceptId(("a", "b")), deep))
+    assert [(v.code, v.location) for v in validate(project)] == [
+        ("V_CONCEPT_DEPTH", "P.demand")
+    ]
+
+
 def test_duplicate_names():
     dup_iface = (
         'component "A" version "1.0.0" {\n'
@@ -668,7 +743,7 @@ def test_fast_path_reads_hand_written_and_generated_components(tmp_path: Path, c
     adapters = sorted(project.glob("adapt_*.cdl"))
     assert len(adapters) == 1
     corpus = [p for p in corpus_spec_paths() if p.suffix == ".cdl"]
-    assert len(corpus) == 9
+    assert len(corpus) == 11
     generated = [text for text in _GENERATED_TEXTS if text.startswith("component")]
     assert len(generated) >= 12
     texts = [p.read_text(encoding="utf-8") for p in corpus + adapters] + generated
