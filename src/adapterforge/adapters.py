@@ -55,6 +55,7 @@ from .speclang import (
 from .speclang.errors import E_DESCRIPTOR, AdapterForgeError, AdapterGenError
 from .speclang.errors import json_field as _field
 from .speclang.errors import json_objects as _objects
+from .speclang.model import I32_MAX, I32_MIN, I64_MAX, I64_MIN
 from .speclang.model import concept_from_json as _concept_from_json
 from .speclang.model import literal_from_json as _literal_from_json
 from .speclang.model import literal_to_json as _literal_to_json
@@ -68,10 +69,6 @@ E_PARSE = "E_PARSE"
 TAKE = "TAKE"
 CONVERT = "CONVERT"
 FILL = "FILL"
-
-I32_RANGE = (-(2**31), 2**31 - 1)
-I64_RANGE = (-(2**63), 2**63 - 1)
-
 
 class InterpretError(AdapterForgeError):
     pass
@@ -463,7 +460,6 @@ def _mapping_from_json(doc: dict) -> OpMapping:
 # --- stub emission ---
 
 REQUIRED_PLACEHOLDERS = ("{ADAPTER_NAME}", "{OP_LIST}")
-OPTIONAL_PLACEHOLDERS = ("{IMPLEMENTS}", "{DELEGATES_TO}", "{SLOT_ACTIONS}", "{TOOL}")
 
 
 def emit_stub(adapter: AdapterSpec, template: str) -> str:
@@ -561,7 +557,7 @@ def apply_rule(rule: ConversionRule, value: Any, to_port: TypePort | None) -> An
 
 
 def _narrow(value: Any, target: str | None) -> Any:
-    lo, hi = I32_RANGE if target == "i32" else I64_RANGE
+    lo, hi = (I32_MIN, I32_MAX) if target == "i32" else (I64_MIN, I64_MAX)
     if isinstance(value, float):
         if not value.is_integer():
             raise InterpretError(E_NARROW, f"{value} is not integral")

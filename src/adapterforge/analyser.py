@@ -25,8 +25,9 @@ feasible slot (equal port, or one the conversion table bridges to), and
 no two params share that slot. That placement is then the only one
 that costs less than an infeasible entry, so it is the solver's optimum.
 Groups with a real choice, or with spare slots to fill, still go to the
-solver. Slots are priced from the conversion table's by-source index:
-one set test per pair, and only for ports that have an outgoing rule.
+solver. Slots are priced from the conversion table's rules by source
+port: one membership test per pair, and only for ports that have an
+outgoing rule.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ def _least_cost_alignment(
     for req_idx, prov_idx in groups.values():
         for i in req_idx:
             a = required.params[i]
-            bridges = conv.bridges_from(a.ty, a.unit)
+            bridges = conv.rules.get((a.ty, a.unit))
             line = price[i]
             for j in prov_idx:
                 b = provided.params[j]

@@ -62,9 +62,12 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"adapterforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, *, specs: bool = False, pool: bool = False, fmt: bool = False) -> None:
+    def common(
+        p: _Parser, *, specs: bool = False, rules: bool = False, pool: bool = False, fmt: bool = False
+    ) -> None:
         if specs:
             p.add_argument("--specs", metavar="DIR", help="directory of .cdl component specs")
+        if rules:
             p.add_argument("--conversions", metavar="FILE", help="conversion rules file")
         if pool:
             p.add_argument("--pool", metavar="DIR", help=f"pool directory (or ${POOL_ENV})")
@@ -75,12 +78,12 @@ def _build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="analyse a project without mutating anything")
     p_check.add_argument("project", metavar="PROJECT.pdl")
-    common(p_check, specs=True, fmt=True)
+    common(p_check, specs=True, rules=True, fmt=True)
 
     p_adapt = sub.add_parser("adapt", help="run the full adaptation workflow")
     p_adapt.add_argument("project", metavar="PROJECT.pdl")
     p_adapt.add_argument("--emit", metavar="DIR", help="output directory (default: beside the project)")
-    common(p_adapt, specs=True, pool=True, fmt=True)
+    common(p_adapt, specs=True, rules=True, pool=True, fmt=True)
 
     p_fmt = sub.add_parser("fmt", help="print specs in canonical form")
     p_fmt.add_argument("files", metavar="FILE", nargs="+")

@@ -9,10 +9,12 @@ the table so a corpus can tune them from the same rules file.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from types import MappingProxyType
+from typing import Any, NamedTuple
 
 from .canonjson import fraction_from_text, fraction_to_text
 from .speclang import SemType
@@ -36,8 +38,7 @@ MISSING_OPERATION = "MISSING_OPERATION"
 CONCEPT_DISTANCE = "CONCEPT_DISTANCE"
 
 
-@dataclass(frozen=True)
-class TypePort:
+class TypePort(NamedTuple):
     """A value slot as seen on the wire: type plus optional unit tag."""
 
     ty: SemType
@@ -96,60 +97,35 @@ def rule_from_json(doc: dict) -> ConversionRule:
     )
 
 
-_NO_BRIDGES: frozenset[tuple[SemType, str | None]] = frozenset()
-
-
-class _Rules(dict):
-    """`ConversionTable.entries`: a dict that refuses writes, so every
-    rule enters through `add` and reaches the bridge index too."""
-
-    def _refuse(self, *args: object, **kwargs: object) -> None:
-        raise TypeError("ConversionTable.entries is read-only; use ConversionTable.add")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self) -> tuple:
-        return _Rules, (dict(self),)
+_NO_RULES: dict[TypePort, ConversionRule] = {}
 
 
 @dataclass
 class ConversionTable:
-    """Directional rules keyed by (from port, to port).
+    """Directional rules by source port: `rules[frm][to]` bridges `frm`
+    to `to`.
 
-    The table is extended through `add` or the constructor's `entries`;
-    `entries` itself is read-only. Setting `entries` (the constructor
-    does) copies the rules and rebuilds a by-source index, `(ty, unit)`
-    -> the `(ty, unit)` ports it bridges to, which `add` extends and the
-    matcher reads to price port pairs without building `TypePort` keys.
-    The index is not a field, so `==` and `repr` see `entries` alone.
+    The matcher reads `rules` directly, one probe per consumer port;
+    since `TypePort` is a tuple, a plain `(ty, unit)` pair is the same
+    key. `entries` lists the same rules keyed by `(from, to)`, as a
+    read-only mapping built on each access.
     """
 
-    entries: dict[tuple[TypePort, TypePort], ConversionRule] = field(default_factory=dict)
+    rules: dict[TypePort, dict[TypePort, ConversionRule]] = field(default_factory=dict)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        if name == "entries":
-            value = _Rules(value)  # type: ignore[arg-type]
-            object.__setattr__(self, "_bridges", {})
-            for frm, to in value:
-                self._index(frm, to)
-        object.__setattr__(self, name, value)
-
-    def _index(self, frm: TypePort, to: TypePort) -> None:
-        key = (frm.ty, frm.unit)
-        self._bridges[key] = self._bridges.get(key, _NO_BRIDGES) | {(to.ty, to.unit)}
+    @property
+    def entries(self) -> Mapping[tuple[TypePort, TypePort], ConversionRule]:
+        return MappingProxyType(
+            {(frm, to): rule for frm, bridged in self.rules.items() for to, rule in bridged.items()}
+        )
 
     def add(self, frm: TypePort, to: TypePort, rule: ConversionRule) -> None:
         if frm == to:
             raise ValueError(f"identity conversion {frm} -> {to} is not allowed")
-        dict.__setitem__(self.entries, (frm, to), rule)
-        self._index(frm, to)
+        self.rules.setdefault(frm, {})[to] = rule
 
     def lookup(self, frm: TypePort, to: TypePort) -> ConversionRule | None:
-        return self.entries.get((frm, to))
-
-    def bridges_from(self, ty: SemType, unit: str | None) -> frozenset[tuple[SemType, str | None]]:
-        """The `(ty, unit)` ports that some rule bridges `(ty, unit)` to."""
-        return self._bridges.get((ty, unit), _NO_BRIDGES)
+        return self.rules.get(frm, _NO_RULES).get(to)
 
 
 @dataclass(frozen=True)

@@ -308,8 +308,6 @@ def _op_decl(ts: _TokenStream) -> OperationSig:
         if kind == "concept":
             if op_concept is not None:
                 raise ts.error(E_SYNTAX, "duplicate operation @concept", at)
-            if annotated:
-                raise ts.error(E_SYNTAX, "operation @concept must precede @param clauses", at)
             op_concept = _concept_path(ts)
         elif kind == "param":
             target_at = ts.i

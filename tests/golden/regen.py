@@ -24,7 +24,11 @@ The goldens:
   descriptor), `pool list`, `pool query` with and without
   `--conversions`, and `pool verify` on a fresh pool: each command as a
   `$ ` line, its stdout, then `[exit <code>]`. No command prints a store
-  time, so the bytes do not depend on when they were made.
+  time, so the bytes do not depend on when they were made;
+- `spec_transcripts.txt`: for each corpus case, `fmt` of all its `.cdl`
+  and `.pdl` files, then `aslt dump` of its project with and without
+  `--fold operation`, in the layout of `adapt_transcripts.txt` (no
+  `emitted` lines: these commands write no files).
 """
 
 from __future__ import annotations
@@ -90,7 +94,32 @@ def render_goldens() -> dict[str, str]:
     files["check_exit_codes.txt"] = "".join(exits)
     files["figure3_pool.txt"] = _pool_transcript(files["figure3.adapter"])
     files["adapt_transcripts.txt"] = _adapt_transcripts()
+    files["spec_transcripts.txt"] = _spec_transcripts()
     return files
+
+
+def _transcript(commands: list[tuple[str | Path, ...]], *hidden: str | Path) -> str:
+    """Each command as a `$ ` line with paths shown by base name, its
+    stdout, then `[exit <code>]`; `hidden` arguments are passed to every
+    command but not shown."""
+    lines = []
+    for argv in commands:
+        code, out = _run(*argv, *hidden)
+        shown = " ".join(a.name if isinstance(a, Path) else a for a in argv)
+        lines.append(f"$ {shown}\n{out}[exit {code}]\n")
+    return "".join(lines)
+
+
+def _spec_transcripts() -> str:
+    """`fmt` of each corpus case's specs, then `aslt dump` of its
+    project, unfolded and with operations folded."""
+    commands: list[tuple[str | Path, ...]] = []
+    for case in sorted(p for p in CORPUS.iterdir() if p.is_dir()):
+        (project,) = case.glob("*.pdl")
+        commands.append(("fmt", *sorted(case.glob("*.cdl")), project))
+        commands.append(("aslt", "dump", project))
+        commands.append(("aslt", "dump", project, "--fold", "operation"))
+    return _transcript(commands)
 
 
 def _adapt_transcripts() -> str:
@@ -125,12 +154,7 @@ def _pool_transcript(descriptor: str) -> str:
             ("pool", "query", "data.sorting"),
             ("pool", "verify"),
         ]
-        lines = []
-        for argv in commands:
-            code, out = _run(*argv, "--pool", Path(tmp) / "pool")
-            shown = " ".join(a.name if isinstance(a, Path) else a for a in argv)
-            lines.append(f"$ {shown}\n{out}[exit {code}]\n")
-    return "".join(lines)
+        return _transcript(commands, "--pool", Path(tmp) / "pool")
 
 
 def write_goldens(outdir: Path) -> None:

@@ -877,10 +877,6 @@ def _op_decl(ts: _TokenStream) -> OperationSig:
         if kind.text == "concept":
             if op_concept is not None:
                 raise ParseError(E_SYNTAX, "duplicate operation @concept", at_tok.line, at_tok.col)
-            if annotated:
-                raise ParseError(
-                    E_SYNTAX, "operation @concept must precede @param clauses", at_tok.line, at_tok.col
-                )
             op_concept = _concept_path(ts)
         elif kind.text == "param":
             target = ts.expect_ident()

@@ -330,6 +330,13 @@ def test_aslt_dump_project_with_fold(capsys):
     assert folded.splitlines()[0] == "project figure3"
 
 
+def test_aslt_dump_takes_no_conversions(capsys):
+    path = str(CORPUS / "figure3" / "figure3.pdl")
+    code, out, err = run(capsys, "aslt", "dump", path, "--conversions", "x")
+    assert code == 3 and out == ""
+    assert err == "error: unrecognized arguments: --conversions x\n"
+
+
 def test_unknown_flag_is_an_error(capsys):
     code, _, err = run(capsys, "check", "whatever.pdl", "--bogus")
     assert code == 3

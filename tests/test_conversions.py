@@ -192,52 +192,36 @@ _table_rows = st.lists(
 
 @given(rows=_table_rows)
 @settings(max_examples=300, deadline=None)
-def test_bridge_index_agrees_with_lookup(rows):
-    added = ConversionTable()
-    for frm, to, rule in rows:
-        added.add(frm, to, rule)
-    built = ConversionTable(entries={(frm, to): rule for frm, to, rule in rows})
-    # The index is not a field: equal entries, equal tables and reprs.
-    assert added == built
-    assert repr(added) == repr(built) == f"ConversionTable(entries={added.entries!r})"
-    ports = [frm for frm, _, _ in rows] + [to for _, to, _ in rows] + _OUTSIDE_PORTS
-    for table in (added, built):
-        for frm in ports:
-            bridges = table.bridges_from(frm.ty, frm.unit)
-            for to in ports:
-                assert ((to.ty, to.unit) in bridges) == (table.lookup(frm, to) is not None)
-
-
-def test_entries_cannot_bypass_the_bridge_index():
-    """A rule written into `entries` directly used to reach `lookup` but
-    not `bridges_from`; `entries` is read-only, and setting it anew
-    rebuilds the index."""
-    widen, i32, i64 = ConversionRule("WIDEN"), TypePort(I32), TypePort(I64)
+def test_rules_by_source_agree_with_entries_and_lookup(rows):
     table = ConversionTable()
-    writes = [
-        lambda e: e.__setitem__((i32, i64), widen),
-        lambda e: e.update({(i32, i64): widen}),
-        lambda e: e.setdefault((i32, i64), widen),
-    ]
-    for write in writes:
-        with pytest.raises(TypeError):
-            write(table.entries)
-    assert table.lookup(i32, i64) is None and table.bridges_from(I32, None) == frozenset()
+    for frm, to, rule in rows:
+        table.add(frm, to, rule)
+    assert dict(table.entries) == {(frm, to): rule for frm, to, rule in rows}
+    ports = [frm for frm, _, _ in rows] + [to for _, to, _ in rows] + _OUTSIDE_PORTS
+    for frm in ports:
+        for to in ports:
+            rule = table.lookup(frm, to)
+            assert rule == table.entries.get((frm, to))
+            bridged = (to.ty, to.unit) in table.rules.get((frm.ty, frm.unit), {})
+            assert bridged == (rule is not None)
 
-    source = {(i32, i64): widen}
-    built = ConversionTable(entries=source)
-    source.clear()  # the table copied the rules it was given
-    for shrink in (lambda e: e.pop((i32, i64)), lambda e: e.clear(), lambda e: e.popitem()):
-        with pytest.raises(TypeError):
-            shrink(built.entries)
-    assert built.lookup(i32, i64) == widen and built.bridges_from(I32, None) == {(I64, None)}
 
-    built.entries = {}
-    assert built.lookup(i32, i64) is None and built.bridges_from(I32, None) == frozenset()
-    built.add(i32, i64, widen)
-    assert built == ConversionTable(entries={(i32, i64): widen})
-    assert repr(built) == f"ConversionTable(entries={dict(built.entries)!r})"
-    for copied in (copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
-        assert copied == built and copied.bridges_from(I32, None) == {(I64, None)}
-        with pytest.raises(TypeError):
-            copied.entries[(i64, i32)] = widen
+def test_one_store_of_rules():
+    """`rules` is the only store: `entries` is a read-only mapping of
+    it, and ports are tuples, so plain `(ty, unit)` pairs are keys."""
+    widen, i32, i64 = ConversionRule("WIDEN"), TypePort(I32), TypePort(I64)
+    assert TypePort(I32, "ms") == (I32, "ms") and hash(TypePort(I32, "ms")) == hash((I32, "ms"))
+    assert str(TypePort(I32, "ms")) == "i32@ms" and str(i32) == "i32"
+
+    table = ConversionTable()
+    with pytest.raises(TypeError):
+        table.entries[(i32, i64)] = widen  # type: ignore[index]
+    assert table.lookup(i32, i64) is None and table.entries == {}
+    table.add(i32, i64, widen)
+    assert dict(table.entries) == {(i32, i64): widen}
+    assert table.rules == {(I32, None): {(I64, None): widen}}
+    assert table == ConversionTable(rules={i32: {i64: widen}})
+    assert repr(table) == f"ConversionTable(rules={table.rules!r})"
+    for copied in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert copied == table and copied.lookup(i32, i64) == widen
+        assert copied.rules is not table.rules
