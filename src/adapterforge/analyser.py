@@ -59,7 +59,6 @@ from .speclang import (
     InterfaceSpec,
     Literal,
     OperationSig,
-    ParamSig,
     ProjectSpec,
     SemType,
 )
@@ -154,17 +153,6 @@ def shape_of(op: OperationSig) -> OperationShape:
             (p.ty, p.unit, p.effective_concept(op.concept)) for p in op.params
         ),
         returns=op.returns,
-    )
-
-
-def shape_as_operation(concept: ConceptId, shape: OperationShape) -> OperationSig:
-    """Rebuild a nameless signature so shapes can run through matching."""
-    params = tuple(
-        ParamSig(name=f"p{i}", ty=ty, concept=c, unit=unit)
-        for i, (ty, unit, c) in enumerate(shape.params)
-    )
-    return OperationSig(
-        name=concept.segments[-1], params=params, returns=shape.returns, concept=concept
     )
 
 

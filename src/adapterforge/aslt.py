@@ -24,7 +24,7 @@ from fnmatch import fnmatchcase
 from itertools import count
 
 from .speclang import ComponentSpec, ParamSig, ProjectSpec, format_version
-from .speclang.errors import E_UNRESOLVED, AdapterForgeError
+from .speclang.errors import AdapterForgeError
 from .speclang.model import resolve_components
 from .speclang.serializer import serialize_with_positions
 

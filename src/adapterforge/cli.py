@@ -221,14 +221,10 @@ def _cmd_pool(args: argparse.Namespace) -> int:
             sys.stdout.write(f"{fp}\n")
         return EXIT_OK
     if args.pool_command == "query":
-        from .analyser import Demand
-
-        conv, config = _load_rules(args)
+        _, config = _load_rules(args)
         constraint = _parse_constraint(args.constraint) if args.constraint else None
-        demand = Demand(
-            concept=_parse_concept(args.concept), shape=None, origin="query"
-        )
-        for c in pool_query(root, PoolQuery(demand, constraint), conv, config):
+        query = PoolQuery(_parse_concept(args.concept), constraint)
+        for c in pool_query(root, query, config):
             sys.stdout.write(f"{c.fingerprint} {float(c.score):.3f} {c.entry.name}\n")
         return EXIT_OK
     if args.pool_command == "list":

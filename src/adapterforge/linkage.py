@@ -3,11 +3,12 @@ generate adapters, integrate, store, re-verify.
 
 One run walks the full loop. Exact connections are left alone. Every
 other connection, and every project demand, consults the pool first
-through one query; a connection takes only a hit that will re-verify
-as exact (it provides the consumer's required interface verbatim and
-requires the provider's provided interface verbatim), so its query
-prices only entries that list every concept of that interface;
-otherwise an adapter is generated when the connection is adaptable.
+through one concept query, reading candidates in rank order until one
+is taken. A connection takes only a hit that will re-verify as exact
+(it provides the consumer's required interface verbatim and requires
+the provider's provided interface verbatim), so its query keeps only
+entries that list every concept of that interface; otherwise an
+adapter is generated when the connection is adaptable.
 Generated adapters are always stored, even when later verification
 fails; a failed verification turns the outcome unresolvable instead of
 unwinding the pool.
@@ -215,7 +216,7 @@ def run_workflow(
     config: MatchConfig = DEFAULT_CONFIG,
 ) -> WorkflowResult:
     from .adapters import as_component, emit_descriptor, generate_adapter
-    from .analyser import ADAPTABLE, EXACT, Demand, analyse, analyse_resolved, shape_of
+    from .analyser import ADAPTABLE, EXACT, analyse, analyse_resolved
     from .pool import PoolQuery, init_pool, pool_add_generated, pool_query
 
     trace = _Trace()
@@ -261,10 +262,10 @@ def run_workflow(
         query: PoolQuery, note: str, accept: Callable[[ComponentSpec | AdapterSpec], bool]
     ) -> tuple[str, ComponentSpec | AdapterSpec] | None:
         """The best-ranked candidate for `query` that `accept` takes, as
-        `(fingerprint, value)`; `pool_query` returns only candidates that
-        reach the threshold."""
+        `(fingerprint, value)`, reading no artifact ranked after it;
+        `pool_query` returns only candidates that reach the threshold."""
         trace.add("query", note)
-        ranked = pool_query(pool_root, query, conv, config)
+        ranked = pool_query(pool_root, query, config)
         trace.add("return", f"{len(ranked)} candidate(s)")
         for candidate in ranked:
             value = candidate.load()
@@ -283,14 +284,12 @@ def run_workflow(
         assert consumer_iface is not None and provider_iface is not None
 
         # Not EXACT, so the consumer's interface has at least one operation.
-        first_op = consumer_iface.operations[0]
-        demand = Demand(first_op.concept, shape_of(first_op), conn.label())
-        # A healing hit provides the consumer's interface verbatim, so its
-        # index entry lists every op concept of it; other entries are not
-        # priced.
+        # A healing hit provides that interface verbatim, so its index
+        # entry lists every op concept of it, and each such entry scores 1.
+        wanted = consumer_iface.operations[0].concept
         provides = frozenset(op.concept for op in consumer_iface.operations)
         hit = consult(
-            PoolQuery(demand, provides=provides), f"{demand.concept} for {conn.label()}",
+            PoolQuery(wanted, provides=provides), f"{wanted} for {conn.label()}",
             accept=lambda value: _healing_hit(as_component(value), consumer_iface, provider_iface),
         )
         if hit is not None:
@@ -313,7 +312,7 @@ def run_workflow(
         if demand.origin != "project":
             continue
         note = f"{demand.concept} (project demand)"
-        hit = consult(PoolQuery(demand), note, accept=lambda value: True)
+        hit = consult(PoolQuery(demand.concept), note, accept=lambda value: True)
         if hit is None:
             unresolved.append(demand)
         else:

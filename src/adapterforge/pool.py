@@ -26,13 +26,13 @@ fails every call; without a seal that verifies, the whole journal is
 checked. The sealed prefix holds only canonical lines, one per
 fingerprint, so lookups read it by byte search: `_store` and
 `pool_get` find one fingerprint's line, and `pool_query` decodes only
-the lines that hold a concept string related to the demand. The check
+the lines that hold a concept string related to the queried one. The check
 runs a column at a time over the decoded lines; an `IndexEntry` is
 built only for an entry a call hands out.
 
-Listing, verifying and storing a component spec need neither the
-analyser nor the adapter layer: those load inside the calls that read,
-store or price an adapter (`pool_query`, `_canonicalize`, `_store`,
+The pool never loads the analyser. Listing, verifying, querying and
+storing a component spec need no adapter layer either: it loads inside
+the calls that read or store an adapter (`_canonicalize`, `_store`,
 `_read_artifact`).
 """
 
@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import canonjson
-from .conversions import DEFAULT_CONFIG, ConversionTable, MatchConfig
+from .conversions import DEFAULT_CONFIG, MatchConfig
 from .speclang import (
     ComponentSpec,
     ConceptId,
@@ -71,7 +71,6 @@ from .speclang.errors import AdapterForgeError
 
 if TYPE_CHECKING:
     from .adapters import AdapterSpec
-    from .analyser import Demand
 
 E_IO = "E_IO"
 E_INVALID_SPEC = "E_INVALID_SPEC"
@@ -124,7 +123,7 @@ class IndexEntry:
 
 @dataclass(frozen=True)
 class PoolQuery:
-    demand: Demand
+    concept: ConceptId
     constraint: VersionConstraint | None = None
     provides: frozenset[ConceptId] = frozenset()  # concepts a candidate's entry must all list
 
@@ -542,21 +541,14 @@ def pool_list(root: str | Path) -> list[tuple[str, IndexEntry]]:
 
 class Candidate(tuple):
     """One `pool_query` result: a `(fingerprint, score)` pair that also
-    carries the index entry it was priced from and, once read, the
-    verified artifact, so callers need no second index read."""
+    carries the index entry it was ranked from, so reading its artifact
+    needs no second index read."""
 
     entry: IndexEntry
 
-    def __new__(
-        cls,
-        root: Path,
-        fp: str,
-        score: Fraction,
-        entry: IndexEntry,
-        value: ComponentSpec | AdapterSpec | None = None,
-    ) -> Candidate:
+    def __new__(cls, root: Path, fp: str, score: Fraction, entry: IndexEntry) -> Candidate:
         self = super().__new__(cls, (fp, score))
-        self._root, self.entry, self._value = root, entry, value
+        self._root, self.entry = root, entry
         return self
 
     @property
@@ -568,12 +560,8 @@ class Candidate(tuple):
         return self[1]
 
     def load(self) -> ComponentSpec | AdapterSpec:
-        """The artifact, re-hashed when read: a shaped query read every
-        candidate while pricing it, a bare one reads it here."""
-        if self._value is None:
-            entry = self.entry
-            self._value = _read_artifact(self._root, self.fingerprint, entry.kind, entry.path)
-        return self._value
+        """The artifact, read and re-hashed on each call."""
+        return _read_artifact(self._root, self.fingerprint, self.entry.kind, self.entry.path)
 
 
 def _related_lines(journal: _Journal, concept: str) -> bytes:
@@ -610,40 +598,29 @@ def _hops(demanded: str, concept: str) -> int | None:
 
 
 def pool_query(
-    root: str | Path,
-    query: PoolQuery,
-    conv: ConversionTable | None = None,
-    config: MatchConfig = DEFAULT_CONFIG,
+    root: str | Path, query: PoolQuery, config: MatchConfig = DEFAULT_CONFIG
 ) -> list[Candidate]:
-    """Fingerprints able to serve the demand, best first.
+    """Entries able to serve the queried concept, best first.
 
     Candidates provide a concept equal to or related by ancestry to the
-    demanded one, and their index entry lists every concept in
+    queried one, and their index entry lists every concept in
     `query.provides`; an entry that does not is passed over before its
-    version is parsed or its artifact read. Of the sealed journal lines
-    only those holding a related concept string are decoded. With a
-    shaped demand each candidate's artifact is read and priced by its
-    best provided operation through the regular matcher; a bare concept
-    demand is priced by concept distance alone. An empty result is the
-    miss answer: nothing stored can serve the demand. Each result is a
-    `(fingerprint, score)` pair, and every score is at least
-    `config.threshold`: a bare demand is cut at the threshold here, a
-    shaped one by `match_operation`.
+    version is parsed. Of the sealed journal lines only those holding a
+    related concept string are decoded, and no artifact is read. Each
+    result is a `(fingerprint, score)` pair scored by concept distance,
+    `1 - config.concept_hop_penalty` per hop to its nearest related
+    concept, cut at `config.threshold` and ordered by descending score,
+    then fingerprint. An empty result is the miss answer: nothing
+    stored can serve the concept.
     """
-    from .adapters import as_component
-    from .analyser import match_operation, shape_as_operation
-
     root = Path(root)
-    conv = conv if conv is not None else ConversionTable()
-    demand = query.demand
-    wanted = shape_as_operation(demand.concept, demand.shape) if demand.shape is not None else None
     provides = frozenset(map(str, query.provides))
-    demanded = str(demand.concept)
+    demanded = str(query.concept)
     journal = _load(root)
     rows = _decode(_related_lines(journal, demanded)) + list(journal.tail.values())
     results: list[Candidate] = []
-    for row in sorted(rows, key=operator.itemgetter("fingerprint")):
-        fp, concepts = row["fingerprint"], row["provided_concepts"]
+    for row in rows:
+        concepts = row["provided_concepts"]
         if provides and not provides.issubset(concepts):
             continue
         if query.constraint is not None and not query.constraint.satisfies(
@@ -653,20 +630,9 @@ def pool_query(
         related_hops = [hops for text in concepts if (hops := _hops(demanded, text)) is not None]
         if not related_hops:
             continue
-        if wanted is None:
-            score = 1 - config.concept_hop_penalty * min(related_hops)
-            if score >= config.threshold:
-                results.append(Candidate(root, fp, score, _entry(row)))
-            continue
-        value = _read_artifact(root, fp, row["kind"], row["path"])
-        best: Fraction | None = None
-        for iface in as_component(value).provided:
-            for op in iface.operations:
-                match = match_operation(wanted, op, conv, config)
-                if match is not None and (best is None or match.score > best):
-                    best = match.score
-        if best is not None:
-            results.append(Candidate(root, fp, best, _entry(row), value))
+        score = 1 - config.concept_hop_penalty * min(related_hops)
+        if score >= config.threshold:
+            results.append(Candidate(root, row["fingerprint"], score, _entry(row)))
     results.sort(key=lambda c: (-c.score, c.fingerprint))
     return results
 

@@ -322,7 +322,11 @@ def _op_decl(ts: _TokenStream) -> OperationSig:
             raise ts.error(E_SYNTAX, f"unknown annotation @{kind}", at)
 
     if op_concept is None:
-        raise ts.error(E_NO_CONCEPT, f"operation {name!r} is missing its @concept annotation", op_at)
+        reason = f"operation {name!r} is missing its @concept annotation"
+        if param_concepts:  # the last @param clause may have taken it
+            p = next(reversed(param_concepts))
+            reason += f"; the @concept after @param {p} annotates parameter {p!r}"
+        raise ts.error(E_NO_CONCEPT, reason, op_at)
 
     params = tuple(
         ParamSig(

@@ -8,10 +8,9 @@ concept group and keeps the least `(-score, len(mismatches),
 slot_key)`; it shares only the classification of one fixed placement
 with the package, never the search. The composition oracle rebuilds
 provider calls directly from mismatch payloads. The pool-query oracle
-prices every related candidate through the public `pool_list` and
-`pool_get`, one index read per candidate; the consult oracle prices
-every related entry with no concept filter and takes the first one that
-heals. The journal oracle is the package's earlier index check: one
+scores every related entry of the public `pool_list` by concept
+distance; the consult oracle ranks every related entry with no concept
+filter and takes the first one that `pool_get` reads as healing. The journal oracle is the package's earlier index check: one
 decoded line, and one entry check, at a time. The tokenizer oracle
 walks the source one character at a time, tracking line and column per
 character, with ASCII character classes. The parser oracle is the
@@ -27,16 +26,12 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
-from adapterforge.adapters import AdapterSpec
 from adapterforge.analyser import (
-    Demand,
     Mismatch,
     OperationMatch,
     _classify_assignment,
-    match_operation,
-    shape_as_operation,
 )
 from adapterforge.conversions import (
     CONCEPT_DISTANCE,
@@ -319,17 +314,12 @@ def fold_conservation_holds(tree, pattern) -> bool:
 def oracle_pool_query(
     root,
     query: PoolQuery,
-    conv: ConversionTable,
     config: MatchConfig,
     listed: list[tuple[str, IndexEntry]] | None = None,
-    load: Callable[[str, IndexEntry], object] | None = None,
 ) -> list[tuple[str, Fraction]]:
-    """`pool_query` as a scan: list the index, then read each related
-    candidate that lists every concept of `query.provides` through
-    `pool_get` and price it by its best provided op (shaped demand) or
-    by concept distance (bare demand). `listed` and `load` replace
-    `pool_list(root)` and `pool_get` when given."""
-    demand = query.demand
+    """`pool_query` as a scan: list the index, then score each related
+    entry that lists every concept of `query.provides` by concept
+    distance. `listed` replaces `pool_list(root)` when given."""
     results: list[tuple[str, Fraction]] = []
     for fp, entry in pool_list(root) if listed is None else listed:
         if not all(str(c) in entry.provided_concepts for c in query.provides):
@@ -342,42 +332,25 @@ def oracle_pool_query(
         hops = [
             h
             for text in entry.provided_concepts
-            if (h := demand.concept.hops_to(ConceptId(tuple(text.split("."))))) is not None
+            if (h := query.concept.hops_to(ConceptId(tuple(text.split("."))))) is not None
         ]
-        if not hops:
-            continue
-        if demand.shape is None:
-            score = 1 - config.concept_hop_penalty * min(hops)
-            if score >= config.threshold:
-                results.append((fp, score))
-            continue
-        value = pool_get(root, fp) if load is None else load(fp, entry)
-        component = value.to_component_spec() if isinstance(value, AdapterSpec) else value
-        wanted = shape_as_operation(demand.concept, demand.shape)
-        scores = [
-            m.score
-            for iface in component.provided
-            for op in iface.operations
-            if (m := match_operation(wanted, op, conv, config)) is not None
-        ]
-        if scores:
-            results.append((fp, max(scores)))
+        if hops and (score := 1 - config.concept_hop_penalty * min(hops)) >= config.threshold:
+            results.append((fp, score))
     return sorted(results, key=lambda pair: (-pair[1], pair[0]))
 
 
 def oracle_consult(
     root,
-    demand: Demand,
+    wanted: ConceptId,
     consumer_iface: InterfaceSpec,
     provider_iface: InterfaceSpec,
-    conv: ConversionTable,
     config: MatchConfig,
 ) -> str | None:
     """The pool hit that heals a connection, found with no concept
-    filter: rank every related entry, then take the first candidate
-    that provides the consumer's interface and requires the provider's
-    verbatim."""
-    for fp, _ in oracle_pool_query(root, PoolQuery(demand), conv, config):
+    filter: rank every entry related to `wanted`, then take the first
+    candidate that provides the consumer's interface and requires the
+    provider's verbatim."""
+    for fp, _ in oracle_pool_query(root, PoolQuery(wanted), config):
         if _healing_hit(pool_get(root, fp), consumer_iface, provider_iface):
             return fp
     return None
@@ -894,9 +867,11 @@ def _op_decl(ts: _TokenStream) -> OperationSig:
             raise ParseError(E_SYNTAX, f"unknown annotation @{kind.text}", at_tok.line, at_tok.col)
 
     if op_concept is None:
-        raise ParseError(
-            E_NO_CONCEPT, f"operation {name!r} is missing its @concept annotation", op_tok.line, op_tok.col
-        )
+        reason = f"operation {name!r} is missing its @concept annotation"
+        if param_concepts:
+            last = list(param_concepts)[-1]
+            reason += f"; the @concept after @param {last} annotates parameter {last!r}"
+        raise ParseError(E_NO_CONCEPT, reason, op_tok.line, op_tok.col)
 
     params = tuple(
         ParamSig(

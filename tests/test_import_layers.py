@@ -95,10 +95,17 @@ def test_adapt_writes_the_golden_descriptor(adapted):
     assert emitted.read_bytes() == (GOLDEN / "figure3.adapter").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["list", "verify"])
+@pytest.mark.parametrize(
+    "command",
+    [["list"], ["verify"], ["query", "data.sorting.sort"]],
+    ids=["list", "verify", "query"],
+)
 def test_pool_list_and_verify_load_no_analyser_or_adapters(adapted, tmp_path, command):
+    """So do `pool query` and its `--conversions`: a concept query reads
+    the index alone."""
     _, _, root = adapted
-    code, loaded = _fresh(tmp_path, "pool", command, "--pool", str(root / "pool"))
+    rules = ["--conversions", RULES] if command[0] == "query" else []
+    code, loaded = _fresh(tmp_path, "pool", *command, "--pool", str(root / "pool"), *rules)
     assert code == 0
     assert "adapterforge.pool" in loaded
     assert loaded & _layers("analyser", "adapters") == set()

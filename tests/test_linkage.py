@@ -422,28 +422,37 @@ _HEALER = (
     "  }\n"
     "}\n"
 )
-# Provides the consumer's interface name and concept, but its op is
-# named after the concept's last segment, so it prices above the
-# healer against the nameless demand shape and yet cannot heal.
+# Provides the consumer's interface name and concept, so its index line
+# lists every op concept of that interface, but its op is named after
+# the concept's last segment, so it cannot heal.
 _DECOY = _HEALER.replace('"healer"', '"decoy"').replace(
     "op sortAscending(", "op sort(", 1
 )
 
 
-def _rename_penalized_rules(tmp_path: Path):
+def _rename_penalized_rules(tmp_path: Path, penalty: str = "1/10"):
     path = tmp_path / "rename.rules"
-    path.write_text((CORPUS / "conversions.rules").read_text() + "penalty rename 1/10\n")
+    path.write_text((CORPUS / "conversions.rules").read_text() + f"penalty rename {penalty}\n")
     return load_rules(path)
 
 
-def _figure3_query(pool_root: Path, conv, config):
-    from adapterforge.analyser import Demand, shape_of
+def _figure3_query(pool_root: Path, config):
     from adapterforge.pool import PoolQuery, pool_query
 
     consumer = parse_component((CORPUS / "figure3" / "reportgen.cdl").read_text())
     (op,) = consumer.interface("required", "Sorting").operations
-    demand = Demand(op.concept, shape_of(op), "figure3")
-    return pool_query(pool_root, PoolQuery(demand), conv, config)
+    return pool_query(pool_root, PoolQuery(op.concept), config)
+
+
+def _decoy_sorting(before: bool, than: str) -> str:
+    """A decoy whose fingerprint sorts before (or after) `than`."""
+    from adapterforge.pool import fingerprint_of
+
+    for i in range(100):
+        text = _DECOY.replace('"decoy"', f'"decoy{i}"')
+        if (fingerprint_of(serialize(parse_component(text)).encode()) < than) == before:
+            return text
+    raise AssertionError("no decoy name sorts on that side")
 
 
 def test_pool_hit_skips_a_higher_ranked_candidate_that_does_not_heal(tmp_path: Path):
@@ -451,11 +460,11 @@ def test_pool_hit_skips_a_higher_ranked_candidate_that_does_not_heal(tmp_path: P
 
     conv, config = _rename_penalized_rules(tmp_path)
     pool_root = init_pool(tmp_path / "pool")
-    decoy_fp = pool_add(pool_root, _DECOY)
     healer_fp = pool_add(pool_root, _HEALER)
-    ranked = _figure3_query(pool_root, conv, config)
-    assert [c.fingerprint for c in ranked] == [decoy_fp, healer_fp]
-    assert ranked[0].score > ranked[1].score >= config.threshold
+    decoy_fp = pool_add(pool_root, _decoy_sorting(before=True, than=healer_fp))
+    ranked = _figure3_query(pool_root, config)
+    # Both list the consumer's concept and score 1: the fingerprint decides.
+    assert ranked == [(decoy_fp, 1), (healer_fp, 1)]
 
     result = _run(CORPUS / "figure3", "figure3.pdl", pool_root, (conv, config))
     assert result.outcome == ADAPTED
@@ -474,12 +483,15 @@ def test_candidates_that_do_not_heal_leave_an_adaptable_connection_to_generation
     conv, config = _rename_penalized_rules(tmp_path)
     pool_root = init_pool(tmp_path / "pool")
     pool_add(pool_root, _DECOY)
-    (candidate,) = _figure3_query(pool_root, conv, config)
-    assert candidate.score >= config.threshold
+    # Related to the consumer's concept, but its index line lacks it.
+    pool_add(pool_root, _sorter("ancestor", op_name="sort", concept="data.sorting"))
+    assert len(_figure3_query(pool_root, config)) == 2
 
     result = _run(CORPUS / "figure3", "figure3.pdl", pool_root, (conv, config))
     assert result.outcome == ADAPTED
     assert [i.source for i in result.integrations] == [GENERATED]
+    # The return step counts the entries whose index line lists every op
+    # concept of the consumer's interface: the decoy alone.
     assert [(s.action, s.detail) for s in result.steps[2:4]] == [
         ("query", "data.sorting.sort for reportgen.requires.Sorting -> sortkit.provides.BulkSort"),
         ("return", "1 candidate(s)"),
@@ -508,12 +520,11 @@ def _sorter(
 def test_consult_picks_the_oracle_hit_on_mixed_pools(tmp_path: Path):
     """On pools that mix healers, decoys that list the consumer's concept
     but cannot heal, and related entries that do not list it, the hit
-    `run_workflow` takes is the one found by pricing every related entry
+    `run_workflow` takes is the one found by ranking every related entry
     with no concept filter."""
     import random
 
-    from adapterforge.analyser import Demand, shape_of
-    from adapterforge.pool import PoolQuery, pool_add, pool_query
+    from adapterforge.pool import pool_add
     from oracles import oracle_consult
 
     assert _sorter("healer") == _HEALER and _sorter("decoy", op_name="sort") == _DECOY
@@ -522,8 +533,6 @@ def test_consult_picks_the_oracle_hit_on_mixed_pools(tmp_path: Path):
     consumer_iface = consumer.interface("required", "Sorting")
     provider_iface = provider.interface("provided", "BulkSort")
     (op,) = consumer_iface.operations
-    label = "reportgen.requires.Sorting -> sortkit.provides.BulkSort"
-    demand = Demand(op.concept, shape_of(op), label)
     kinds = {
         "healer": lambda name, version: _sorter(name, version),
         "decoy": lambda name, version: _sorter(name, version, op_name="sort"),
@@ -546,8 +555,8 @@ def test_consult_picks_the_oracle_hit_on_mixed_pools(tmp_path: Path):
         for i in range(rng.randint(1, 7)):
             kind = rng.choice(sorted(kinds))
             kind_of[pool_add(pool_root, kinds[kind](f"{kind}{i}", f"1.{rng.randint(0, 3)}.0"))] = kind
-        expected = oracle_consult(pool_root, demand, consumer_iface, provider_iface, conv, config)
-        ranked = pool_query(pool_root, PoolQuery(demand), conv, config)
+        expected = oracle_consult(pool_root, op.concept, consumer_iface, provider_iface, config)
+        ranked = _figure3_query(pool_root, config)
         if ranked and kind_of[ranked[0].fingerprint] != "healer":
             seen["non-healing first"] += 1
             seen["non-covering first"] += kind_of[ranked[0].fingerprint] not in covering
@@ -564,6 +573,76 @@ def test_consult_picks_the_oracle_hit_on_mixed_pools(tmp_path: Path):
         assert result.steps[3].action == "return"
         assert result.steps[3].detail == f"{len(listing)} candidate(s)"
     assert all(seen.values()), seen
+
+
+def test_repeat_adapt_hits_its_own_adapter_under_a_rename_penalty(tmp_path: Path):
+    """Consumer and provider share the op name `sortAscending`, so the
+    connection pays no rename; the stored adapter provides that name,
+    and no rename penalty keeps the second run from finding it."""
+    case = tmp_path / "case"
+    case.mkdir()
+    for name in ("reportgen.cdl", "figure3.pdl"):
+        (case / name).write_text((CORPUS / "figure3" / name).read_text())
+    sortkit = (CORPUS / "figure3" / "sortkit.cdl").read_text()
+    (case / "sortkit.cdl").write_text(sortkit.replace("op sort(", "op sortAscending("))
+    rules = _rename_penalized_rules(tmp_path, "6/10")
+    pool_root = tmp_path / "pool"
+
+    first = _run(case, "figure3.pdl", pool_root, rules)
+    assert first.outcome == ADAPTED
+    ((source, fp),) = [(i.source, i.fingerprint) for i in first.integrations]
+    assert source == GENERATED
+
+    second = _run(case, "figure3.pdl", pool_root, rules)
+    assert second.outcome == ADAPTED
+    assert [(i.source, i.fingerprint) for i in second.integrations] == [(POOL_HIT, fp)]
+    assert second.generated_adapters == ()
+    assert len(pool_list(pool_root)) == 1
+
+
+def _adapt_with_a_damaged_decoy(tmp_path: Path, capsys, monkeypatch, before: bool):
+    """`adapt` of figure3 against a pool holding the healer and a decoy
+    that lists the consumer's concept, ranks `before` or after the
+    healer, and whose artifact no longer re-hashes. Returns the exit
+    code, stderr, the fingerprints and the artifacts read."""
+    from adapterforge import pool as pool_module
+    from adapterforge.cli import main
+    from adapterforge.pool import pool_add
+
+    pool_root = init_pool(tmp_path / "pool")
+    healer_fp = pool_add(pool_root, _HEALER)
+    decoy_fp = pool_add(pool_root, _decoy_sorting(before, than=healer_fp))
+    damaged = pool_root / "components" / f"{decoy_fp}.cdl"
+    damaged.write_bytes(damaged.read_bytes().replace(b"decoy", b"decoi"))
+    read: list[str] = []
+    artifact_bytes = pool_module._artifact_bytes
+    monkeypatch.setattr(
+        pool_module, "_artifact_bytes", lambda root, rel: read.append(rel) or artifact_bytes(root, rel)
+    )
+    code = main([
+        "adapt", str(CORPUS / "figure3" / "figure3.pdl"), "--conversions",
+        str(CORPUS / "conversions.rules"), "--pool", str(pool_root), "--emit", str(tmp_path / "out"),
+    ])
+    return code, capsys.readouterr().err, healer_fp, decoy_fp, read
+
+
+def test_a_damaged_candidate_ranked_before_the_hit_fails_adapt(tmp_path, capsys, monkeypatch):
+    code, err, healer_fp, decoy_fp, read = _adapt_with_a_damaged_decoy(
+        tmp_path, capsys, monkeypatch, before=True
+    )
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("error: E_CORRUPT: ")
+    assert decoy_fp in err
+    assert read == [f"components/{decoy_fp}.cdl"]
+
+
+def test_a_damaged_candidate_ranked_after_the_hit_is_never_read(tmp_path, capsys, monkeypatch):
+    code, err, healer_fp, decoy_fp, read = _adapt_with_a_damaged_decoy(
+        tmp_path, capsys, monkeypatch, before=False
+    )
+    assert (code, err) == (1, "")
+    assert read == [f"components/{healer_fp}.cdl"]
+    assert (tmp_path / "out" / "healer.cdl").is_file()
 
 
 def test_project_demand_below_threshold_stays_unresolved(tmp_path: Path, rules):

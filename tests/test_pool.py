@@ -27,8 +27,8 @@ from testutil import component, concept, op, param
 from adapterforge import canonjson
 from adapterforge import pool as pool_module
 from adapterforge.adapters import generate_adapter, emit_descriptor
-from adapterforge.analyser import Demand, analyse, match_operation, shape_as_operation, shape_of
-from adapterforge.conversions import DEFAULT_CONFIG, ConversionTable, load_rules
+from adapterforge.analyser import analyse
+from adapterforge.conversions import DEFAULT_CONFIG, load_rules
 from adapterforge.pool import (
     IndexEntry,
     PoolError,
@@ -180,53 +180,37 @@ def test_adapter_descriptor_roundtrip(pool: Path):
 
 
 def test_query_empty_pool(pool: Path):
-    demand = Demand(concept=concept("data.k.x"), shape=None, origin="project")
-    assert pool_query(pool, PoolQuery(demand)) == []
-
-
-def _shaped_demand() -> Demand:
-    wanted = op("f", (param("x", I32, "data.k.x.arg.x"),), I32, "data.k.x")
-    return Demand(concept=wanted.concept, shape=shape_of(wanted), origin="conn")
+    assert pool_query(pool, PoolQuery(concept("data.k.x"))) == []
 
 
 def test_query_exact_spec_scores_one(pool: Path):
     fp = pool_add(pool, spec_text("alpha"))
-    results = pool_query(pool, PoolQuery(_shaped_demand()))
+    results = pool_query(pool, PoolQuery(concept("data.k.x")))
     assert results == [(fp, Fraction(1))]
 
 
 def test_query_ranks_exact_above_ancestor(pool: Path):
     exact_fp = pool_add(pool, spec_text("alpha", concept_text="data.k.x"))
     ancestor_fp = pool_add(pool, spec_text("beta", concept_text="data.k"))
-    results = pool_query(pool, PoolQuery(_shaped_demand()))
-    assert [fp for fp, _ in results] == [exact_fp, ancestor_fp]
-    # Scores are exactly what the matcher reports for the same pairs.
-    demand = _shaped_demand()
-    wanted = shape_as_operation(demand.concept, demand.shape)
-    for fp, score in results:
-        stored = pool_get(pool, fp)
-        best = max(
-            match_operation(wanted, op_, ConversionTable()).score
-            for iface in stored.provided
-            for op_ in iface.operations
-            if match_operation(wanted, op_, ConversionTable()) is not None
-        )
-        assert score == best
+    results = pool_query(pool, PoolQuery(concept("data.k.x")))
+    # One concept_distance penalty per ancestry hop.
+    assert results == [(exact_fp, Fraction(1)), (ancestor_fp, Fraction(9, 10))]
+    strict = replace(DEFAULT_CONFIG, threshold=Fraction(19, 20))
+    assert pool_query(pool, PoolQuery(concept("data.k.x")), strict) == [(exact_fp, Fraction(1))]
 
 
 def test_query_version_constraint(pool: Path):
     old = pool_add(pool, spec_text("alpha", version="1.0.0"))
     new = pool_add(pool, spec_text("alpha", version="2.0.0"))
     results = pool_query(
-        pool, PoolQuery(_shaped_demand(), constraint=VersionConstraint(">=", (2, 0, 0)))
+        pool, PoolQuery(concept("data.k.x"), constraint=VersionConstraint(">=", (2, 0, 0)))
     )
     assert [fp for fp, _ in results] == [new]
 
 
 def test_query_unrelated_concept_is_missed(pool: Path):
     pool_add(pool, spec_text("alpha", concept_text="data.k.x"))
-    demand = Demand(concept=concept("net.http.get"), shape=None, origin="project")
-    assert pool_query(pool, PoolQuery(demand)) == []
+    assert pool_query(pool, PoolQuery(concept("net.http.get"))) == []
 
 
 def test_verify_healthy(pool: Path):
@@ -488,12 +472,11 @@ MALFORMED_INDEXES = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_INDEXES))
 def test_malformed_index_is_corrupt(pool: Path, case: str):
     (pool / "index").write_bytes(MALFORMED_INDEXES[case])
-    demand = Demand(concept=concept("data.k.x"), shape=None, origin="project")
     for action in (
         lambda: pool_list(pool),
         lambda: pool_get(pool, "a" * 64),
-        lambda: pool_query(pool, PoolQuery(demand)),
-        lambda: pool_query(pool, PoolQuery(_shaped_demand())),
+        lambda: pool_query(pool, PoolQuery(concept("data.k.x"))),
+        lambda: pool_query(pool, PoolQuery(concept("net"), provides=frozenset({concept("net")}))),
         lambda: pool_verify(pool),
         lambda: pool_add(pool, spec_text("alpha")),
     ):
@@ -537,8 +520,9 @@ def test_artifact_that_is_not_utf8_is_corrupt(pool: Path):
         pool_get(pool, fp)
     assert err.value.code == "E_CORRUPT"
     assert err.value.message.count(str(artifact)) == 1
+    (candidate,) = pool_query(pool, PoolQuery(concept("data.k.x")))  # reads no artifact
     with pytest.raises(PoolError) as err:
-        pool_query(pool, PoolQuery(_shaped_demand()))
+        candidate.load()
     assert err.value.code == "E_CORRUPT"
 
 
@@ -684,26 +668,28 @@ def _random_pool(root: Path, rng: random.Random, size: int) -> list:
 def test_query_matches_oracle(tmp_path: Path, journal: str, seed: int):
     rng = random.Random(seed)
     root = init_pool(tmp_path / "pool")
-    ops = _random_pool(root, rng, 40)
+    _random_pool(root, rng, 40)
     if journal == "pool/2 unsealed":
         (root / "index.lock").write_bytes(b"")  # every line is checked
-    conv, config = load_rules(CORPUS / "conversions.rules")
-    demands = [Demand(concept(c), None, "project") for c in _CONCEPTS + ("data.sorting", "net")]
-    demands += [Demand(o.concept, shape_of(o), "conn") for o in rng.sample(ops, 8)]
-    demands += [
-        Demand(concept("data.k"), shape_of(_random_op(rng, "f0")), "conn") for _ in range(4)
+    _, config = load_rules(CORPUS / "conversions.rules")
+    configs = [
+        config,
+        replace(config, threshold=Fraction(19, 20)),  # exact concepts only
+        replace(config, concept_hop_penalty=Fraction(1, 4)),  # one hop, not two
     ]
+    queried = [concept(c) for c in _CONCEPTS + ("data.sorting", "data.k.x.deep", "net")]
     constraints = [None, VersionConstraint(">=", (1, 0, 0)), VersionConstraint("=", (1, 1, 0))]
     nonempty = 0
-    for demand in demands:
+    for wanted in queried:
         for constraint in constraints:
-            query = PoolQuery(demand, constraint)
-            expected = oracle_pool_query(root, query, conv, config)
-            found = pool_query(root, query, conv, config)
-            assert found == expected
-            assert all(candidate.score >= config.threshold for candidate in found)
-            nonempty += len(expected) > 1
-    assert nonempty >= len(demands)  # the pools exercise ranking, not just misses
+            for config in configs:
+                query = PoolQuery(wanted, constraint)
+                expected = oracle_pool_query(root, query, config)
+                found = pool_query(root, query, config)
+                assert found == expected
+                assert all(candidate.score >= config.threshold for candidate in found)
+                nonempty += len(expected) > 1
+    assert nonempty >= 2 * len(queried)  # the pools exercise ranking, not just misses
 
 
 @pytest.mark.parametrize("journal", ["pool/2", "pool/2 unsealed"])
@@ -714,47 +700,46 @@ def test_query_with_provides_matches_oracle(tmp_path: Path, journal: str, seed: 
     ops = _random_pool(root, rng, 40)
     if journal == "pool/2 unsealed":
         (root / "index.lock").write_bytes(b"")  # every line is checked
-    conv, config = load_rules(CORPUS / "conversions.rules")
-    demands = [Demand(concept(c), None, "project") for c in ("data", "data.k", "data.sorting")]
-    demands += [Demand(o.concept, shape_of(o), "conn") for o in rng.sample(ops, 6)]
+    _, config = load_rules(CORPUS / "conversions.rules")
+    queried = [concept(c) for c in ("data", "data.k", "data.sorting")]
+    queried += [o.concept for o in rng.sample(ops, 6)]
     vocabulary = _CONCEPTS + ("data.sorting.sort", "net")
     filtered = 0
-    for demand in demands:
+    for wanted in queried:
         for _ in range(4):
             provides = frozenset(concept(c) for c in rng.sample(vocabulary, rng.randint(0, 3)))
-            query = PoolQuery(demand, rng.choice([None, VersionConstraint(">=", (1, 0, 0))]), provides)
-            expected = oracle_pool_query(root, query, conv, config)
-            assert pool_query(root, query, conv, config) == expected
-            unfiltered = oracle_pool_query(root, PoolQuery(demand, query.constraint), conv, config)
+            query = PoolQuery(wanted, rng.choice([None, VersionConstraint(">=", (1, 0, 0))]), provides)
+            expected = oracle_pool_query(root, query, config)
+            assert pool_query(root, query, config) == expected
+            unfiltered = oracle_pool_query(root, PoolQuery(wanted, query.constraint), config)
             assert set(expected) <= set(unfiltered)
             filtered += len(expected) < len(unfiltered)
-    assert filtered >= len(demands)  # the concept sets do cut candidates
+    assert filtered >= len(queried)  # the concept sets do cut candidates
 
 
 def test_provides_passes_over_an_entry_before_reading_it(pool: Path):
     kept = pool_add(pool, spec_text("alpha", concept_text="data.k.x"))
     passed_over = pool_add(pool, spec_text("beta", concept_text="data.k"))
-    (pool / "components" / f"{passed_over}.cdl").unlink()
-    query = PoolQuery(_shaped_demand(), provides=frozenset({concept("data.k.x")}))
+    for fp in (kept, passed_over):
+        (pool / "components" / f"{fp}.cdl").unlink()  # a query reads no artifact
+    query = PoolQuery(concept("data.k.x"), provides=frozenset({concept("data.k.x")}))
     assert [c.fingerprint for c in pool_query(pool, query)] == [kept]
-    with pytest.raises(PoolError) as err:
-        pool_query(pool, PoolQuery(_shaped_demand()))  # without it, the missing file is read
-    assert err.value.code == "E_CORRUPT"
+    assert [c.fingerprint for c in pool_query(pool, PoolQuery(concept("data.k.x")))] == [
+        kept, passed_over
+    ]
 
 
 def test_query_candidates_carry_entry_and_verified_value(pool: Path):
     fp = pool_add(pool, spec_text("alpha"))
-    (shaped,) = pool_query(pool, PoolQuery(_shaped_demand()))
-    bare_demand = Demand(concept=concept("data.k"), shape=None, origin="project")
-    (bare,) = pool_query(pool, PoolQuery(bare_demand))
-    for candidate in (shaped, bare):
+    for wanted in ("data.k.x", "data.k"):
+        (candidate,) = pool_query(pool, PoolQuery(concept(wanted)))
         assert candidate.fingerprint == fp and candidate.entry.name == "alpha"
         assert candidate.load() == parse_component(spec_text("alpha"))
     stored = pool / "components" / f"{fp}.cdl"
     stored.write_bytes(stored.read_bytes().replace(b"alpha", b"alphb"))
-    (bare,) = pool_query(pool, PoolQuery(bare_demand))
+    (candidate,) = pool_query(pool, PoolQuery(concept("data.k")))
     with pytest.raises(PoolError) as err:
-        bare.load()  # a bare candidate is read, and re-hashed, on demand
+        candidate.load()  # a candidate is read, and re-hashed, on demand
     assert err.value.code == "E_CORRUPT"
 
 
@@ -933,13 +918,13 @@ _SEAL_DOCUMENTS = (
     spec_text("eps", "0.1.0", "data"),
 )
 _SEAL_QUERIES = (
-    PoolQuery(Demand(concept("data.k.x"), None, "project")),
-    PoolQuery(Demand(concept("data.k"), None, "project"), VersionConstraint(">=", (1, 0, 0))),
-    PoolQuery(Demand(concept("data.m"), None, "project")),
-    PoolQuery(Demand(concept("data.sorting.sort"), None, "project")),
-    PoolQuery(Demand(concept("net"), None, "project")),
-    PoolQuery(_shaped_demand()),
-    PoolQuery(_shaped_demand(), provides=frozenset({concept("data.k.x")})),
+    PoolQuery(concept("data.k.x")),
+    PoolQuery(concept("data.k"), VersionConstraint(">=", (1, 0, 0))),
+    PoolQuery(concept("data.m")),
+    PoolQuery(concept("data.sorting.sort")),
+    PoolQuery(concept("net")),
+    PoolQuery(concept("data.k.x.deep"), provides=frozenset({concept("data.k.x")})),
+    PoolQuery(concept("data.k"), provides=frozenset({concept("data.k.x.deep")})),
 )
 
 
@@ -1051,7 +1036,7 @@ def _assert_as_oracle(outcome: tuple, expected, oracle_outcome) -> None:
 )
 @settings(max_examples=150, deadline=None)
 def test_sealed_reads_match_the_oracle_on_mutated_pools(adds: int, mutations: list):
-    conv, config = load_rules(CORPUS / "conversions.rules")
+    _, config = load_rules(CORPUS / "conversions.rules")
     with tempfile.TemporaryDirectory() as tmp:
         root = init_pool(Path(tmp) / "pool")
         fps = [pool_add(root, document) for document in _SEAL_DOCUMENTS[:adds]]
@@ -1074,9 +1059,9 @@ def test_sealed_reads_match_the_oracle_on_mutated_pools(adds: int, mutations: li
             _assert_as_oracle(_outcome(lambda: pool_get(root, fp)), expected, lambda: expected_get(fp))
         for query in _SEAL_QUERIES:
             _assert_as_oracle(
-                _outcome(lambda: pool_query(root, query, conv, config)),
+                _outcome(lambda: pool_query(root, query, config)),
                 expected,
-                lambda: _outcome(lambda: oracle_pool_query(root, query, conv, config, listed, load)),
+                lambda: _outcome(lambda: oracle_pool_query(root, query, config, listed)),
             )
         # Re-adding decides "already stored" by the same fold, and every
         # write leaves a seal that verifies.
@@ -1121,7 +1106,7 @@ def test_sealed_lookups_decode_only_the_lines_they_use(pool: Path, monkeypatch):
         action()
         return sum(decoded), sum(checked)
 
-    bare = PoolQuery(Demand(concept("dom3.op3"), None, "project"))
+    bare = PoolQuery(concept("dom3.op3"))
     found = []
     assert spied(lambda: found.extend(pool_query(pool, bare))) == (related, 0)
     assert len(found) == related and alpha in {c.fingerprint for c in found}
@@ -1130,4 +1115,4 @@ def test_sealed_lookups_decode_only_the_lines_they_use(pool: Path, monkeypatch):
     assert spied(lambda: pool_add(pool, spec_text("alpha", concept_text="dom3.op3.x"))) == (0, 0)
     assert (pool / "index").read_bytes() == index and (pool / "index.lock").read_bytes() == seal
     monkeypatch.undo()
-    assert found == oracle_pool_query(pool, bare, ConversionTable(), DEFAULT_CONFIG)
+    assert found == oracle_pool_query(pool, bare, DEFAULT_CONFIG)

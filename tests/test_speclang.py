@@ -110,7 +110,8 @@ _SWAPPED_ENDPOINTS = (
          "duplicate operation @concept", 3, 39),
         # An @concept after an @param clause annotates that parameter.
         (_annotated_op("@param x @unit ms @concept a.b"), "E_NO_CONCEPT",
-         "operation 'f' is missing its @concept annotation", 3, 5),
+         "operation 'f' is missing its @concept annotation;"
+         " the @concept after @param x annotates parameter 'x'", 3, 5),
         (_annotated_op("@concept a.b @param z @unit ms"), "E_SYNTAX",
          "@param names unknown parameter 'z'", 3, 46),
         (_annotated_op("@concept a.b @param x @unit ms @param x @unit s"), "E_DUP_NAME",
