@@ -52,7 +52,7 @@ from .speclang import (
     format_version,
     parse_version,
 )
-from .speclang.errors import E_DESCRIPTOR, AdapterForgeError, AdapterGenError
+from .speclang.errors import E_DESCRIPTOR, E_PARSE, AdapterForgeError, AdapterGenError
 from .speclang.errors import json_field as _field
 from .speclang.errors import json_objects as _objects
 from .speclang.model import I32_MAX, I32_MIN, I64_MAX, I64_MIN
@@ -64,7 +64,6 @@ from .speclang.parser import parse_type
 E_NOT_ADAPTABLE = "E_NOT_ADAPTABLE"
 E_TEMPLATE = "E_TEMPLATE"
 E_NARROW = "E_NARROW"
-E_PARSE = "E_PARSE"
 
 TAKE = "TAKE"
 CONVERT = "CONVERT"

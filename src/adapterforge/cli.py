@@ -30,7 +30,7 @@ from .speclang import (
     serialize,
 )
 from .speclang.errors import AdapterForgeError
-from .speclang.parser import read_spec_text
+from .speclang.parser import load_specs_dir, parse_spec_file, read_spec_text
 
 if TYPE_CHECKING:
     from .conversions import ConversionTable, MatchConfig
@@ -140,7 +140,6 @@ def _specs_dir(args: argparse.Namespace, project_path: Path) -> Path:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from .analyser import ADAPTABLE, INCOMPATIBLE, analyse
-    from .linkage import load_specs_dir, parse_spec_file
     from .report import render_match_report
 
     project_path = Path(args.project)
@@ -187,8 +186,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
-    from .linkage import parse_spec_file
-
     for file in args.files:
         spec = parse_spec_file(Path(file), parse_any)
         sys.stdout.write(serialize(spec))
@@ -261,7 +258,6 @@ def _parse_constraint(text: str) -> VersionConstraint:
 
 def _cmd_aslt(args: argparse.Namespace) -> int:
     from .aslt import FoldPattern, build_aslt, build_component_aslt, dump, fold
-    from .linkage import load_specs_dir, parse_spec_file
 
     path = Path(args.path)
     spec = parse_spec_file(path, parse_any)

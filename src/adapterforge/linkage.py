@@ -12,10 +12,6 @@ adapter is generated when the connection is adaptable.
 Generated adapters are always stored, even when later verification
 fails; a failed verification turns the outcome unresolvable instead of
 unwinding the pool.
-
-Reading specs needs only the spec language, so `fmt` and `check` load
-this module without the workflow's layers: `run_workflow` and
-`integrate` import the analyser, adapters and pool when they run.
 """
 
 from __future__ import annotations
@@ -23,31 +19,27 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
+from .adapters import AdapterSpec, as_component, emit_descriptor, generate_adapter
+from .analyser import ADAPTABLE, EXACT, Demand, MatchReport, analyse, analyse_resolved
 from .conversions import DEFAULT_CONFIG, ConversionTable, MatchConfig
+from .pool import PoolQuery, init_pool, pool_add_generated, pool_query
 from .speclang import (
     PROVIDED,
     REQUIRED,
     ComponentSpec,
     Connection,
     InterfaceSpec,
-    ParseError,
     ProjectSpec,
     UseDecl,
     VersionConstraint,
-    parse_component,
     parse_project,
 )
 from .speclang.errors import AdapterForgeError
 from .speclang.model import resolve_components
-from .speclang.parser import read_spec_text
+from .speclang.parser import load_specs_dir, parse_spec_file
 
-if TYPE_CHECKING:
-    from .adapters import AdapterSpec
-    from .analyser import Demand, MatchReport
-
-E_PARSE = "E_PARSE"
 E_INTERFACE_MISMATCH = "E_INTERFACE_MISMATCH"
 
 ALREADY_EXACT = "ALREADY_EXACT"
@@ -125,31 +117,6 @@ class _Trace:
         )
 
 
-def load_specs_dir(specs_dir: str | Path) -> list[ComponentSpec]:
-    """Parse every component spec in a directory, sorted by file name."""
-    specs_dir = Path(specs_dir)
-    if not specs_dir.is_dir():
-        raise LinkageError(E_PARSE, f"specs directory {specs_dir} is missing or not a directory")
-    specs: list[ComponentSpec] = []
-    for path in sorted(specs_dir.glob("*.cdl")):
-        specs.append(parse_spec_file(path, parse_component))
-    return specs
-
-
-def parse_spec_file(path: Path, parse):
-    """Parse one spec file, attaching file context to any parse error."""
-    try:
-        text = read_spec_text(path)
-    except ParseError as err:  # not UTF-8; the message names the file
-        raise LinkageError(E_PARSE, err.message) from err
-    except OSError as err:  # str(err) would name the path a second time
-        raise LinkageError(E_PARSE, f"{path}: {err.strerror or err}") from None
-    try:
-        return parse(text)
-    except ParseError as err:
-        raise LinkageError(E_PARSE, f"{path}: {err.message}") from err
-
-
 def integrate(
     project: ProjectSpec,
     connection: Connection,
@@ -158,8 +125,6 @@ def integrate(
     """Splice an adapter into one connection: the single consumer ->
     provider edge becomes consumer -> adapter -> provider, and the
     adapter is pinned in `uses`."""
-    from .adapters import as_component
-
     component = as_component(adapter)
     if component.interface(PROVIDED, connection.consumer_interface) is None:
         raise LinkageError(
@@ -215,10 +180,6 @@ def run_workflow(
     conv: ConversionTable,
     config: MatchConfig = DEFAULT_CONFIG,
 ) -> WorkflowResult:
-    from .adapters import as_component, emit_descriptor, generate_adapter
-    from .analyser import ADAPTABLE, EXACT, analyse, analyse_resolved
-    from .pool import PoolQuery, init_pool, pool_add_generated, pool_query
-
     trace = _Trace()
 
     project = parse_spec_file(Path(project_path), parse_project)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import canonjson
 from .analyser import (
@@ -20,11 +20,6 @@ from .analyser import (
     Mismatch,
     OperationMatch,
     OperationShape,
-)
-from .linkage import (
-    Integration,
-    StepRecord,
-    WorkflowResult,
 )
 from .speclang import (
     ConceptId,
@@ -41,6 +36,9 @@ from .speclang.model import (
     literal_to_json,
 )
 from .speclang.parser import parse_type
+
+if TYPE_CHECKING:
+    from .linkage import WorkflowResult
 
 HUMAN = "human"
 STRUCTURED = "structured"
@@ -263,6 +261,7 @@ def workflow_result_to_json(result: WorkflowResult) -> dict:
 
 def workflow_result_from_json(doc: dict) -> WorkflowResult:
     from .adapters import parse_descriptor
+    from .linkage import Integration, StepRecord, WorkflowResult
 
     return WorkflowResult(
         outcome=doc["outcome"],

@@ -421,9 +421,6 @@ class ProjectSpec:
         return None
 
 
-Spec = ComponentSpec | ProjectSpec
-
-
 def resolve_components(
     project: ProjectSpec, components: list[ComponentSpec]
 ) -> dict[str, ComponentSpec]:

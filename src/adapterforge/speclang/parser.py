@@ -38,7 +38,9 @@ from .errors import (
     E_DUP_NAME,
     E_DUP_USE,
     E_NO_CONCEPT,
+    E_PARSE,
     E_SYNTAX,
+    AdapterForgeError,
     ParseError,
 )
 from .model import (
@@ -155,6 +157,30 @@ def read_spec_text(path: str | Path) -> str:
         raise ParseError(
             E_SYNTAX, f"{path} is not UTF-8 ({err.reason} at byte {err.start})", 1, 1
         ) from None
+
+
+def parse_spec_file(path: Path, parse):
+    """Parse one spec file, attaching file context to any parse error."""
+    try:
+        text = read_spec_text(path)
+    except ParseError as err:  # not UTF-8; the message names the file
+        raise AdapterForgeError(E_PARSE, err.message) from err
+    except OSError as err:  # str(err) would name the path a second time
+        raise AdapterForgeError(E_PARSE, f"{path}: {err.strerror or err}") from None
+    try:
+        return parse(text)
+    except ParseError as err:
+        raise AdapterForgeError(E_PARSE, f"{path}: {err.message}") from err
+
+
+def load_specs_dir(specs_dir: str | Path) -> list[ComponentSpec]:
+    """Parse every component spec in a directory, sorted by file name."""
+    specs_dir = Path(specs_dir)
+    if not specs_dir.is_dir():
+        raise AdapterForgeError(
+            E_PARSE, f"specs directory {specs_dir} is missing or not a directory"
+        )
+    return [parse_spec_file(path, parse_component) for path in sorted(specs_dir.glob("*.cdl"))]
 
 
 def parse_component(text: str) -> ComponentSpec:

@@ -28,7 +28,15 @@ The goldens:
 - `spec_transcripts.txt`: for each corpus case, `fmt` of all its `.cdl`
   and `.pdl` files, then `aslt dump` of its project with and without
   `--fold operation`, in the layout of `adapt_transcripts.txt` (no
-  `emitted` lines: these commands write no files).
+  `emitted` lines: these commands write no files);
+- `error_transcripts.txt`: `check`, `adapt`, `fmt` and `aslt dump` on
+  each way reading a spec fails (a missing file, a directory named like
+  a spec, a file that is not UTF-8, a project that does not parse, a
+  specs directory holding a spec that does not parse, and a missing
+  `--specs` directory): each command as a `$ ` line, its stderr, then
+  `[exit <code>]`. The inputs are made in a scratch directory, which is
+  the working directory of every command, and every path is relative,
+  so the bytes do not depend on where they were made.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import contextlib
 import hashlib
 import importlib.resources
 import io
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -57,13 +66,18 @@ CHECK_CASES = {
 FORMATS = ("human", "structured")
 
 
-def _run(*argv: str | Path) -> tuple[int, str]:
+def _capture(argv: tuple[str | Path, ...]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
-    if err.getvalue():
-        raise RuntimeError(f"{argv}: unexpected stderr {err.getvalue()!r}")
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(*argv: str | Path) -> tuple[int, str]:
+    code, out, err = _capture(argv)
+    if err:
+        raise RuntimeError(f"{argv}: unexpected stderr {err!r}")
+    return code, out
 
 
 def render_goldens() -> dict[str, str]:
@@ -95,6 +109,7 @@ def render_goldens() -> dict[str, str]:
     files["figure3_pool.txt"] = _pool_transcript(files["figure3.adapter"])
     files["adapt_transcripts.txt"] = _adapt_transcripts()
     files["spec_transcripts.txt"] = _spec_transcripts()
+    files["error_transcripts.txt"] = _error_transcripts()
     return files
 
 
@@ -120,6 +135,58 @@ def _spec_transcripts() -> str:
         commands.append(("aslt", "dump", project))
         commands.append(("aslt", "dump", project, "--fold", "operation"))
     return _transcript(commands)
+
+
+def _error_transcripts() -> str:
+    """Each spec-reading failure of `check`, `adapt`, `fmt` and
+    `aslt dump`, run with relative paths from a scratch directory."""
+    # form -> (project, spec file read alone or None, --specs or None)
+    forms = {
+        "missing file": ("missing.pdl", "missing.cdl", None),
+        "directory named like a spec": ("figure3/figure3.pdl", "x.cdl", "withdir"),
+        "not UTF-8": ("latin1.pdl", "latin1.cdl", None),
+        "project syntax error": ("syntax.pdl", "syntax.pdl", None),
+        "broken spec in the specs directory": ("figure3/figure3.pdl", "broken/zz.cdl", "broken"),
+        "missing specs directory": ("figure3/figure3.pdl", None, "nospecs"),
+    }
+    commands: list[tuple[str, ...]] = []
+    for project, spec, specs in forms.values():
+        where = ("--specs", specs) if specs else ()
+        commands.append(("check", project, *where))
+        commands.append(("adapt", project, *where, "--pool", "pool"))
+        commands.append(("aslt", "dump", project, *where))
+        if spec is not None:
+            commands.append(("fmt", spec))
+        if spec not in (None, project):
+            commands.append(("aslt", "dump", spec))
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        _write_error_inputs(Path(tmp))
+        for argv in commands:
+            code, out, err = _capture(argv)
+            if out:
+                raise RuntimeError(f"{argv}: unexpected stdout {out!r}")
+            lines.append(f"$ {' '.join(argv)}\n{err}[exit {code}]\n")
+    return "".join(lines)
+
+
+def _write_error_inputs(root: Path) -> None:
+    """The figure3 case, and beside it each broken input the error
+    transcripts read."""
+    shutil.copytree(CORPUS / "figure3", root / "figure3")
+    for specs in ("withdir", "broken"):
+        (root / specs).mkdir()
+        for cdl in (CORPUS / "figure3").glob("*.cdl"):
+            shutil.copy(cdl, root / specs)
+    (root / "withdir" / "x.cdl").mkdir()
+    (root / "x.cdl").mkdir()
+    (root / "broken" / "zz.cdl").write_text(
+        'component "Z" version "1.0.0" { provides interface X { op f() -> unit } }\n',
+        encoding="utf-8",
+    )
+    (root / "latin1.pdl").write_bytes(b'project "caf\xe9" { }\n')
+    (root / "latin1.cdl").write_bytes(b'component "caf\xe9" version "1.0.0" { }\n')
+    (root / "syntax.pdl").write_text('project "p" { uses }\n', encoding="utf-8")
 
 
 def _adapt_transcripts() -> str:

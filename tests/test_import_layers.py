@@ -86,6 +86,34 @@ def test_fmt_loads_no_analysis_pool_adapters_or_report(tmp_path):
     assert loaded & _layers("analyser", "pool", "adapters", "report") == set()
 
 
+def _spec_language_only(loaded: set[str]) -> bool:
+    return {m for m in loaded if not m.startswith("adapterforge.speclang")} <= {
+        "adapterforge",
+        "adapterforge.cli",
+    }
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_check_loads_no_workflow(tmp_path, fmt):
+    """Spec files are read by the spec language, not the adapt workflow."""
+    code, loaded = _fresh(tmp_path, "check", FIGURE3, "--conversions", RULES, "--format", fmt)
+    assert code == 1
+    assert "adapterforge.linkage" not in loaded
+
+
+def test_fmt_loads_only_the_spec_language(tmp_path):
+    code, loaded = _fresh(tmp_path, "fmt", str(CORPUS / "figure3" / "sortkit.cdl"), FIGURE3)
+    assert code == 0
+    assert _spec_language_only(loaded)
+
+
+def test_aslt_dump_loads_the_aslt_and_no_other_layer(tmp_path):
+    code, loaded = _fresh(tmp_path, "aslt", "dump", FIGURE3)
+    assert code == 0
+    assert "adapterforge.aslt" in loaded
+    assert _spec_language_only(loaded - {"adapterforge.aslt"})
+
+
 def test_adapt_writes_the_golden_descriptor(adapted):
     code, loaded, root = adapted
     assert code == 1

@@ -28,7 +28,7 @@ from adapterforge.report import (
     workflow_result_from_json,
     workflow_result_to_json,
 )
-from adapterforge.speclang import parse_component, parse_project, serialize
+from adapterforge.speclang import AdapterForgeError, parse_component, parse_project, serialize
 from adapterforge import canonjson
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -250,7 +250,7 @@ def test_parse_error_carries_file_context(tmp_path: Path, rules):
     conv, config = rules
     bad = tmp_path / "bad.pdl"
     bad.write_text("project oops {")
-    with pytest.raises(LinkageError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         run_workflow(bad, tmp_path, tmp_path / "pool", conv, config)
     assert err.value.code == "E_PARSE"
     assert "bad.pdl" in err.value.message
