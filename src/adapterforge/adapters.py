@@ -52,7 +52,7 @@ from .speclang import (
     format_version,
     parse_version,
 )
-from .speclang.errors import E_DESCRIPTOR, E_PARSE, AdapterForgeError, AdapterGenError
+from .speclang.errors import E_DESCRIPTOR, E_PARSE, AdapterForgeError
 from .speclang.errors import json_field as _field
 from .speclang.errors import json_objects as _objects
 from .speclang.model import I32_MAX, I32_MIN, I64_MAX, I64_MIN
@@ -68,10 +68,6 @@ E_NARROW = "E_NARROW"
 TAKE = "TAKE"
 CONVERT = "CONVERT"
 FILL = "FILL"
-
-class InterpretError(AdapterForgeError):
-    pass
-
 
 @dataclass(frozen=True)
 class SlotAction:
@@ -219,7 +215,7 @@ def generate_adapter(
 ) -> AdapterSpec:
     """Build the bridging adapter for one ADAPTABLE connection."""
     if match.status != ADAPTABLE:
-        raise AdapterGenError(
+        raise AdapterForgeError(
             E_NOT_ADAPTABLE,
             f"connection {match.connection.label()} is {match.status}, not ADAPTABLE",
         )
@@ -319,9 +315,9 @@ def parse_descriptor(text: str) -> AdapterSpec:
     try:
         doc = canonjson.loads(text)
     except (ValueError, RecursionError) as err:
-        raise AdapterGenError(E_DESCRIPTOR, f"descriptor is not JSON: {err}") from None
+        raise AdapterForgeError(E_DESCRIPTOR, f"descriptor is not JSON: {err}") from None
     if not isinstance(doc, dict) or doc.get("format") != "adapter/1":
-        raise AdapterGenError(E_DESCRIPTOR, "not an adapter descriptor")
+        raise AdapterForgeError(E_DESCRIPTOR, "not an adapter descriptor")
     delegates = _field(doc, "delegates", dict)
     provenance = _field(doc, "provenance", dict)
     try:
@@ -340,7 +336,7 @@ def parse_descriptor(text: str) -> AdapterSpec:
             ),
         )
     except (ValueError, ArithmeticError) as err:
-        raise AdapterGenError(E_DESCRIPTOR, f"malformed descriptor: {err}") from None
+        raise AdapterForgeError(E_DESCRIPTOR, f"malformed descriptor: {err}") from None
 
 
 def _iface_to_json(iface: InterfaceSpec) -> dict:
@@ -436,7 +432,7 @@ def _slot_from_json(doc: dict) -> SlotAction:
         return SlotAction(CONVERT, index=index, rule=rule, from_port=from_port, to_port=to_port)
     if kind == FILL:
         return SlotAction(FILL, fill=_literal_from_json(doc.get("fill")))
-    raise AdapterGenError(E_DESCRIPTOR, f"unknown slot kind {kind!r}")
+    raise AdapterForgeError(E_DESCRIPTOR, f"unknown slot kind {kind!r}")
 
 
 def _mapping_from_json(doc: dict) -> OpMapping:
@@ -447,7 +443,7 @@ def _mapping_from_json(doc: dict) -> OpMapping:
     elif ret_kind == CONVERT:
         return_action = ReturnAction(*_conversion_from_json(ret_doc))
     else:
-        raise AdapterGenError(E_DESCRIPTOR, f"unknown return kind {ret_kind!r}")
+        raise AdapterForgeError(E_DESCRIPTOR, f"unknown return kind {ret_kind!r}")
     return OpMapping(
         from_op=_field(doc, "from", str),
         to_op=_field(doc, "to", str),
@@ -465,7 +461,7 @@ def emit_stub(adapter: AdapterSpec, template: str) -> str:
     """Render the delegation stub by plain placeholder substitution."""
     for placeholder in REQUIRED_PLACEHOLDERS:
         if placeholder not in template:
-            raise AdapterGenError(E_TEMPLATE, f"template is missing {placeholder}")
+            raise AdapterForgeError(E_TEMPLATE, f"template is missing {placeholder}")
     op_blocks = []
     action_lines = []
     for mapping in adapter.mappings:
@@ -535,7 +531,7 @@ def apply_rule(rule: ConversionRule, value: Any, to_port: TypePort | None) -> An
             return float(scaled)
         if isinstance(scaled, Fraction):
             if scaled.denominator != 1:
-                raise InterpretError(E_NARROW, f"{value} does not scale to an integer")
+                raise AdapterForgeError(E_NARROW, f"{value} does not scale to an integer")
             return _narrow(int(scaled), target)
         return scaled
     if rule.kind == PARSE:
@@ -545,22 +541,22 @@ def apply_rule(rule: ConversionRule, value: Any, to_port: TypePort | None) -> An
                 return float(text)
             return _narrow(int(text, 10), target)
         except ValueError:
-            raise InterpretError(E_PARSE, f"cannot parse {text!r} as {target}") from None
+            raise AdapterForgeError(E_PARSE, f"cannot parse {text!r} as {target}") from None
     if rule.kind == FORMAT:
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, float):
             return format_float(value)
         return str(value)
-    raise InterpretError(E_PARSE, f"unknown rule {rule.kind}")
+    raise AdapterForgeError(E_PARSE, f"unknown rule {rule.kind}")
 
 
 def _narrow(value: Any, target: str | None) -> Any:
     lo, hi = (I32_MIN, I32_MAX) if target == "i32" else (I64_MIN, I64_MAX)
     if isinstance(value, float):
         if not value.is_integer():
-            raise InterpretError(E_NARROW, f"{value} is not integral")
+            raise AdapterForgeError(E_NARROW, f"{value} is not integral")
         value = int(value)
     if not (lo <= value <= hi):
-        raise InterpretError(E_NARROW, f"{value} out of {target} range")
+        raise AdapterForgeError(E_NARROW, f"{value} out of {target} range")
     return value

@@ -73,10 +73,6 @@ INCOMPATIBLE = "INCOMPATIBLE"
 RETURN_SLOT = -1
 
 
-class AnalysisError(AdapterForgeError):
-    pass
-
-
 @dataclass(frozen=True)
 class Mismatch:
     """One classified divergence; the payload fields used depend on kind."""
@@ -601,10 +597,10 @@ def _find_interface(
 ) -> InterfaceSpec:
     spec = resolved.get(component)
     if spec is None:
-        raise AnalysisError(E_UNRESOLVED, f"connection references unknown component {component!r}")
+        raise AdapterForgeError(E_UNRESOLVED, f"connection references unknown component {component!r}")
     iface = spec.interface(direction, name)
     if iface is None:
-        raise AnalysisError(
+        raise AdapterForgeError(
             E_UNRESOLVED,
             f"component {component!r} has no {direction} interface {name!r}",
         )

@@ -42,10 +42,6 @@ _CHILD_KIND = {
 }
 
 
-class AsltError(AdapterForgeError):
-    pass
-
-
 @dataclass(frozen=True)
 class AsltNode:
     id: int
@@ -68,7 +64,7 @@ class Aslt:
         try:
             return self.nodes[node_id]
         except KeyError:
-            raise AsltError(E_NO_NODE, f"no node with id {node_id}") from None
+            raise AdapterForgeError(E_NO_NODE, f"no node with id {node_id}") from None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -97,10 +93,7 @@ class FoldView:
 
 def build_aslt(project: ProjectSpec, components: list[ComponentSpec]) -> Aslt:
     """Deterministic tree for a project and the components it uses."""
-    try:
-        resolved = resolve_components(project, components)
-    except AdapterForgeError as err:  # E_UNRESOLVED, raised as this module's error
-        raise AsltError(err.code, err.message) from None
+    resolved = resolve_components(project, components)
     file = f"{project.name}.pdl"
     _, pos = serialize_with_positions(project)
 
@@ -186,7 +179,7 @@ def attach_meta(tree: Aslt, target: int, key: str, value: str) -> Aslt:
     """Append one meta node under target; existing ids are untouched."""
     node = tree.node(target)
     if node.kind == "meta":
-        raise AsltError(E_META_ON_META, f"node {target} is a meta node")
+        raise AdapterForgeError(E_META_ON_META, f"node {target} is a meta node")
     new_id = max(tree.nodes) + 1
     meta_node = AsltNode(new_id, "meta", f"{key}={value}", key=key, value=value)
     nodes = dict(tree.nodes)

@@ -195,7 +195,6 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
 def _cmd_pool(args: argparse.Namespace) -> int:
     from .pool import (
         E_INVALID_SPEC,
-        PoolError,
         PoolQuery,
         init_pool,
         pool_add,
@@ -211,10 +210,10 @@ def _cmd_pool(args: argparse.Namespace) -> int:
             text = read_spec_text(Path(file))
             try:
                 fp = pool_add(root, text)
-            except PoolError as err:  # an invalid document is the file's fault
+            except AdapterForgeError as err:  # an invalid document is the file's fault
                 if err.code != E_INVALID_SPEC:
                     raise
-                raise PoolError(err.code, f"{file}: {err.message}") from None
+                raise AdapterForgeError(err.code, f"{file}: {err.message}") from None
             sys.stdout.write(f"{fp}\n")
         return EXIT_OK
     if args.pool_command == "query":

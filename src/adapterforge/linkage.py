@@ -64,10 +64,6 @@ STEP_NUMBERS = {
 }
 
 
-class LinkageError(AdapterForgeError):
-    pass
-
-
 @dataclass(frozen=True)
 class StepRecord:
     step: int
@@ -127,12 +123,12 @@ def integrate(
     adapter is pinned in `uses`."""
     component = as_component(adapter)
     if component.interface(PROVIDED, connection.consumer_interface) is None:
-        raise LinkageError(
+        raise AdapterForgeError(
             E_INTERFACE_MISMATCH,
             f"{component.name} does not provide interface {connection.consumer_interface!r}",
         )
     if component.interface(REQUIRED, connection.provider_interface) is None:
-        raise LinkageError(
+        raise AdapterForgeError(
             E_INTERFACE_MISMATCH,
             f"{component.name} does not delegate to interface {connection.provider_interface!r}",
         )
@@ -140,7 +136,7 @@ def integrate(
     try:
         at = project.connections.index(connection)
     except ValueError:
-        raise LinkageError(
+        raise AdapterForgeError(
             E_INTERFACE_MISMATCH, f"project has no connection {connection.label()}"
         ) from None
     wanted, offered = connection.consumer_interface, connection.provider_interface
@@ -234,6 +230,13 @@ def run_workflow(
                 return candidate.fingerprint, value
         return None
 
+    def pinnable(value: ComponentSpec | AdapterSpec) -> bool:
+        """Whether pinning `value` puts it in the project: `_pin` skips
+        a name the project uses, so a used name serves a demand only
+        when an earlier integration added this very component."""
+        component = as_component(value)
+        return current.use(component.name) is None or component in added
+
     for verdict in report.verdicts:
         if verdict.status == EXACT:
             continue
@@ -273,7 +276,7 @@ def run_workflow(
         if demand.origin != "project":
             continue
         note = f"{demand.concept} (project demand)"
-        hit = consult(PoolQuery(demand.concept), note, accept=lambda value: True)
+        hit = consult(PoolQuery(demand.concept), note, accept=pinnable)
         if hit is None:
             unresolved.append(demand)
         else:

@@ -103,10 +103,6 @@ _SEAL_READ = 128  # more than the longest seal, so a longer body never parses
 _temp_counter = itertools.count()
 
 
-class PoolError(AdapterForgeError):
-    pass
-
-
 def fingerprint_of(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -150,7 +146,7 @@ def init_pool(root: str | Path) -> Path:
         finally:
             tmp.unlink()
     except OSError as err:
-        raise PoolError(E_IO, f"cannot initialize pool at {root}: {err.strerror or err}") from None
+        raise AdapterForgeError(E_IO, f"cannot initialize pool at {root}: {err.strerror or err}") from None
     return root
 
 
@@ -198,7 +194,7 @@ def _line_names(data: bytes, start: int) -> Iterator[str]:
     yield from (f"index line {n}" for n in itertools.count(data.count(b"\n", 0, start) + 1))
 
 
-def _bad_line(body: bytes, names: Iterator[str]) -> PoolError:
+def _bad_line(body: bytes, names: Iterator[str]) -> AdapterForgeError:
     """The error for the first journal line that is not one JSON value."""
     for name, line in zip(names, body.split(b"\n")[:-1]):
         try:
@@ -207,8 +203,8 @@ def _bad_line(body: bytes, names: Iterator[str]) -> PoolError:
             detail = err
             if isinstance(err, json.JSONDecodeError):
                 detail = f"{err.msg} (column {err.colno})"
-            return PoolError(E_CORRUPT, f"{name}: not one JSON value: {detail}")
-    return PoolError(E_CORRUPT, "malformed pool index: its lines nest too deeply")
+            return AdapterForgeError(E_CORRUPT, f"{name}: not one JSON value: {detail}")
+    return AdapterForgeError(E_CORRUPT, "malformed pool index: its lines nest too deeply")
 
 
 def _decode(lines: bytes) -> list:
@@ -228,7 +224,7 @@ def _checked_lines(data: bytes, start: int, end: int) -> list:
         raise _bad_line(lines, names)
     if not _valid_rows(rows):
         where = next(name for name, row in zip(names, rows) if not _valid_rows([row]))
-        raise PoolError(E_CORRUPT, f"{where}: malformed pool index entry")
+        raise AdapterForgeError(E_CORRUPT, f"{where}: malformed pool index entry")
     return rows
 
 
@@ -237,9 +233,9 @@ def _read_index(root: Path) -> bytes:
     try:
         return index_path.read_bytes()
     except FileNotFoundError:
-        raise PoolError(E_IO, f"{index_path} does not exist (pool not initialized?)") from None
+        raise AdapterForgeError(E_IO, f"{index_path} does not exist (pool not initialized?)") from None
     except OSError as err:
-        raise PoolError(E_IO, f"cannot read {index_path}: {err.strerror or err}") from None
+        raise AdapterForgeError(E_IO, f"cannot read {index_path}: {err.strerror or err}") from None
 
 
 class _Journal(NamedTuple):
@@ -272,7 +268,7 @@ def _open_journal(data: bytes, seal: bytes) -> _Journal:
     parses, ends on a complete line and matches its digest spares its
     prefix the line check; anything else leaves every line checked."""
     if not data.startswith(INDEX_HEADER):
-        raise PoolError(E_CORRUPT, "pool index is not a pool/2 journal: its header is missing")
+        raise AdapterForgeError(E_CORRUPT, "pool index is not a pool/2 journal: its header is missing")
     end = data.rfind(b"\n") + 1
     sealed, digest = len(INDEX_HEADER), None
     match = _SEAL_RE.match(seal)
@@ -370,7 +366,7 @@ def _index_lock(root: Path, timeout: float) -> Iterator[int]:
     try:
         fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o666)
     except OSError as err:
-        raise PoolError(E_IO, f"cannot open {lock_path}: {err.strerror or err}") from None
+        raise AdapterForgeError(E_IO, f"cannot open {lock_path}: {err.strerror or err}") from None
     try:
         while True:
             try:
@@ -378,7 +374,7 @@ def _index_lock(root: Path, timeout: float) -> Iterator[int]:
                 break
             except BlockingIOError:
                 if time.monotonic() >= deadline:
-                    raise PoolError(
+                    raise AdapterForgeError(
                         E_LOCK, f"could not acquire {lock_path} within {timeout:.1f}s"
                     ) from None
                 time.sleep(_LOCK_POLL)
@@ -398,19 +394,19 @@ def _canonicalize(document: str) -> tuple[bytes, ComponentSpec | AdapterSpec, Co
         try:
             adapter = parse_descriptor(document)
         except AdapterForgeError as err:
-            raise PoolError(E_INVALID_SPEC, f"{bad}: {err.message}") from None
+            raise AdapterForgeError(E_INVALID_SPEC, f"{bad}: {err.message}") from None
         view = adapter.to_component_spec()
         try:
             same = parse_component(serialize(view)) == view
         except ParseError as err:
-            raise PoolError(E_INVALID_SPEC, f"{bad}: {err.reason}") from None
+            raise AdapterForgeError(E_INVALID_SPEC, f"{bad}: {err.reason}") from None
         if not same:
-            raise PoolError(E_INVALID_SPEC, f"{bad}: its component spec reads back changed")
+            raise AdapterForgeError(E_INVALID_SPEC, f"{bad}: its component spec reads back changed")
         return emit_descriptor(adapter).encode("utf-8"), adapter, view
     try:
         spec = parse_component(document)
     except ParseError as err:
-        raise PoolError(E_INVALID_SPEC, err.message) from None
+        raise AdapterForgeError(E_INVALID_SPEC, err.message) from None
     return serialize(spec).encode("utf-8"), spec, spec
 
 
@@ -457,7 +453,7 @@ def _store(
     violations = validate(component)
     if violations:
         codes = "; ".join(v.code for v in violations)
-        raise PoolError(E_INVALID_SPEC, f"spec {component.name} has violations: {codes}")
+        raise AdapterForgeError(E_INVALID_SPEC, f"spec {component.name} has violations: {codes}")
     kind = KIND_COMPONENT
     if not isinstance(value, ComponentSpec):
         from .adapters import check_adapter
@@ -465,7 +461,7 @@ def _store(
         kind = KIND_ADAPTER
         problems = "; ".join(check_adapter(value))
         if problems:
-            raise PoolError(E_INVALID_SPEC, f"adapter {value.name} cannot run: {problems}")
+            raise AdapterForgeError(E_INVALID_SPEC, f"adapter {value.name} cannot run: {problems}")
     fp = fingerprint_of(data)
     row = _row_for(kind, fp, component)
     artifact = root / row["path"]
@@ -491,7 +487,7 @@ def _store(
                 sealed += len(line)
             _write_seal(lock, sealed, digest)
         except OSError as err:
-            raise PoolError(E_IO, f"cannot write to pool {root}: {err.strerror or err}") from None
+            raise AdapterForgeError(E_IO, f"cannot write to pool {root}: {err.strerror or err}") from None
     return fp
 
 
@@ -500,7 +496,7 @@ def pool_get(root: str | Path, fp: str) -> ComponentSpec | AdapterSpec:
     root = Path(root)
     row = _row_of(_load(root), fp)
     if row is None:
-        raise PoolError(E_NO_ENTRY, f"no pool entry {fp}")
+        raise AdapterForgeError(E_NO_ENTRY, f"no pool entry {fp}")
     return _read_artifact(root, fp, row["kind"], row["path"])
 
 
@@ -512,21 +508,21 @@ def _artifact_bytes(root: Path, relpath: str) -> bytes | None:
     except FileNotFoundError:
         return None
     except OSError as err:
-        raise PoolError(E_IO, f"cannot read {path}: {err.strerror or err}") from None
+        raise AdapterForgeError(E_IO, f"cannot read {path}: {err.strerror or err}") from None
 
 
 def _read_artifact(root: Path, fp: str, kind: str, relpath: str) -> ComponentSpec | AdapterSpec:
     data = _artifact_bytes(root, relpath)
     if data is None:
-        raise PoolError(E_CORRUPT, f"index entry {fp} points at missing {relpath}")
+        raise AdapterForgeError(E_CORRUPT, f"index entry {fp} points at missing {relpath}")
     actual = fingerprint_of(data)
     if actual != fp:
-        raise PoolError(E_CORRUPT, f"{relpath} re-hashes to {actual}, expected {fp}")
+        raise AdapterForgeError(E_CORRUPT, f"{relpath} re-hashes to {actual}, expected {fp}")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         path = root / relpath
-        raise PoolError(E_CORRUPT, f"{path} is not UTF-8: byte {err.start} is invalid") from None
+        raise AdapterForgeError(E_CORRUPT, f"{path} is not UTF-8: byte {err.start} is invalid") from None
     if kind == KIND_ADAPTER:
         from .adapters import parse_descriptor
 
@@ -667,7 +663,7 @@ def pool_verify(root: str | Path) -> list[Finding]:
         try:
             names = sorted(os.listdir(root / directory))
         except OSError as err:
-            raise PoolError(E_IO, f"cannot list {root / directory}: {err.strerror or err}") from None
+            raise AdapterForgeError(E_IO, f"cannot list {root / directory}: {err.strerror or err}") from None
         for name in names:
             path = f"{directory}/{name}"
             if not name.startswith(".tmp-") and path not in indexed:

@@ -26,11 +26,6 @@ class ParseError(AdapterForgeError):
         self.col = col
 
 
-class AdapterGenError(AdapterForgeError):
-    """An adapter that cannot be generated, or a stored descriptor or
-    report that does not decode."""
-
-
 # Parse error codes.
 E_SYNTAX = "E_SYNTAX"
 E_DUP_NAME = "E_DUP_NAME"
@@ -56,10 +51,10 @@ def json_field(doc: dict, key: str, kind: type | tuple[type, ...], optional: boo
     if key not in doc:
         if optional:
             return None
-        raise AdapterGenError(E_DESCRIPTOR, f"descriptor field {key!r} is missing")
+        raise AdapterForgeError(E_DESCRIPTOR, f"descriptor field {key!r} is missing")
     value = doc[key]
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise AdapterGenError(
+        raise AdapterForgeError(
             E_DESCRIPTOR, f"descriptor field {key!r} has type {type(value).__name__}"
         )
     return value
@@ -69,7 +64,7 @@ def json_objects(doc: dict, key: str) -> list[dict]:
     """`doc[key]` as a list of JSON objects, else E_DESCRIPTOR."""
     items = json_field(doc, key, list)
     if not all(isinstance(item, dict) for item in items):
-        raise AdapterGenError(E_DESCRIPTOR, f"descriptor field {key!r} holds a non-object")
+        raise AdapterForgeError(E_DESCRIPTOR, f"descriptor field {key!r} holds a non-object")
     return items
 
 

@@ -78,6 +78,13 @@ def position(text: str, index: int) -> tuple[int, int]:
     return _line_col(text, m.start(1) if m.group(1) else m.end())
 
 
+def end_position(text: str) -> tuple[int, int]:
+    """1-based `(line, column)` just past the end of `text`, counted as
+    `position` counts."""
+    text = _strip_bom(text)
+    return _line_col(text, len(text))
+
+
 def unquote(token: str) -> str:
     """The value of a string token."""
     body = token[1:-1]

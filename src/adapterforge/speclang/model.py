@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import E_DESCRIPTOR, E_UNRESOLVED, AdapterForgeError, AdapterGenError, json_field
+from .errors import E_DESCRIPTOR, E_UNRESOLVED, AdapterForgeError, json_field
 
 SCALAR_KINDS = ("i32", "i64", "f64", "bool", "string", "bytes", "unit")
 NUMERIC_KINDS = ("i32", "i64", "f64")
@@ -123,7 +123,7 @@ def concept_from_json(text: str | None) -> ConceptId | None:
     try:
         return ConceptId.from_text(text)
     except ValueError as err:
-        raise AdapterGenError(E_DESCRIPTOR, f"malformed concept {text!r}: {err}") from None
+        raise AdapterForgeError(E_DESCRIPTOR, f"malformed concept {text!r}: {err}") from None
 
 
 Version = tuple[int, int, int]
@@ -232,13 +232,13 @@ _LITERAL_JSON_TYPES: dict[str, type | tuple[type, ...]] = {
 
 def literal_from_json(doc: Any) -> Literal:
     if not isinstance(doc, dict):
-        raise AdapterGenError(E_DESCRIPTOR, "a literal must be an object")
+        raise AdapterForgeError(E_DESCRIPTOR, "a literal must be an object")
     kind = json_field(doc, "kind", str)
     value = json_field(doc, "value", _LITERAL_JSON_TYPES.get(kind, object))
     if kind == "float":
         value = float(value)
         if not math.isfinite(value):  # a spec could not write it back
-            raise AdapterGenError(E_DESCRIPTOR, f"float literal {value} is not finite")
+            raise AdapterForgeError(E_DESCRIPTOR, f"float literal {value} is not finite")
     return Literal(kind, value)
 
 

@@ -149,13 +149,16 @@ class _TokenStream:
 
 
 def read_spec_text(path: str | Path) -> str:
-    """Read a spec or rules file, rejecting anything that is not UTF-8."""
+    """Read a spec or rules file, rejecting anything that is not UTF-8
+    at the line and column of its first invalid byte."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ParseError(
-            E_SYNTAX, f"{path} is not UTF-8 ({err.reason} at byte {err.start})", 1, 1
+            E_SYNTAX,
+            f"{path} is not UTF-8 ({err.reason} at byte {err.start})",
+            *lexer.end_position(data[: err.start].decode("utf-8")),
         ) from None
 
 

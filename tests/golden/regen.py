@@ -29,14 +29,30 @@ The goldens:
   and `.pdl` files, then `aslt dump` of its project with and without
   `--fold operation`, in the layout of `adapt_transcripts.txt` (no
   `emitted` lines: these commands write no files);
-- `error_transcripts.txt`: `check`, `adapt`, `fmt` and `aslt dump` on
-  each way reading a spec fails (a missing file, a directory named like
-  a spec, a file that is not UTF-8, a project that does not parse, a
-  specs directory holding a spec that does not parse, and a missing
-  `--specs` directory): each command as a `$ ` line, its stderr, then
-  `[exit <code>]`. The inputs are made in a scratch directory, which is
-  the working directory of every command, and every path is relative,
-  so the bytes do not depend on where they were made.
+- `error_transcripts.txt`: each command as a `$ ` line, its stderr,
+  then `[exit <code>]`, for
+  - `check`, `adapt`, `fmt` and `aslt dump` on each way reading a spec
+    fails (a missing file, a directory named like a spec, a file that
+    is not UTF-8, a project that does not parse, a specs directory
+    holding a spec that does not parse, and a missing `--specs`
+    directory);
+  - `check` with a rules file that is missing, not UTF-8, has 6
+    fields, names an unknown rule or penalty kind, sets the threshold
+    out of range, or declares an identity conversion;
+  - `pool add` of a missing file, a file that is not UTF-8, a spec with
+    a validator violation, a descriptor that is not JSON, and one whose
+    mappings cannot run;
+  - `pool list`, `pool query` and `adapt` on an `index` with no header
+    and on one whose second line is not JSON, and `adapt` against a
+    planted artifact that re-hashes to its index line but is not a
+    descriptor;
+  - `aslt dump` of a project whose `uses` nothing satisfies, and `check`
+    of a connection to an interface its component lacks;
+  - `pool query` with a bad concept and with a bad constraint.
+
+  The inputs are made in a scratch directory, which is the working
+  directory of every command, and every path is relative, so the bytes
+  do not depend on where they were made.
 """
 
 from __future__ import annotations
@@ -50,6 +66,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from adapterforge import canonjson
 from adapterforge.adapters import emit_stub, parse_descriptor
 from adapterforge.cli import main
 
@@ -57,6 +74,7 @@ GOLDEN = Path(__file__).resolve().parent
 CORPUS = GOLDEN.parent / "corpus"
 RULES = CORPUS / "conversions.rules"
 CHECK_CASES = {
+    "ancestry": "stablesort.pdl",
     "exact": "exactpair.pdl",
     "golden": "shopfront.pdl",
     "incompatible": "checkout.pdl",
@@ -109,7 +127,7 @@ def render_goldens() -> dict[str, str]:
     files["figure3_pool.txt"] = _pool_transcript(files["figure3.adapter"])
     files["adapt_transcripts.txt"] = _adapt_transcripts()
     files["spec_transcripts.txt"] = _spec_transcripts()
-    files["error_transcripts.txt"] = _error_transcripts()
+    files["error_transcripts.txt"] = _error_transcripts(files["figure3.adapter"])
     return files
 
 
@@ -137,9 +155,10 @@ def _spec_transcripts() -> str:
     return _transcript(commands)
 
 
-def _error_transcripts() -> str:
+def _error_transcripts(descriptor: str) -> str:
     """Each spec-reading failure of `check`, `adapt`, `fmt` and
-    `aslt dump`, run with relative paths from a scratch directory."""
+    `aslt dump`, then each failure past spec reading, run with relative
+    paths from a scratch directory."""
     # form -> (project, spec file read alone or None, --specs or None)
     forms = {
         "missing file": ("missing.pdl", "missing.cdl", None),
@@ -159,9 +178,25 @@ def _error_transcripts() -> str:
             commands.append(("fmt", spec))
         if spec not in (None, project):
             commands.append(("aslt", "dump", spec))
+    figure3 = "figure3/figure3.pdl"
+    for rules in _BAD_RULES:
+        commands.append(("check", figure3, "--conversions", rules))
+    for document in _BAD_DOCUMENTS:
+        commands.append(("pool", "add", document, "--pool", "pool"))
+    for pool in ("noheader", "badline"):
+        commands.append(("pool", "list", "--pool", pool))
+        commands.append(("pool", "query", "data.sorting.sort", "--pool", pool))
+        commands.append(("adapt", figure3, "--pool", pool))
+    commands += [
+        ("adapt", figure3, "--pool", "planted"),
+        ("aslt", "dump", "unresolved.pdl", "--specs", "figure3"),
+        ("check", "badconn.pdl", "--specs", "figure3"),
+        ("pool", "query", "Data..Sort!", "--pool", "pool"),
+        ("pool", "query", "data.sorting.sort", "1.2", "--pool", "pool"),
+    ]
     lines = []
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        _write_error_inputs(Path(tmp))
+        _write_error_inputs(Path(tmp), descriptor)
         for argv in commands:
             code, out, err = _capture(argv)
             if out:
@@ -170,7 +205,28 @@ def _error_transcripts() -> str:
     return "".join(lines)
 
 
-def _write_error_inputs(root: Path) -> None:
+# Rules files that `check` refuses (`missing.rules` is never written).
+_BAD_RULES = {
+    "missing.rules": None,
+    "latin1.rules": b"i32, -, i64, -, widen, 1, 1\n# caf\xe9\n",
+    "sixfields.rules": b"i32, -, i64, -, widen, 1\n",
+    "unknownrule.rules": b"i32, -, i64, -, stretch, 1, 1\n",
+    "unknownpenalty.rules": b"penalty sideways 1/10\n",
+    "threshold.rules": b"threshold 3/2\n",
+    "identity.rules": b"i32, -, i32, -, widen, 1, 1\n",
+}
+# Documents that `pool add` refuses; the two descriptors are written
+# from the figure3 one.
+_BAD_DOCUMENTS = (
+    "missing.cdl",
+    "latin1.cdl",
+    "deep.cdl",
+    "notjson.adapter",
+    "unmapped.adapter",
+)
+
+
+def _write_error_inputs(root: Path, descriptor: str) -> None:
     """The figure3 case, and beside it each broken input the error
     transcripts read."""
     shutil.copytree(CORPUS / "figure3", root / "figure3")
@@ -187,6 +243,44 @@ def _write_error_inputs(root: Path) -> None:
     (root / "latin1.pdl").write_bytes(b'project "caf\xe9" { }\n')
     (root / "latin1.cdl").write_bytes(b'component "caf\xe9" version "1.0.0" { }\n')
     (root / "syntax.pdl").write_text('project "p" { uses }\n', encoding="utf-8")
+    for name, data in _BAD_RULES.items():
+        if data is not None:
+            (root / name).write_bytes(data)
+    (root / "deep.cdl").write_text(
+        'component "deep" version "1.0.0" { provides interface X {\n'
+        "  op f(x: list<list<list<list<i32>>>>) -> unit @concept a.b\n} }\n",
+        encoding="utf-8",
+    )
+    (root / "notjson.adapter").write_text("{ not json\n", encoding="utf-8")
+    unmapped = canonjson.loads(descriptor)
+    unmapped["mappings"] = []
+    (root / "unmapped.adapter").write_text(canonjson.dumps(unmapped), encoding="utf-8")
+    planted = b'{"format":"adapter/0"}\n'  # JSON, but no adapter descriptor
+    fp = hashlib.sha256(planted).hexdigest()
+    line = canonjson.dump_line({
+        "fingerprint": fp,
+        "kind": "adapter",
+        "name": "planted",
+        "path": f"adapters/{fp}.adapter",
+        "provided_concepts": ["data.sorting.sort"],
+        "stored_at": "2024-01-01T00:00:00+00:00",
+        "version": "1.0.0",
+    })
+    header = b'{"format":"pool/2"}\n'
+    pools = {"noheader": line, "badline": header + b"{not json}\n" + line, "planted": header + line}
+    for pool, index in pools.items():
+        for directory in ("components", "adapters"):
+            (root / pool / directory).mkdir(parents=True)
+        (root / pool / "index").write_bytes(index)
+    (root / "planted" / "adapters" / f"{fp}.adapter").write_bytes(planted)
+    (root / "unresolved.pdl").write_text(
+        'project "lonely" {\n  uses "nothing" *\n}\n', encoding="utf-8"
+    )
+    (root / "badconn.pdl").write_text(
+        'project "badconn" {\n  uses "reportgen" *\n  uses "sortkit" *\n'
+        "  connect reportgen.requires.Sorting -> sortkit.provides.Missing\n}\n",
+        encoding="utf-8",
+    )
 
 
 def _adapt_transcripts() -> str:

@@ -16,12 +16,11 @@ from adapterforge.adapters import (
     CONVERT,
     FILL,
     TAKE,
-    AdapterGenError,
     AdapterSpec,
-    InterpretError,
     OpMapping,
     ReturnAction,
     SlotAction,
+    apply_rule,
     check_adapter,
     emit_descriptor,
     emit_stub,
@@ -36,6 +35,7 @@ from adapterforge.speclang import (
     F64,
     I32,
     I64,
+    STRING,
     Literal,
     parse_component,
     parse_project,
@@ -84,7 +84,7 @@ def test_not_adaptable_rejected():
         "exact", ["archiver.cdl", "hashlibx.cdl"], "exactpair.pdl"
     )
     assert report.verdicts[0].status == EXACT
-    with pytest.raises(AdapterGenError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         generate_adapter(report.verdicts[0], consumer, provider, project.name)
     assert err.value.code == "E_NOT_ADAPTABLE"
 
@@ -217,7 +217,7 @@ def test_stub_missing_placeholder():
         "figure3", ["reportgen.cdl", "sortkit.cdl"], "figure3.pdl"
     )
     adapter = generate_adapter(report.verdicts[0], consumer, provider, project.name)
-    with pytest.raises(AdapterGenError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         emit_stub(adapter, "no placeholders at all {OP_LIST}")
     assert err.value.code == "E_TEMPLATE"
 
@@ -234,7 +234,7 @@ def test_interpret_narrow_out_of_range():
         "g",
         (SlotAction(CONVERT, index=0, rule=rule, from_port=TypePort(I64), to_port=TypePort(I32)),),
     )
-    with pytest.raises(InterpretError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         interpret_mapping(mapping, [2**40], lambda x: x)
     assert err.value.code == "E_NARROW"
     assert interpret_mapping(mapping, [1234], lambda x: x) == 1234
@@ -264,17 +264,54 @@ def test_mapping_rejects_dropped_inputs():
 
 def test_interpret_parse_failure():
     rule = ConversionRule("PARSE")
-    from adapterforge.speclang import STRING
-
     bad = OpMapping(
         "f",
         "g",
         (SlotAction(CONVERT, index=0, rule=rule, from_port=TypePort(STRING), to_port=TypePort(I64)),),
     )
     assert interpret_mapping(bad, ["123"], lambda x: x) == 123
-    with pytest.raises(InterpretError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         interpret_mapping(bad, ["not a number"], lambda x: x)
     assert err.value.code == "E_PARSE"
+
+
+# docs/formats.md, "Runtime semantics of the rules": (rule, factor,
+# value, target port) -> the value delivered, or the error code raised.
+_MS_TO_S = Fraction(1, 1000)
+_RULE_RESULTS = [
+    ("WIDEN", None, 3, TypePort(F64), 3.0),
+    ("WIDEN", None, 3, TypePort(I64), 3),
+    ("NARROW_CHECKED", None, 3.0, TypePort(I64), 3),
+    ("NARROW_CHECKED", None, 7, TypePort(I32), 7),
+    ("UNIT_SCALE", _MS_TO_S, 5000, TypePort(I64, "s"), 5),
+    ("UNIT_SCALE", _MS_TO_S, 1500, TypePort(F64, "s"), 1.5),
+    ("UNIT_SCALE", _MS_TO_S, 1500.0, TypePort(F64, "s"), 1.5),
+    ("PARSE", None, "2.5", TypePort(F64), 2.5),
+    ("PARSE", None, "42", TypePort(I64), 42),
+    ("FORMAT", None, True, TypePort(STRING), "true"),
+    ("FORMAT", None, False, TypePort(STRING), "false"),
+    ("FORMAT", None, 2.0, TypePort(STRING), "2.0"),
+    ("FORMAT", None, 7, TypePort(STRING), "7"),
+]
+_RULE_ERRORS = [
+    ("NARROW_CHECKED", None, 3.5, TypePort(I64), "E_NARROW"),
+    ("NARROW_CHECKED", None, 2**40, TypePort(I32), "E_NARROW"),
+    ("UNIT_SCALE", _MS_TO_S, 1500, TypePort(I64, "s"), "E_NARROW"),
+    ("PARSE", None, "2.5", TypePort(I64), "E_PARSE"),
+]
+
+
+@pytest.mark.parametrize("kind,factor,value,port,expected", _RULE_RESULTS)
+def test_rule_runtime_semantics(kind, factor, value, port, expected):
+    result = apply_rule(ConversionRule(kind, factor), value, port)
+    assert (type(result), result) == (type(expected), expected)
+
+
+@pytest.mark.parametrize("kind,factor,value,port,code", _RULE_ERRORS)
+def test_rule_runtime_errors(kind, factor, value, port, code):
+    with pytest.raises(AdapterForgeError) as err:
+        apply_rule(ConversionRule(kind, factor), value, port)
+    assert err.value.code == code
 
 
 # --- malformed descriptors ---------------------------------------------
@@ -364,7 +401,7 @@ MALFORMED_DESCRIPTORS = {
 def test_malformed_descriptor_is_coded(case: str):
     doc = canonjson.loads((GOLDEN / "figure3.adapter").read_text())
     MALFORMED_DESCRIPTORS[case](doc)
-    with pytest.raises(AdapterGenError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         parse_descriptor(canonjson.dumps(doc))
     assert err.value.code == "E_DESCRIPTOR"
 
@@ -394,7 +431,7 @@ def test_malformed_descriptor_is_coded(case: str):
 def test_report_decoder_rejects_malformed_concept(doc):
     from adapterforge.report import demand_from_json
 
-    with pytest.raises(AdapterGenError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         demand_from_json(doc)
     assert err.value.code == "E_DESCRIPTOR"
 
@@ -418,7 +455,7 @@ def test_fraction_text_is_ascii_decimal_everywhere(units_adapter, text):
     for field in (descriptor["provenance"], factor_slot["rule"]):
         saved = dict(field)
         field["score" if "score" in field else "factor"] = text
-        with pytest.raises(AdapterGenError) as err:
+        with pytest.raises(AdapterForgeError) as err:
             parse_descriptor(canonjson.dumps(descriptor))
         assert err.value.code == "E_DESCRIPTOR"
         field.update(saved)

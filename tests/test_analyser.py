@@ -17,7 +17,6 @@ from adapterforge.analyser import (
     ADAPTABLE,
     EXACT,
     INCOMPATIBLE,
-    AnalysisError,
     Demand,
     Mismatch,
     analyse,
@@ -48,6 +47,7 @@ from adapterforge.speclang import (
     REQUIRED,
     STRING,
     UNIT,
+    AdapterForgeError,
     Connection,
     InterfaceSpec,
     Literal,
@@ -376,7 +376,7 @@ def test_unresolved_interface(rules):
     project = parse_project(
         'project "x" {\n  uses "c" *\n  uses "p" *\n  connect c.requires.I -> p.provides.J\n}'
     )
-    with pytest.raises(AnalysisError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         analyse(project, [consumer, provider], conv, config)
     assert err.value.code == "E_UNRESOLVED"
 

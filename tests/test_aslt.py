@@ -11,7 +11,6 @@ import strategies
 from conftest import corpus_spec_paths
 from adapterforge.aslt import (
     Aslt,
-    AsltError,
     FoldPattern,
     attach_meta,
     build_aslt,
@@ -21,7 +20,14 @@ from adapterforge.aslt import (
     fold,
     traverse,
 )
-from adapterforge.speclang import ComponentSpec, MetaEntry, parse_component, parse_project, serialize
+from adapterforge.speclang import (
+    AdapterForgeError,
+    ComponentSpec,
+    MetaEntry,
+    parse_component,
+    parse_project,
+    serialize,
+)
 
 
 def load_figure3(corpus_dir: Path):
@@ -68,7 +74,7 @@ def test_build_is_deterministic(corpus_dir: Path):
 
 
 def test_unresolved_use():
-    with pytest.raises(AsltError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         build_aslt(parse_project('project "P" { uses "ghost" * }'), [])
     assert err.value.code == "E_UNRESOLVED"
 
@@ -81,8 +87,9 @@ def test_version_constraint_resolution():
     version_meta = tree.node(component.meta_children[0])
     assert version_meta.value == "2.0.0"
 
-    with pytest.raises(AsltError):
+    with pytest.raises(AdapterForgeError) as err:
         build_aslt(parse_project('project "P" { uses "A" >= "3.0.0" }'), [v1, v2])
+    assert err.value.code == "E_UNRESOLVED"
 
 
 def test_attach_meta_appends_without_renumbering(corpus_dir: Path):
@@ -101,14 +108,14 @@ def test_attach_meta_appends_without_renumbering(corpus_dir: Path):
 def test_attach_meta_on_meta_rejected():
     tree = build_component_aslt(parse_component(SIX_NODE_COMPONENT))
     meta_id = next(n.id for n in tree.nodes.values() if n.kind == "meta")
-    with pytest.raises(AsltError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         attach_meta(tree, meta_id, "k", "v")
     assert err.value.code == "E_META_ON_META"
 
 
 def test_attach_meta_missing_node():
     tree = build_component_aslt(parse_component(SIX_NODE_COMPONENT))
-    with pytest.raises(AsltError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         attach_meta(tree, 10_000, "k", "v")
     assert err.value.code == "E_NO_NODE"
 

@@ -13,7 +13,12 @@ import pytest
 
 from adapterforge import canonjson
 from adapterforge.cli import main
-from adapterforge.report import match_report_from_json, workflow_result_from_json
+from adapterforge.report import (
+    match_report_from_json,
+    match_report_to_json,
+    render_match_report,
+    workflow_result_from_json,
+)
 
 CORPUS = Path(__file__).parent / "corpus"
 RULES = str(CORPUS / "conversions.rules")
@@ -91,6 +96,26 @@ def test_check_structured_roundtrips(capsys):
     assert code == 1
     report = match_report_from_json(canonjson.loads(out))
     assert report.project == "figure3"
+
+
+def test_ancestry_report_roundtrips_its_concept_distance(capsys):
+    """A consumer concept one segment below the provider's is one
+    CONCEPT_DISTANCE hop: the structured report carries the hop count,
+    reads back to the same bytes, and renders as `check` prints it."""
+    argv = ("check", str(CORPUS / "ancestry" / "stablesort.pdl"), "--conversions", RULES)
+    code, human, _ = run(capsys, *argv)
+    assert code == 1
+    code, out, _ = run(capsys, *argv, "--format", "structured")
+    assert code == 1
+    report = match_report_from_json(canonjson.loads(out))
+    (verdict,) = report.verdicts
+    (mismatch,) = verdict.mismatches
+    assert (mismatch.kind, mismatch.hops, str(mismatch.concept)) == (
+        "CONCEPT_DISTANCE", 1, "data.sorting.sort"
+    )
+    assert canonjson.dumps(match_report_to_json(report)) == out
+    assert render_match_report(report) == human
+    assert "  CONCEPT_DISTANCE 1 hop(s) to data.sorting.sort\n" in human
 
 
 def test_adapt_already_exact_writes_only_report(capsys, tmp_path):

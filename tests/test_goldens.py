@@ -1,11 +1,11 @@
 """Every committed golden is exactly what `tests/golden/regen.py` writes.
 
 This pins the `check` reports (both formats) and exit codes of the
-exact, golden, incompatible, missing and units corpus cases, two
-`adapt` runs of each against one pool, and the stderr and exit code of
-each way reading a spec fails, byte for byte, and checks that the
-regeneration script reproduces the figure3 goldens that other tests
-compare against.
+ancestry, exact, golden, incompatible, missing and units corpus cases,
+two `adapt` runs of each against one pool, and the stderr and exit code
+of each way reading a spec, a rules file, a `pool add` input or a pool
+fails, byte for byte, and checks that the regeneration script
+reproduces the figure3 goldens that other tests compare against.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from adapterforge.linkage import (
     GENERATED,
     POOL_HIT,
     UNRESOLVABLE,
-    LinkageError,
     WorkflowResult,
     integrate,
     run_workflow,
@@ -90,7 +89,7 @@ def test_integrate_wrong_interface_rejected():
         "  }\n"
         "}"
     )
-    with pytest.raises(LinkageError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         integrate(project, project.connections[0], stranger)
     assert err.value.code == "E_INTERFACE_MISMATCH"
 
@@ -99,7 +98,7 @@ def test_integrate_refuses_a_component_that_does_not_delegate():
     project, consumer, provider, adapter, _ = _figure3_adapter()
     connection = project.connections[0]
     cut_off = replace(as_component(adapter), required=())
-    with pytest.raises(LinkageError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         integrate(project, connection, cut_off)
     assert err.value.code == "E_INTERFACE_MISMATCH"
     assert err.value.message == (
@@ -110,7 +109,7 @@ def test_integrate_refuses_a_component_that_does_not_delegate():
 def test_integrate_refuses_a_connection_the_project_lacks():
     project, consumer, provider, adapter, _ = _figure3_adapter()
     elsewhere = replace(project.connections[0], consumer_component="elsewhere")
-    with pytest.raises(LinkageError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         integrate(project, elsewhere, adapter)
     assert err.value.code == "E_INTERFACE_MISMATCH"
     assert err.value.message == f"project has no connection {elsewhere.label()}"
@@ -674,3 +673,78 @@ def test_project_demand_below_threshold_stays_unresolved(tmp_path: Path, rules):
     # default threshold.
     lenient = _run(CORPUS / "missing", "wantsign.pdl", pool_root, rules)
     assert [(i.source, i.fingerprint) for i in lenient.integrations] == [(POOL_HIT, fp)]
+
+
+def _util(name: str, version: str, render: bool) -> str:
+    op = "    op render(x: string) -> string @concept text.render\n" if render else ""
+    return (
+        f'component "{name}" version "{version}" {{\n'
+        "  provides interface Text {\n"
+        f"{op}"
+        "    op trim(x: string) -> string @concept text.trim\n"
+        "  }\n"
+        "}\n"
+    )
+
+
+def _adapt_demand(tmp_path: Path, capsys, project: str, *pooled: str) -> tuple[int, str, Path]:
+    """`adapt` of `project` beside util 1.0.0, which provides no
+    `text.render`, against a pool holding `pooled`; returns the exit
+    code, stdout and the emit directory."""
+    from adapterforge.cli import main
+    from adapterforge.pool import pool_add
+
+    case = tmp_path / "case"
+    case.mkdir()
+    (case / "util.cdl").write_text(_util("util", "1.0.0", render=False))
+    (case / "p.pdl").write_text(project)
+    pool_root = init_pool(tmp_path / "pool")
+    for document in pooled:
+        pool_add(pool_root, document)
+    out = tmp_path / "out"
+    code = main(["adapt", str(case / "p.pdl"), "--pool", str(pool_root), "--emit", str(out)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, captured.out, out
+
+
+_USES_UTIL = 'project "p" {\n  uses "util" *\n  demand text.render\n}\n'
+
+
+def test_a_demand_passes_over_a_provider_whose_name_the_project_uses(tmp_path, capsys):
+    """Pinning util 2.0.0 would be skipped, since the project already
+    uses util, so that candidate cannot serve the demand."""
+    code, out, emitted = _adapt_demand(
+        tmp_path, capsys, _USES_UTIL, _util("util", "2.0.0", render=True)
+    )
+    assert code == 2
+    assert "unresolved demand text.render (project)" in out
+    assert "integrated" not in out
+    assert not (emitted / "p.adapted.pdl").exists()
+
+
+def test_a_demand_takes_a_differently_named_provider(tmp_path, capsys):
+    code, out, emitted = _adapt_demand(
+        tmp_path, capsys, _USES_UTIL,
+        _util("util", "2.0.0", render=True), _util("textkit", "1.0.0", render=True),
+    )
+    assert code == 1
+    assert "unresolved" not in out
+    assert "integrated textkit (POOL_HIT" in out
+    adapted = parse_project((emitted / "p.adapted.pdl").read_text())
+    assert [(u.name, str(u.constraint)) for u in adapted.uses] == [
+        ("util", "*"), ("textkit", '= "1.0.0"')
+    ]
+
+
+def test_two_demands_served_by_one_pooled_component(tmp_path, capsys):
+    """The second demand takes the component the first one pinned."""
+    project = 'project "p" {\n  uses "util" *\n  demand text.render\n  demand text.wrap\n}\n'
+    both = _util("textkit", "1.0.0", render=True).replace(
+        "  }\n}", "    op wrap(x: string) -> string @concept text.wrap\n  }\n}"
+    )
+    code, out, emitted = _adapt_demand(tmp_path, capsys, project, both)
+    assert code == 1
+    assert out.count("integrated textkit (POOL_HIT") == 2
+    adapted = parse_project((emitted / "p.adapted.pdl").read_text())
+    assert [u.name for u in adapted.uses] == ["util", "textkit"]

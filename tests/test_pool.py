@@ -30,8 +30,12 @@ from adapterforge.adapters import generate_adapter, emit_descriptor
 from adapterforge.analyser import analyse
 from adapterforge.conversions import DEFAULT_CONFIG, load_rules
 from adapterforge.pool import (
+    E_CORRUPT,
+    E_INVALID_SPEC,
+    E_IO,
+    E_LOCK,
+    E_NO_ENTRY,
     IndexEntry,
-    PoolError,
     PoolQuery,
     fingerprint_of,
     init_pool,
@@ -47,6 +51,7 @@ from adapterforge.pool import (
     _write_atomic,
 )
 from adapterforge.speclang import (
+    AdapterForgeError,
     ComponentSpec,
     F64,
     I32,
@@ -107,7 +112,7 @@ def test_get_roundtrip(pool: Path):
 
 
 def test_get_unknown_fingerprint(pool: Path):
-    with pytest.raises(PoolError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         pool_get(pool, "0" * 64)
     assert err.value.code == "E_NO_ENTRY"
 
@@ -118,13 +123,13 @@ def test_get_detects_tampering(pool: Path):
     data = bytearray(stored.read_bytes())
     data[10] ^= 0xFF
     stored.write_bytes(bytes(data))
-    with pytest.raises(PoolError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         pool_get(pool, fp)
     assert err.value.code == "E_CORRUPT"
 
 
 def test_invalid_spec_rejected(pool: Path):
-    with pytest.raises(PoolError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         pool_add(pool, "component oops {")
     assert err.value.code == "E_INVALID_SPEC"
     assert pool_list(pool) == []
@@ -141,7 +146,7 @@ def test_components_and_adapters_share_one_admission_message(pool: Path):
     doc["implements"]["operations"][0]["returns"] = deep
     spec = (CORPUS / "figure3" / "sortkit.cdl").read_text().replace("list<i32>", deep, 1)
     for document, name in ((canonjson.dumps(doc), doc["name"]), (spec, "sortkit")):
-        with pytest.raises(PoolError) as err:
+        with pytest.raises(AdapterForgeError) as err:
             pool_add(pool, document)
         assert err.value.code == "E_INVALID_SPEC"
         assert err.value.message.startswith(f"spec {name} has violations: V_LIST_DEPTH")
@@ -152,7 +157,7 @@ def test_descriptor_must_read_back_as_its_component_spec(pool: Path):
     """A unit that parses as a shorter one does not survive `.cdl` text."""
     doc = _golden_adapter_doc()
     doc["implements"]["operations"][0]["params"][0]["unit"] = "ms // gone"
-    with pytest.raises(PoolError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         pool_add(pool, canonjson.dumps(doc))
     assert err.value.code == "E_INVALID_SPEC"
     assert err.value.message == (
@@ -287,7 +292,7 @@ def _lock_is_held(pool: Path) -> bool:
 
 def test_lock_timeout(pool: Path):
     with _lock_held_by_a_child(pool) as holder:
-        with pytest.raises(PoolError) as err:
+        with pytest.raises(AdapterForgeError) as err:
             pool_add(pool, spec_text("alpha"), timeout=0.05)
         assert err.value.code == "E_LOCK"
         holder.stdin.close()  # the holder exits and its lock goes with it
@@ -405,7 +410,7 @@ def test_pool1_index_is_refused_and_its_artifacts_move_to_a_fresh_pool(pool: Pat
         lambda: pool_add(pool, spec_text("delta")),
         lambda: pool_verify(pool),
     ):
-        with pytest.raises(PoolError) as err:
+        with pytest.raises(AdapterForgeError) as err:
             action()
         assert (err.value.code, err.value.message) == (
             "E_CORRUPT",
@@ -480,7 +485,7 @@ def test_malformed_index_is_corrupt(pool: Path, case: str):
         lambda: pool_verify(pool),
         lambda: pool_add(pool, spec_text("alpha")),
     ):
-        with pytest.raises(PoolError) as err:
+        with pytest.raises(AdapterForgeError) as err:
             action()
         assert err.value.code == "E_CORRUPT"
     assert not _lock_is_held(pool)
@@ -492,7 +497,7 @@ def test_corrupt_journal_line_names_its_file_line(pool: Path):
     lines = _lines(pool)
     with open(pool / "index", "ab") as f:
         f.write(b"{not json}\n")
-    with pytest.raises(PoolError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         pool_list(pool)
     assert err.value.code == "E_CORRUPT"
     assert err.value.message == (
@@ -503,7 +508,7 @@ def test_corrupt_journal_line_names_its_file_line(pool: Path):
     bad = json.loads(lines[2])
     bad["version"] = "1.0"
     (pool / "index").write_bytes(b"".join(lines[:2]) + canonjson.dump_line(bad) + lines[1])
-    with pytest.raises(PoolError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         pool_get(pool, bad["fingerprint"])
     assert err.value.code == "E_CORRUPT"
     assert err.value.message == "index line 3: malformed pool index entry"
@@ -516,12 +521,12 @@ def test_artifact_that_is_not_utf8_is_corrupt(pool: Path):
     artifact.write_bytes(data)
     line = {**_GOOD_LINE, "fingerprint": fp, "kind": "adapter", "path": f"adapters/{fp}.adapter"}
     (pool / "index").write_bytes(_journal(line))
-    with pytest.raises(PoolError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         pool_get(pool, fp)
     assert err.value.code == "E_CORRUPT"
     assert err.value.message.count(str(artifact)) == 1
     (candidate,) = pool_query(pool, PoolQuery(concept("data.k.x")))  # reads no artifact
-    with pytest.raises(PoolError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         candidate.load()
     assert err.value.code == "E_CORRUPT"
 
@@ -535,7 +540,7 @@ def _assert_fold_agrees(data: bytes) -> None:
     expected = oracle_fold(data)
     try:
         journal = _open_journal(data, b"")
-    except PoolError as err:
+    except AdapterForgeError as err:
         assert err.code == "E_CORRUPT"
         assert isinstance(expected, str), err
         if expected:
@@ -738,7 +743,7 @@ def test_query_candidates_carry_entry_and_verified_value(pool: Path):
     stored = pool / "components" / f"{fp}.cdl"
     stored.write_bytes(stored.read_bytes().replace(b"alpha", b"alphb"))
     (candidate,) = pool_query(pool, PoolQuery(concept("data.k")))
-    with pytest.raises(PoolError) as err:
+    with pytest.raises(AdapterForgeError) as err:
         candidate.load()  # a candidate is read, and re-hashed, on demand
     assert err.value.code == "E_CORRUPT"
 
@@ -818,7 +823,7 @@ def test_writer_killed_after_rename_leaves_an_orphan_that_readd_heals(pool: Path
 
 def test_lock_held_by_a_live_process_times_out(pool: Path):
     with _lock_held_by_a_child(pool):
-        with pytest.raises(PoolError) as err:
+        with pytest.raises(AdapterForgeError) as err:
             pool_add(pool, spec_text("alpha"), timeout=0.05)
         assert err.value.code == "E_LOCK"
         assert _lock_is_held(pool)
@@ -961,8 +966,10 @@ def _mutate(root: Path, mutation: tuple) -> None:
     kind, *args = mutation
     if kind == "older writer appends":  # appends a line and leaves the seal as it was
         seal = lock.read_bytes() if lock.exists() else None
-        with contextlib.suppress(PoolError):
+        try:
             pool_add(root, _SEAL_DOCUMENTS[args[0]])
+        except AdapterForgeError as err:  # a journal an earlier mutation broke
+            assert err.code == "E_CORRUPT", err
         if seal is None:
             lock.unlink()
         else:
@@ -1010,10 +1017,15 @@ def _mutate(root: Path, mutation: tuple) -> None:
         lock.unlink()
 
 
+_POOL_CODES = {E_CORRUPT, E_INVALID_SPEC, E_IO, E_LOCK, E_NO_ENTRY}
+
+
 def _outcome(action) -> tuple:
     try:
         return ("ok", action())
-    except PoolError as err:
+    except AdapterForgeError as err:
+        if err.code not in _POOL_CODES:
+            raise
         return ("error", err.code, err.message)
 
 

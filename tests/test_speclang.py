@@ -426,6 +426,19 @@ def test_utf8_rejection(tmp_path: Path):
     assert parse_component(read_spec_text(good)).name == "A"
 
 
+def test_utf8_rejection_names_the_bad_byte_position(tmp_path: Path):
+    """Line and column count characters after any BOM, as the lexer's
+    positions do; the byte offset counts bytes of the whole file."""
+    from adapterforge.speclang.parser import read_spec_text
+
+    bad = tmp_path / "bad.cdl"
+    bad.write_bytes('\ufeff// one\n// two\n// "é'.encode("utf-8") + b"\xff\n")
+    with pytest.raises(ParseError) as err:
+        read_spec_text(bad)
+    assert (err.value.code, err.value.line, err.value.col) == ("E_SYNTAX", 3, 6)
+    assert err.value.reason == f"{bad} is not UTF-8 (invalid start byte at byte 23)"
+
+
 @given(text=st.text(max_size=200))
 @settings(max_examples=300)
 def test_error_totality_on_arbitrary_text(text: str):
