@@ -25,7 +25,6 @@ _MODULE_OF = {
                 "AdapterSpec",
                 "OpMapping",
                 "emit_descriptor",
-                "emit_stub",
                 "generate_adapter",
                 "interpret_mapping",
                 "parse_descriptor",
@@ -51,7 +50,6 @@ _MODULE_OF = {
                 "AsltNode",
                 "FoldPattern",
                 "FoldView",
-                "attach_meta",
                 "build_aslt",
                 "build_component_aslt",
                 "dump",
@@ -68,6 +66,7 @@ _MODULE_OF = {
         (
             "speclang",
             (
+                "AdapterForgeError",
                 "ComponentSpec",
                 "ConceptId",
                 "Connection",

@@ -62,7 +62,6 @@ from .speclang.model import literal_to_json as _literal_to_json
 from .speclang.parser import parse_type
 
 E_NOT_ADAPTABLE = "E_NOT_ADAPTABLE"
-E_TEMPLATE = "E_TEMPLATE"
 E_NARROW = "E_NARROW"
 
 TAKE = "TAKE"
@@ -80,14 +79,6 @@ class SlotAction:
     to_port: TypePort | None = None
     fill: Literal | None = None
 
-    def render(self) -> str:
-        if self.kind == TAKE:
-            return f"take({self.index})"
-        if self.kind == CONVERT:
-            return f"convert({self.index}, {self.rule})"
-        assert self.fill is not None
-        return f"fill({self.fill.canonical_text()})"
-
 
 @dataclass(frozen=True)
 class ReturnAction:
@@ -100,9 +91,6 @@ class ReturnAction:
     @property
     def is_pass(self) -> bool:
         return self.rule is None
-
-    def render(self) -> str:
-        return "pass" if self.is_pass else f"convert({self.rule})"
 
 
 PASS = ReturnAction()
@@ -450,38 +438,6 @@ def _mapping_from_json(doc: dict) -> OpMapping:
         slots=tuple(_slot_from_json(slot) for slot in _objects(doc, "slots")),
         return_action=return_action,
     )
-
-
-# --- stub emission ---
-
-REQUIRED_PLACEHOLDERS = ("{ADAPTER_NAME}", "{OP_LIST}")
-
-
-def emit_stub(adapter: AdapterSpec, template: str) -> str:
-    """Render the delegation stub by plain placeholder substitution."""
-    for placeholder in REQUIRED_PLACEHOLDERS:
-        if placeholder not in template:
-            raise AdapterForgeError(E_TEMPLATE, f"template is missing {placeholder}")
-    op_blocks = []
-    action_lines = []
-    for mapping in adapter.mappings:
-        args = ", ".join(a.render() for a in mapping.slots)
-        op_blocks.append(
-            f"fn {mapping.from_op} {{\n"
-            f"  forward {mapping.to_op}({args})\n"
-            f"  return {mapping.return_action.render()}\n"
-            f"}}"
-        )
-        rendered = ", ".join(a.render() for a in mapping.slots) or "-"
-        action_lines.append(f"{mapping.from_op}: {rendered}")
-    out = template
-    out = out.replace("{ADAPTER_NAME}", adapter.name)
-    out = out.replace("{OP_LIST}", "\n\n".join(op_blocks))
-    out = out.replace("{IMPLEMENTS}", adapter.implements.name)
-    out = out.replace("{DELEGATES_TO}", f"{adapter.delegates_component}.{adapter.delegates_to.name}")
-    out = out.replace("{SLOT_ACTIONS}", "\n".join(action_lines))
-    out = out.replace("{TOOL}", adapter.provenance.tool)
-    return out
 
 
 # --- mapping execution (test harness) ---

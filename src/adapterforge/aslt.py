@@ -5,9 +5,8 @@ operation / parameter nodes. Extended properties (concepts, units,
 defaults, version tags, project wiring) hang off their owners as meta
 nodes, so tooling can walk one homogeneous structure. The tree is the
 inspection view (`aslt dump`, source maps): `check` and `adapt` work
-on the specs and never build one. Trees are
-immutable; meta attachment returns a new tree, and folding is a
-non-destructive overlay.
+on the specs and never build one. Trees are immutable, and folding is
+a non-destructive overlay.
 
 A tree is built in two steps. Pure functions describe a spec as nested
 (kind, label, source, meta, children) tuples, with source lines taken
@@ -19,7 +18,7 @@ runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from itertools import count
 
@@ -29,17 +28,6 @@ from .speclang.model import resolve_components
 from .speclang.serializer import serialize_with_positions
 
 E_NO_NODE = "E_NO_NODE"
-E_META_ON_META = "E_META_ON_META"
-
-KINDS = ("project", "component", "interface", "operation", "parameter", "meta")
-_CHILD_KIND = {
-    "project": "component",
-    "component": "interface",
-    "interface": "operation",
-    "operation": "parameter",
-    "parameter": None,
-    "meta": None,
-}
 
 
 @dataclass(frozen=True)
@@ -175,22 +163,6 @@ def _number(description: tuple) -> Aslt:
     return Aslt(root=walk(*description), nodes=nodes, source_map=source_map)
 
 
-def attach_meta(tree: Aslt, target: int, key: str, value: str) -> Aslt:
-    """Append one meta node under target; existing ids are untouched."""
-    node = tree.node(target)
-    if node.kind == "meta":
-        raise AdapterForgeError(E_META_ON_META, f"node {target} is a meta node")
-    new_id = max(tree.nodes) + 1
-    meta_node = AsltNode(new_id, "meta", f"{key}={value}", key=key, value=value)
-    nodes = dict(tree.nodes)
-    nodes[new_id] = meta_node
-    nodes[target] = replace(node, meta_children=node.meta_children + (new_id,))
-    source_map = dict(tree.source_map)
-    if target in source_map:
-        source_map[new_id] = source_map[target]
-    return Aslt(root=tree.root, nodes=nodes, source_map=source_map)
-
-
 def fold(tree: Aslt, pattern: FoldPattern) -> FoldView:
     """Overlay hiding every matching node together with its subtree."""
     hidden = frozenset(n.id for n in tree.nodes.values() if pattern.matches(n))
@@ -220,11 +192,6 @@ def traverse(tree_or_view: Aslt | FoldView) -> list[tuple[int, int]]:
     return out
 
 
-def subtree_size(tree: Aslt, node_id: int) -> int:
-    node = tree.node(node_id)
-    return 1 + sum(subtree_size(tree, c) for c in node.meta_children + node.children)
-
-
 def dump(tree_or_view: Aslt | FoldView) -> str:
     """Line-oriented text: two spaces of indent per depth, `kind label`."""
     tree = tree_or_view.base if isinstance(tree_or_view, FoldView) else tree_or_view
@@ -233,37 +200,3 @@ def dump(tree_or_view: Aslt | FoldView) -> str:
         for node_id, depth in traverse(tree_or_view)
     ]
     return "\n".join(lines) + "\n"
-
-
-def check_integrity(tree: Aslt) -> None:
-    """Full-walk structural check; raises AssertionError on any defect."""
-    seen: set[int] = set()
-    parents: dict[int, int] = {}
-
-    def walk(node_id: int) -> None:
-        assert node_id not in seen, f"node {node_id} reached twice"
-        seen.add(node_id)
-        node = tree.node(node_id)
-        assert node.kind in KINDS
-        for child_id in node.meta_children:
-            child = tree.node(child_id)
-            assert child.kind == "meta", "meta_children must hold meta nodes"
-            assert node.kind != "meta", "meta node cannot carry meta children"
-            parents[child_id] = node_id
-            walk(child_id)
-        for child_id in node.children:
-            child = tree.node(child_id)
-            expected = _CHILD_KIND[node.kind]
-            assert expected is not None and child.kind == expected, (
-                f"{node.kind} node may not contain {child.kind}"
-            )
-            parents[child_id] = node_id
-            walk(child_id)
-        if node.kind == "meta":
-            assert not node.children and not node.meta_children
-
-    walk(tree.root)
-    assert seen == set(tree.nodes), "unreachable or dangling nodes"
-    for node_id in tree.nodes:
-        if node_id != tree.root:
-            assert node_id in parents, f"node {node_id} has no parent"

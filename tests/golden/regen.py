@@ -10,8 +10,6 @@ that rewrites a golden must say so, and why, in CHANGES.md.
 The goldens:
 - `figure3_report.txt`, `figure3.adapter`: stdout and the one emitted
   descriptor of `adapt` on the figure3 corpus case against a fresh pool;
-- `figure3_stub.txt`: the delegation stub of that descriptor rendered
-  with the packaged template;
 - `figure3_aslt.txt`: `aslt dump` of the figure3 project;
 - `check_<case>_<format>.txt`: stdout of `check` on each other corpus
   case, for both `--format` values, and `check_exit_codes.txt`: one
@@ -59,7 +57,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.resources
 import io
 import shutil
 import sys
@@ -67,7 +64,6 @@ import tempfile
 from pathlib import Path
 
 from adapterforge import canonjson
-from adapterforge.adapters import emit_stub, parse_descriptor
 from adapterforge.cli import main
 
 GOLDEN = Path(__file__).resolve().parent
@@ -109,10 +105,6 @@ def render_goldens() -> dict[str, str]:
         )
         (descriptor,) = emit.glob("*.adapter")
         files["figure3.adapter"] = descriptor.read_text(encoding="utf-8")
-    template = importlib.resources.files("adapterforge") / "templates" / "adapter_stub.txt"
-    files["figure3_stub.txt"] = emit_stub(
-        parse_descriptor(files["figure3.adapter"]), template.read_text(encoding="utf-8")
-    )
     _, files["figure3_aslt.txt"] = _run("aslt", "dump", figure3)
 
     exits = []

@@ -16,7 +16,8 @@ walks the source one character at a time, tracking line and column per
 character, with ASCII character classes. The parser oracle is the
 package's earlier `Token`-based regex scanner and recursive-descent
 parser, kept as they were: every token is an object carrying its kind,
-text, line and column.
+text, line and column. The tree-integrity check walks an ASLT once and
+asserts its kinds, parent links and reachability.
 """
 
 from __future__ import annotations
@@ -289,9 +290,59 @@ def oracle_provider_call(
     return result
 
 
+KINDS = ("project", "component", "interface", "operation", "parameter", "meta")
+_CHILD_KIND = {
+    "project": "component",
+    "component": "interface",
+    "interface": "operation",
+    "operation": "parameter",
+    "parameter": None,
+    "meta": None,
+}
+
+
+def check_integrity(tree) -> None:
+    """Full-walk structural check of an ASLT; raises AssertionError on any defect."""
+    seen: set[int] = set()
+    parents: dict[int, int] = {}
+
+    def walk(node_id: int) -> None:
+        assert node_id not in seen, f"node {node_id} reached twice"
+        seen.add(node_id)
+        node = tree.node(node_id)
+        assert node.kind in KINDS
+        for child_id in node.meta_children:
+            child = tree.node(child_id)
+            assert child.kind == "meta", "meta_children must hold meta nodes"
+            assert node.kind != "meta", "meta node cannot carry meta children"
+            parents[child_id] = node_id
+            walk(child_id)
+        for child_id in node.children:
+            child = tree.node(child_id)
+            expected = _CHILD_KIND[node.kind]
+            assert expected is not None and child.kind == expected, (
+                f"{node.kind} node may not contain {child.kind}"
+            )
+            parents[child_id] = node_id
+            walk(child_id)
+        if node.kind == "meta":
+            assert not node.children and not node.meta_children
+
+    walk(tree.root)
+    assert seen == set(tree.nodes), "unreachable or dangling nodes"
+    for node_id in tree.nodes:
+        if node_id != tree.root:
+            assert node_id in parents, f"node {node_id} has no parent"
+
+
+def subtree_size(tree, node_id: int) -> int:
+    node = tree.node(node_id)
+    return 1 + sum(subtree_size(tree, c) for c in node.meta_children + node.children)
+
+
 def fold_conservation_holds(tree, pattern) -> bool:
     """Visible nodes plus hidden-subtree sizes must recount to the tree."""
-    from adapterforge.aslt import fold, subtree_size, traverse
+    from adapterforge.aslt import fold, traverse
 
     view = fold(tree, pattern)
     visible = len(traverse(view))

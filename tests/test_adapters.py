@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.resources
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +22,6 @@ from adapterforge.adapters import (
     apply_rule,
     check_adapter,
     emit_descriptor,
-    emit_stub,
     generate_adapter,
     interpret_mapping,
     parse_descriptor,
@@ -47,11 +45,6 @@ from adapterforge.speclang.errors import AdapterForgeError
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def default_template() -> str:
-    ref = importlib.resources.files("adapterforge") / "templates" / "adapter_stub.txt"
-    return ref.read_text(encoding="utf-8")
 
 
 def analyse_case(case: str, components: list[str], project_file: str):
@@ -188,38 +181,6 @@ def test_descriptor_golden(figure3_adapter):
     adapter, _ = figure3_adapter
     expected = (GOLDEN / "figure3.adapter").read_text()
     assert emit_descriptor(adapter) == expected
-
-
-def test_stub_golden(figure3_adapter):
-    adapter, _ = figure3_adapter
-    stub = emit_stub(adapter, default_template())
-    assert stub == (GOLDEN / "figure3_stub.txt").read_text()
-
-
-def test_stub_empty_interface_header_only():
-    report, (consumer, provider), project = analyse_case(
-        "figure3", ["reportgen.cdl", "sortkit.cdl"], "figure3.pdl"
-    )
-    adapter, _ = (
-        generate_adapter(report.verdicts[0], consumer, provider, project.name),
-        None,
-    )
-    from dataclasses import replace
-
-    empty = replace(adapter, mappings=())
-    stub = emit_stub(empty, default_template())
-    assert adapter.name in stub
-    assert "forward" not in stub
-
-
-def test_stub_missing_placeholder():
-    report, (consumer, provider), project = analyse_case(
-        "figure3", ["reportgen.cdl", "sortkit.cdl"], "figure3.pdl"
-    )
-    adapter = generate_adapter(report.verdicts[0], consumer, provider, project.name)
-    with pytest.raises(AdapterForgeError) as err:
-        emit_stub(adapter, "no placeholders at all {OP_LIST}")
-    assert err.value.code == "E_TEMPLATE"
 
 
 def test_interpret_identity_echo():

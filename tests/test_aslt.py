@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 from pathlib import Path
 
 import pytest
@@ -9,13 +8,12 @@ import hypothesis.strategies as st
 
 import strategies
 from conftest import corpus_spec_paths
+from oracles import check_integrity, fold_conservation_holds
 from adapterforge.aslt import (
     Aslt,
     FoldPattern,
-    attach_meta,
     build_aslt,
     build_component_aslt,
-    check_integrity,
     dump,
     fold,
     traverse,
@@ -92,41 +90,11 @@ def test_version_constraint_resolution():
     assert err.value.code == "E_UNRESOLVED"
 
 
-def test_attach_meta_appends_without_renumbering(corpus_dir: Path):
-    project, components = load_figure3(corpus_dir)
-    tree = build_aslt(project, components)
-    before = dict(tree.nodes)
-    grown = attach_meta(tree, tree.root, "note", "checked")
-    assert len(grown) == len(tree) + 1
-    for node_id, node in before.items():
-        if node_id != tree.root:
-            assert grown.nodes[node_id] == node
-    assert tree.nodes == before  # original untouched
-    check_integrity(grown)
-
-
-def test_attach_meta_on_meta_rejected():
-    tree = build_component_aslt(parse_component(SIX_NODE_COMPONENT))
-    meta_id = next(n.id for n in tree.nodes.values() if n.kind == "meta")
-    with pytest.raises(AdapterForgeError) as err:
-        attach_meta(tree, meta_id, "k", "v")
-    assert err.value.code == "E_META_ON_META"
-
-
-def test_attach_meta_missing_node():
+def test_node_missing_id():
     tree = build_component_aslt(parse_component(SIX_NODE_COMPONENT))
     with pytest.raises(AdapterForgeError) as err:
-        attach_meta(tree, 10_000, "k", "v")
+        tree.node(10_000)
     assert err.value.code == "E_NO_NODE"
-
-
-def test_attach_same_key_twice_preserves_order():
-    tree = build_component_aslt(parse_component(SIX_NODE_COMPONENT))
-    tree = attach_meta(tree, tree.root, "tag", "first")
-    tree = attach_meta(tree, tree.root, "tag", "second")
-    metas = [tree.node(i) for i in tree.node(tree.root).meta_children]
-    values = [m.value for m in metas if m.key == "tag"]
-    assert values == ["first", "second"]
 
 
 def test_fold_meta_hides_all_meta(corpus_dir: Path):
@@ -164,14 +132,11 @@ def test_fold_interface_matches_recount(corpus_dir: Path):
     assert len(traverse(view)) == _count_outside(tree, pattern)
 
 
-from oracles import fold_conservation_holds as _conservation_holds
-
-
 @pytest.mark.parametrize("kind", ["project", "component", "interface", "operation", "parameter", "meta"])
 def test_fold_conservation_by_kind(corpus_dir: Path, kind: str):
     project, components = load_figure3(corpus_dir)
     tree = build_aslt(project, components)
-    assert _conservation_holds(tree, FoldPattern(kind=kind))
+    assert fold_conservation_holds(tree, FoldPattern(kind=kind))
 
 
 @given(spec=strategies.component_specs(), data=st.data())
@@ -187,18 +152,7 @@ def test_fold_conservation_generated(spec, data):
         None: None,
     }[kind]
     label = data.draw(st.none() | st.sampled_from(["*", "a*", "?x", "sort*"]))
-    assert _conservation_holds(tree, FoldPattern(kind=kind_full, label=label))
-
-
-@given(spec=strategies.component_specs(), keys=st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("xy")), max_size=5))
-@settings(max_examples=60)
-def test_integrity_after_attach_sequence(spec, keys):
-    tree = build_component_aslt(spec)
-    rng = random.Random(0)
-    for key, value in keys:
-        candidates = [n.id for n in tree.nodes.values() if n.kind != "meta"]
-        tree = attach_meta(tree, rng.choice(candidates), key, value)
-    check_integrity(tree)
+    assert fold_conservation_holds(tree, FoldPattern(kind=kind_full, label=label))
 
 
 def test_traverse_single_node():
@@ -295,4 +249,5 @@ def test_corpus_trees_preorder_ids_and_source_lines(corpus_dir: Path):
 @settings(max_examples=80)
 def test_generated_component_preorder_ids_and_source_lines(spec):
     tree = build_component_aslt(spec)
+    check_integrity(tree)
     _assert_preorder_ids_and_labelled_lines(tree, {f"{spec.name}.cdl": serialize(spec).split("\n")})

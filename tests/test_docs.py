@@ -1,6 +1,6 @@
 """README's Layout block names every module and directory directly
-under `src/adapterforge/`, so the map of the package cannot drift from
-the package."""
+under `src/adapterforge/`, and nothing else, so the map of the package
+cannot drift from the package in either direction."""
 
 from __future__ import annotations
 
@@ -31,4 +31,4 @@ def test_readme_layout_names_every_package_entry():
         if path.name not in EXEMPT and (path.is_dir() or path.suffix == ".py")
     }
     assert len(expected) > 5
-    assert sorted(expected - _layout_entries()) == []
+    assert _layout_entries() == expected

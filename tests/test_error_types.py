@@ -1,7 +1,8 @@
 """Tool errors are told apart by their code, not their class: the only
 exception types are `AdapterForgeError` and `ParseError`, which adds a
 position, both in `speclang/errors.py`. No other module in the package
-derives a class from them, directly or through another class."""
+derives a class from them, directly or through another class, and both
+import from `adapterforge` itself."""
 
 from __future__ import annotations
 
@@ -42,3 +43,11 @@ def test_only_the_errors_module_defines_tool_errors():
         tool_errors = grown
     defined = {(file, name) for file, name, _ in classes if name in tool_errors}
     assert defined == {(str(ERRORS), "AdapterForgeError"), (str(ERRORS), "ParseError")}
+
+
+def test_both_error_types_import_from_the_package():
+    import adapterforge
+    from adapterforge.speclang import errors
+
+    assert adapterforge.AdapterForgeError is errors.AdapterForgeError
+    assert adapterforge.ParseError is errors.ParseError
