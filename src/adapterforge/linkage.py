@@ -8,7 +8,8 @@ is taken. A connection takes only a hit that will re-verify as exact
 (it provides the consumer's required interface verbatim and requires
 the provider's provided interface verbatim), so its query keeps only
 entries that list every concept of that interface; otherwise an
-adapter is generated when the connection is adaptable.
+adapter is generated when the connection is adaptable. Neither takes a
+hit whose name the project uses for another component.
 Generated adapters are always stored, even when later verification
 fails; a failed verification turns the outcome unresolvable instead of
 unwinding the pool.
@@ -231,11 +232,13 @@ def run_workflow(
         return None
 
     def pinnable(value: ComponentSpec | AdapterSpec) -> bool:
-        """Whether pinning `value` puts it in the project: `_pin` skips
-        a name the project uses, so a used name serves a demand only
-        when an earlier integration added this very component."""
+        """Whether splicing `value` puts that very component in the
+        project: `_pin` keeps the project's own `uses` line for a name
+        it uses, so a used name is taken only for the component the
+        project resolves it to or one an earlier integration added."""
         component = as_component(value)
-        return current.use(component.name) is None or component in added
+        name = component.name
+        return current.use(name) is None or component in added or resolved.get(name) == component
 
     for verdict in report.verdicts:
         if verdict.status == EXACT:
@@ -254,7 +257,9 @@ def run_workflow(
         provides = frozenset(op.concept for op in consumer_iface.operations)
         hit = consult(
             PoolQuery(wanted, provides=provides), f"{wanted} for {conn.label()}",
-            accept=lambda value: _healing_hit(as_component(value), consumer_iface, provider_iface),
+            accept=lambda value: (
+                pinnable(value) and _healing_hit(as_component(value), consumer_iface, provider_iface)
+            ),
         )
         if hit is not None:
             splice(*hit, POOL_HIT, conn)

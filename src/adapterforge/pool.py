@@ -20,15 +20,14 @@ if that is missing or damaged. An `index` that does not start with the
 
 A writer seals what it has checked: it records in `index.lock` the
 length and SHA-256 of the journal prefix whose lines it checked, the
-line it appended included. Every pool call checks that digest and
-column-checks only the lines after the seal, so a corrupt line still
-fails every call; without a seal that verifies, the whole journal is
-checked. The sealed prefix holds only canonical lines, one per
-fingerprint, so lookups read it by byte search: `_store` and
+line it appended included. Every pool call verifies that digest and
+then decodes and checks the lines after the seal one at a time, so a
+corrupt line still fails every call; without a seal that verifies,
+every line is checked. The sealed prefix holds only canonical lines,
+one per fingerprint, so lookups read it by byte search: `_store` and
 `pool_get` find one fingerprint's line, and `pool_query` decodes only
-the lines that hold a concept string related to the queried one. The check
-runs a column at a time over the decoded lines; an `IndexEntry` is
-built only for an entry a call hands out.
+the lines that hold a concept string related to the queried one. An
+`IndexEntry` is built only for an entry a call hands out.
 
 The pool never loads the analyser. Listing, verifying, querying and
 storing a component spec need no adapter layer either: it loads inside
@@ -92,8 +91,8 @@ _PATH_FORMATS = {
 _LINE_KEYS = frozenset(
     {"fingerprint", "kind", "name", "version", "provided_concepts", "path", "stored_at"}
 )
-_COLUMNS = operator.itemgetter(
-    "fingerprint", "kind", "name", "version", "stored_at", "path", "provided_concepts"
+_FIELDS = operator.itemgetter(
+    "fingerprint", "kind", "name", "path", "provided_concepts", "stored_at", "version"
 )
 _NOT_HEX = str.maketrans("", "", "0123456789abcdef")  # deletes the lowercase hex digits
 _VERSION_RE = re.compile(r"(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\Z")  # as parse_version
@@ -166,45 +165,26 @@ def _entry(row: dict) -> IndexEntry:
     )
 
 
-def _valid_rows(rows: list) -> bool:
-    """Whether every decoded row is an index line as `docs/formats.md`
-    describes it, checked a column at a time."""
-    if not (set(map(type, rows)) <= {dict} and set(map(frozenset, rows)) <= {_LINE_KEYS}):
+def _valid_row(row: object) -> bool:
+    """Whether one decoded journal line is an entry as `docs/formats.md`
+    describes it, its keys checked in their order there."""
+    if type(row) is not dict or row.keys() != _LINE_KEYS:
         return False
-    if not rows:
-        return True
-    fps, kinds, names, versions, stored_at, paths, concepts = zip(*map(_COLUMNS, rows))
+    fp, kind, name, path, concepts, stored_at, version = _FIELDS(row)
     return (
-        set(map(type, itertools.chain(fps, kinds, names, versions, stored_at))) <= {str}
-        and set(map(len, fps)) <= {64}
-        and not "".join(fps).translate(_NOT_HEX)
-        and set(kinds) <= _PATH_FORMATS.keys()
-        and tuple(map(str.format, map(_PATH_FORMATS.__getitem__, kinds), fps)) == paths
-        and all(map(_VERSION_RE.match, versions))
-        and set(map(type, concepts)) <= {list}
-        and set(map(type, flat := list(itertools.chain.from_iterable(concepts)))) <= {str}
-        and "" not in flat
+        type(fp) is str
+        and len(fp) == 64
+        and not fp.translate(_NOT_HEX)
+        and type(kind) is str
+        and kind in _PATH_FORMATS
+        and type(name) is str
+        and path == _PATH_FORMATS[kind].format(fp)
+        and type(concepts) is list
+        and all(type(c) is str and c for c in concepts)
+        and type(stored_at) is str
+        and type(version) is str
+        and _VERSION_RE.match(version) is not None
     )
-
-
-def _line_names(data: bytes, start: int) -> Iterator[str]:
-    """`index line <n>` for each journal line from byte `start` on,
-    counted from the top of the file (the header is line 1). Lazy: the
-    count is taken only when an error names a line."""
-    yield from (f"index line {n}" for n in itertools.count(data.count(b"\n", 0, start) + 1))
-
-
-def _bad_line(body: bytes, names: Iterator[str]) -> AdapterForgeError:
-    """The error for the first journal line that is not one JSON value."""
-    for name, line in zip(names, body.split(b"\n")[:-1]):
-        try:
-            json.loads(line.decode("utf-8"))
-        except (ValueError, RecursionError) as err:
-            detail = err
-            if isinstance(err, json.JSONDecodeError):
-                detail = f"{err.msg} (column {err.colno})"
-            return AdapterForgeError(E_CORRUPT, f"{name}: not one JSON value: {detail}")
-    return AdapterForgeError(E_CORRUPT, "malformed pool index: its lines nest too deeply")
 
 
 def _decode(lines: bytes) -> list:
@@ -214,17 +194,23 @@ def _decode(lines: bytes) -> list:
 
 def _checked_lines(data: bytes, start: int, end: int) -> list:
     """The rows of the complete journal lines in `data[start:end]`, each
-    checked as an entry; E_CORRUPT names the first bad line."""
-    lines, names = data[start:end], _line_names(data, start)
-    try:
-        rows = _decode(lines)
-    except (ValueError, RecursionError):
-        raise _bad_line(lines, names) from None
-    if len(rows) != lines.count(b"\n"):
-        raise _bad_line(lines, names)
-    if not _valid_rows(rows):
-        where = next(name for name, row in zip(names, rows) if not _valid_rows([row]))
-        raise AdapterForgeError(E_CORRUPT, f"{where}: malformed pool index entry")
+    checked as an entry. E_CORRUPT names the first line that is not one
+    JSON value, else the first that is not an entry."""
+    rows, bad = [], None
+    for n, line in enumerate(data[start:end].split(b"\n")[:-1]):
+        try:
+            row = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError) as err:
+            detail = f"{err.msg} (column {err.colno})" if isinstance(err, json.JSONDecodeError) else err
+            bad = n, f"not one JSON value: {detail}"
+            break
+        if bad is None and not _valid_row(row):
+            bad = n, "malformed pool index entry"
+        rows.append(row)
+    if bad is not None:
+        n, problem = bad
+        number = data.count(b"\n", 0, start) + n + 1  # the header is line 1
+        raise AdapterForgeError(E_CORRUPT, f"index line {number}: {problem}")
     return rows
 
 

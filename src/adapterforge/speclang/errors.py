@@ -34,8 +34,9 @@ E_BAD_VERSION = "E_BAD_VERSION"
 E_DUP_USE = "E_DUP_USE"
 E_BAD_CONSTRAINT = "E_BAD_CONSTRAINT"
 
-# A spec file that cannot be read or parsed, named by its path; the
-# mapping interpreter reuses it for a value that does not parse.
+# A spec, rules or `pool add` input file that cannot be read, or a spec
+# file that does not parse, named by its path; the mapping interpreter
+# reuses it for a value that does not parse.
 E_PARSE = "E_PARSE"
 
 # A project `uses` entry that no component satisfies.

@@ -149,9 +149,13 @@ class _TokenStream:
 
 
 def read_spec_text(path: str | Path) -> str:
-    """Read a spec or rules file, rejecting anything that is not UTF-8
-    at the line and column of its first invalid byte."""
-    data = Path(path).read_bytes()
+    """Read a spec or rules file: one that cannot be read is E_PARSE
+    naming its path, and one that is not UTF-8 is rejected at the line
+    and column of its first invalid byte."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as err:  # str(err) would name the path a second time
+        raise AdapterForgeError(E_PARSE, f"{path}: {err.strerror or err}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -168,8 +172,6 @@ def parse_spec_file(path: Path, parse):
         text = read_spec_text(path)
     except ParseError as err:  # not UTF-8; the message names the file
         raise AdapterForgeError(E_PARSE, err.message) from err
-    except OSError as err:  # str(err) would name the path a second time
-        raise AdapterForgeError(E_PARSE, f"{path}: {err.strerror or err}") from None
     try:
         return parse(text)
     except ParseError as err:

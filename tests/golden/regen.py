@@ -11,13 +11,13 @@ The goldens:
 - `figure3_report.txt`, `figure3.adapter`: stdout and the one emitted
   descriptor of `adapt` on the figure3 corpus case against a fresh pool;
 - `figure3_aslt.txt`: `aslt dump` of the figure3 project;
-- `check_<case>_<format>.txt`: stdout of `check` on each other corpus
-  case, for both `--format` values, and `check_exit_codes.txt`: one
-  `<case> <format> <exit code>` line per run;
-- `adapt_transcripts.txt`: `adapt` run twice on each of those cases
-  against one fresh pool per case: each command as a `$ ` line, its
-  stdout, `[exit <code>]`, then an `emitted <base name> <sha256>` line
-  per file the run wrote;
+- `check_<case>_<format>.txt`: stdout of `check` on each corpus case,
+  figure3 last, for both `--format` values, and `check_exit_codes.txt`:
+  one `<case> <format> <exit code>` line per run;
+- `adapt_transcripts.txt`: `adapt` run twice on each of those cases,
+  figure3 last, against one fresh pool per case: each command as a `$ `
+  line, its stdout, `[exit <code>]`, then an `emitted <base name>
+  <sha256>` line per file the run wrote;
 - `figure3_pool.txt`: a transcript of `pool add` (the figure3 specs and
   descriptor), `pool list`, `pool query` with and without
   `--conversions`, and `pool verify` on a fresh pool: each command as a
@@ -25,8 +25,17 @@ The goldens:
   time, so the bytes do not depend on when they were made;
 - `spec_transcripts.txt`: for each corpus case, `fmt` of all its `.cdl`
   and `.pdl` files, then `aslt dump` of its project with and without
-  `--fold operation`, in the layout of `adapt_transcripts.txt` (no
+  `--fold operation`, and last an `aslt dump` of the figure3
+  `sortkit.cdl`, in the layout of `adapt_transcripts.txt` (no
   `emitted` lines: these commands write no files);
+- `consult_transcripts.txt`, in the layout of `figure3_pool.txt`:
+  `pool add` of a `signer` that provides `data.crypto.sign`, then
+  `adapt` of the missing case, whose demand takes it as a `POOL_HIT`;
+  then `pool add` of a `helper` 2.0.0 that would heal the figure3
+  connection, and `adapt` of figure3 extended to use its own `helper`
+  1.0.0, which passes over the pooled one and generates an adapter.
+  Each pair runs against its own fresh pool, with relative paths from
+  a scratch directory;
 - `error_transcripts.txt`: each command as a `$ ` line, its stderr,
   then `[exit <code>]`, for
   - `check`, `adapt`, `fmt` and `aslt dump` on each way reading a spec
@@ -46,7 +55,11 @@ The goldens:
     descriptor;
   - `aslt dump` of a project whose `uses` nothing satisfies, and `check`
     of a connection to an interface its component lacks;
-  - `pool query` with a bad concept and with a bad constraint.
+  - `pool query` with a bad concept and with a bad constraint;
+  - `pool list` on an `index` whose second line is JSON but not an
+    entry, on one whose second line is not an entry and whose third is
+    not JSON (the third is named), and on one whose two sealed entries
+    are followed by a line that is not JSON.
 
   The inputs are made in a scratch directory, which is the working
   directory of every command, and every path is relative, so the bytes
@@ -65,6 +78,7 @@ from pathlib import Path
 
 from adapterforge import canonjson
 from adapterforge.cli import main
+from adapterforge.pool import init_pool, pool_add
 
 GOLDEN = Path(__file__).resolve().parent
 CORPUS = GOLDEN.parent / "corpus"
@@ -76,6 +90,7 @@ CHECK_CASES = {
     "incompatible": "checkout.pdl",
     "missing": "wantsign.pdl",
     "units": "unitsync.pdl",
+    "figure3": "figure3.pdl",
 }
 FORMATS = ("human", "structured")
 
@@ -120,6 +135,7 @@ def render_goldens() -> dict[str, str]:
     files["adapt_transcripts.txt"] = _adapt_transcripts()
     files["spec_transcripts.txt"] = _spec_transcripts()
     files["error_transcripts.txt"] = _error_transcripts(files["figure3.adapter"])
+    files["consult_transcripts.txt"] = _consult_transcripts()
     return files
 
 
@@ -144,7 +160,56 @@ def _spec_transcripts() -> str:
         commands.append(("fmt", *sorted(case.glob("*.cdl")), project))
         commands.append(("aslt", "dump", project))
         commands.append(("aslt", "dump", project, "--fold", "operation"))
+    commands.append(("aslt", "dump", CORPUS / "figure3" / "sortkit.cdl"))
     return _transcript(commands)
+
+
+# A signer for the missing case's demand, and a `helper` that heals the
+# figure3 connection, under a name the project uses for a `helper`
+# without `Sorting`.
+_SIGNER = """component "signer" version "1.0.0" {
+  provides interface Signing {
+    op sign(payload: bytes) -> bytes @concept data.crypto.sign
+  }
+}
+"""
+_HELPER_MISC = """component "helper" version "1.0.0" {
+  provides interface Misc {
+    op noop(x: i32) -> i32 @concept util.misc.noop
+  }
+}
+"""
+_HELPER_HEALS = """component "helper" version "2.0.0" {
+  provides interface Sorting {
+    op sortAscending(items: list<i32>) -> list<i32> @concept data.sorting.sort
+  }
+  requires interface BulkSort {
+    op sort(items: list<i32>, ascending: bool = true) -> list<i32> @concept data.sorting.sort
+  }
+}
+"""
+
+
+def _consult_transcripts() -> str:
+    """A project demand served by a pooled component, then a connection
+    that passes over a pooled healer whose name the project uses for
+    another component; one fresh pool each, run with relative paths
+    from a scratch directory."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        shutil.copytree(CORPUS / "missing", "missing")
+        Path("signer.cdl").write_text(_SIGNER, encoding="utf-8")
+        shutil.copytree(CORPUS / "figure3", "figure3")
+        project = Path("figure3/figure3.pdl")
+        text = project.read_text(encoding="utf-8")
+        project.write_text(text.replace("  connect", '  uses "helper" *\n  connect'), encoding="utf-8")
+        Path("figure3/helper.cdl").write_text(_HELPER_MISC, encoding="utf-8")
+        Path("helper.cdl").write_text(_HELPER_HEALS, encoding="utf-8")
+        return _transcript([
+            ("pool", "add", "signer.cdl", "--pool", "signpool"),
+            ("adapt", "missing/wantsign.pdl", "--pool", "signpool", "--emit", "signout"),
+            ("pool", "add", "helper.cdl", "--pool", "helperpool"),
+            ("adapt", "figure3/figure3.pdl", "--pool", "helperpool", "--emit", "helperout"),
+        ])
 
 
 def _error_transcripts(descriptor: str) -> str:
@@ -185,6 +250,7 @@ def _error_transcripts(descriptor: str) -> str:
         ("check", "badconn.pdl", "--specs", "figure3"),
         ("pool", "query", "Data..Sort!", "--pool", "pool"),
         ("pool", "query", "data.sorting.sort", "1.2", "--pool", "pool"),
+        *(("pool", "list", "--pool", pool) for pool in ("badentry", "badorder", "sealedbad")),
     ]
     lines = []
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
@@ -259,12 +325,24 @@ def _write_error_inputs(root: Path, descriptor: str) -> None:
         "version": "1.0.0",
     })
     header = b'{"format":"pool/2"}\n'
-    pools = {"noheader": line, "badline": header + b"{not json}\n" + line, "planted": header + line}
+    notentry = b'{"version":"1.0"}\n'  # JSON, but no index entry
+    pools = {
+        "noheader": line,
+        "badline": header + b"{not json}\n" + line,
+        "planted": header + line,
+        "badentry": header + notentry + line,
+        "badorder": header + notentry + b"{not json}\n" + line,
+    }
     for pool, index in pools.items():
         for directory in ("components", "adapters"):
             (root / pool / directory).mkdir(parents=True)
         (root / pool / "index").write_bytes(index)
     (root / "planted" / "adapters" / f"{fp}.adapter").write_bytes(planted)
+    sealed = init_pool(root / "sealedbad")
+    for cdl in sorted((root / "figure3").glob("*.cdl")):  # two sealed lines
+        pool_add(sealed, cdl.read_text(encoding="utf-8"))
+    with open(root / "sealedbad" / "index", "ab") as f:
+        f.write(b"{not json}\n")
     (root / "unresolved.pdl").write_text(
         'project "lonely" {\n  uses "nothing" *\n}\n', encoding="utf-8"
     )

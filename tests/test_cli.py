@@ -963,7 +963,11 @@ def _error_rows(tmp_path: Path) -> dict[str, tuple[list[str], str, Path, bool]]:
         ),
         "missing rules": (
             ["check", exactpair, "--conversions", str(tmp_path / "no.rules")],
-            "E_IO", tmp_path / "no.rules", True,
+            "E_PARSE", tmp_path / "no.rules", True,
+        ),
+        "missing pool add input": (
+            ["pool", "add", str(tmp_path / "no.cdl"), "--pool", pool],
+            "E_PARSE", tmp_path / "no.cdl", True,
         ),
         "bad cdl": (["pool", "add", str(bad_cdl), "--pool", pool], "E_INVALID_SPEC", bad_cdl, True),
         "second file bad descriptor": (
@@ -1015,6 +1019,7 @@ _ERROR_ROWS = [
     "bad rules",
     "non-UTF-8 rules",
     "missing rules",
+    "missing pool add input",
     "bad cdl",
     "second file bad descriptor",
     "malformed concept",

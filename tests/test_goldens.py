@@ -1,15 +1,17 @@
 """Every committed golden is exactly what `tests/golden/regen.py` writes.
 
-This pins the `check` reports (both formats) and exit codes of the
-ancestry, exact, golden, incompatible, missing and units corpus cases,
-two `adapt` runs of each against one pool, and the stderr and exit code
-of each way reading a spec, a rules file, a `pool add` input or a pool
-fails, byte for byte, and checks that the regeneration script
-reproduces the figure3 goldens that other tests compare against.
+This pins the `check` reports (both formats) and exit codes of every
+corpus case, two `adapt` runs of each against one pool, `fmt` and
+`aslt dump` of each case, the pool consults of `consult_transcripts.txt`,
+and the stderr and exit code of each way reading a spec, a rules file,
+a `pool add` input or a pool fails, byte for byte, and checks that the
+regeneration script reproduces the figure3 goldens that other tests
+compare against. A mismatch fails with a unified diff of the text.
 """
 
 from __future__ import annotations
 
+import difflib
 import importlib.util
 from pathlib import Path
 
@@ -42,5 +44,13 @@ def test_regeneration_writes_every_committed_golden(regenerated):
     "name", sorted(p.name for p in GOLDEN.iterdir() if p.is_file() and p.suffix != ".py")
 )
 def test_golden_is_byte_identical(regenerated, name):
-    assert (regenerated / name).read_bytes() == (GOLDEN / name).read_bytes()
+    produced, committed = (regenerated / name).read_bytes(), (GOLDEN / name).read_bytes()
+    if produced != committed:
+        diff = difflib.unified_diff(
+            committed.decode("utf-8", "replace").splitlines(keepends=True),
+            produced.decode("utf-8", "replace").splitlines(keepends=True),
+            f"committed/{name}",
+            f"regenerated/{name}",
+        )
+        pytest.fail("".join(diff) or "the bytes differ, but not in their decoded text", pytrace=False)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -748,3 +749,49 @@ def test_two_demands_served_by_one_pooled_component(tmp_path, capsys):
     assert out.count("integrated textkit (POOL_HIT") == 2
     adapted = parse_project((emitted / "p.adapted.pdl").read_text())
     assert [u.name for u in adapted.uses] == ["util", "textkit"]
+
+
+# A `helper` with no `Sorting`, and one that heals figure3: it provides
+# reportgen's `Sorting` and requires sortkit's `BulkSort` verbatim.
+_HELPER_MISC = """component "helper" version "1.0.0" {
+  provides interface Misc {
+    op noop(x: i32) -> i32 @concept util.misc.noop
+  }
+}
+"""
+_HELPER_HEALS = """component "helper" version "2.0.0" {
+  provides interface Sorting {
+    op sortAscending(items: list<i32>) -> list<i32> @concept data.sorting.sort
+  }
+  requires interface BulkSort {
+    op sort(items: list<i32>, ascending: bool = true) -> list<i32> @concept data.sorting.sort
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("in_specs", ["1.0.0 without Sorting", "the pooled one"])
+def test_a_connection_takes_a_used_name_only_for_the_component_it_resolves_to(
+    tmp_path, capsys, in_specs
+):
+    """figure3 also using `helper`: a pooled `helper` that heals the
+    connection is taken only when it is the project's own `helper`;
+    another version would be pinned under the project's `uses` line and
+    resolve to the wrong component, so an adapter is generated."""
+    from adapterforge.cli import main
+    from adapterforge.pool import pool_add
+
+    case = tmp_path / "case"
+    shutil.copytree(CORPUS / "figure3", case)
+    project = (case / "figure3.pdl").read_text()
+    (case / "figure3.pdl").write_text(project.replace("  connect", '  uses "helper" *\n  connect'))
+    own = _HELPER_HEALS if in_specs == "the pooled one" else _HELPER_MISC
+    (case / "helper.cdl").write_text(own)
+    pool_root = init_pool(tmp_path / "pool")
+    pool_add(pool_root, _HELPER_HEALS)
+    out = tmp_path / "out"
+    code = main(["adapt", str(case / "figure3.pdl"), "--pool", str(pool_root), "--emit", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    source = POOL_HIT if own == _HELPER_HEALS else GENERATED
+    assert f"({source} " in captured.out and "outcome ADAPTED" in captured.out

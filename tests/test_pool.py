@@ -1109,9 +1109,9 @@ def test_sealed_lookups_decode_only_the_lines_they_use(pool: Path, monkeypatch):
     related = sum(b'"dom3"' in line or b'"dom3.op3' in line for line in lines) + 1
 
     decoded, checked = [], []
-    real_decode, real_valid_rows = pool_module._decode, pool_module._valid_rows
+    real_decode, real_valid_row = pool_module._decode, pool_module._valid_row
     monkeypatch.setattr(pool_module, "_decode", lambda b: decoded.append(b.count(b"\n")) or real_decode(b))
-    monkeypatch.setattr(pool_module, "_valid_rows", lambda r: checked.append(len(r)) or real_valid_rows(r))
+    monkeypatch.setattr(pool_module, "_valid_row", lambda r: checked.append(1) or real_valid_row(r))
 
     def spied(action) -> tuple[int, int]:
         decoded.clear(), checked.clear()
