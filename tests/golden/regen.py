@@ -17,7 +17,9 @@ The goldens:
 - `adapt_transcripts.txt`: `adapt` run twice on each of those cases,
   figure3 last, against one fresh pool per case: each command as a `$ `
   line, its stdout, `[exit <code>]`, then an `emitted <base name>
-  <sha256>` line per file the run wrote;
+  <sha256>` line per file the run wrote; then, per case in a scratch
+  copy, `adapt` without `--emit` and, when it wrote an adapted
+  project, `check` of that project (no `emitted` lines);
 - `figure3_pool.txt`: a transcript of `pool add` (the figure3 specs and
   descriptor), `pool list`, `pool query` with and without
   `--conversions`, and `pool verify` on a fresh pool: each command as a
@@ -25,8 +27,11 @@ The goldens:
   time, so the bytes do not depend on when they were made;
 - `spec_transcripts.txt`: for each corpus case, `fmt` of all its `.cdl`
   and `.pdl` files, then `aslt dump` of its project with and without
-  `--fold operation`, and last an `aslt dump` of the figure3
-  `sortkit.cdl`, in the layout of `adapt_transcripts.txt` (no
+  `--fold operation`, then an `aslt dump` of the figure3
+  `sortkit.cdl`, and last the fold edge cases: figure3 with `--fold`
+  `project` (an empty line), `meta` and `nosuchkind` (the unfolded
+  dump), and `sortkit.cdl` with `--fold` `parameter` and `component`
+  (an empty line); in the layout of `adapt_transcripts.txt` (no
   `emitted` lines: these commands write no files);
 - `consult_transcripts.txt`, in the layout of `figure3_pool.txt`:
   `pool add` of a `signer` that provides `data.crypto.sign`, then
@@ -132,7 +137,7 @@ def render_goldens() -> dict[str, str]:
             exits.append(f"{case} {fmt} {code}\n")
     files["check_exit_codes.txt"] = "".join(exits)
     files["figure3_pool.txt"] = _pool_transcript(files["figure3.adapter"])
-    files["adapt_transcripts.txt"] = _adapt_transcripts()
+    files["adapt_transcripts.txt"] = _adapt_transcripts() + _adapted_checks()
     files["spec_transcripts.txt"] = _spec_transcripts()
     files["error_transcripts.txt"] = _error_transcripts(files["figure3.adapter"])
     files["consult_transcripts.txt"] = _consult_transcripts()
@@ -153,14 +158,24 @@ def _transcript(commands: list[tuple[str | Path, ...]], *hidden: str | Path) -> 
 
 def _spec_transcripts() -> str:
     """`fmt` of each corpus case's specs, then `aslt dump` of its
-    project, unfolded and with operations folded."""
+    project, unfolded and with operations folded; then the figure3
+    `sortkit.cdl` dump and the fold edge cases: the root folded away,
+    meta nodes, parameters and a kind no node has."""
     commands: list[tuple[str | Path, ...]] = []
     for case in sorted(p for p in CORPUS.iterdir() if p.is_dir()):
         (project,) = case.glob("*.pdl")
         commands.append(("fmt", *sorted(case.glob("*.cdl")), project))
         commands.append(("aslt", "dump", project))
         commands.append(("aslt", "dump", project, "--fold", "operation"))
-    commands.append(("aslt", "dump", CORPUS / "figure3" / "sortkit.cdl"))
+    figure3, sortkit = CORPUS / "figure3" / "figure3.pdl", CORPUS / "figure3" / "sortkit.cdl"
+    commands += [
+        ("aslt", "dump", sortkit),
+        ("aslt", "dump", figure3, "--fold", "project"),
+        ("aslt", "dump", figure3, "--fold", "meta"),
+        ("aslt", "dump", sortkit, "--fold", "parameter"),
+        ("aslt", "dump", sortkit, "--fold", "component"),
+        ("aslt", "dump", figure3, "--fold", "nosuchkind"),
+    ]
     return _transcript(commands)
 
 
@@ -368,6 +383,24 @@ def _adapt_transcripts() -> str:
                 for path in sorted(emit.iterdir()):
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
                     lines.append(f"emitted {path.name} {digest}\n")
+    return "".join(lines)
+
+
+def _adapted_checks() -> str:
+    """`adapt` of each `check` case copied into a scratch directory,
+    without `--emit`, so the adapted project lands beside its specs;
+    then `check` of that adapted project, when the run wrote one."""
+    lines = []
+    for case, project in CHECK_CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            specs = Path(tmp) / case
+            shutil.copytree(CORPUS / case, specs)
+            lines.append(_transcript([
+                ("adapt", specs / project, "--conversions", RULES, "--pool", Path(tmp) / "pool")
+            ]))
+            adapted = specs / f"{Path(project).stem}.adapted.pdl"
+            if adapted.exists():
+                lines.append(_transcript([("check", adapted, "--conversions", RULES)]))
     return "".join(lines)
 
 

@@ -1,8 +1,10 @@
 """Every committed golden is exactly what `tests/golden/regen.py` writes.
 
 This pins the `check` reports (both formats) and exit codes of every
-corpus case, two `adapt` runs of each against one pool, `fmt` and
-`aslt dump` of each case, the pool consults of `consult_transcripts.txt`,
+corpus case, two `adapt` runs of each against one pool, `check` of each
+project that an `adapt` without `--emit` writes, `fmt` and `aslt dump`
+of each case, the `aslt dump --fold` edge cases (the root folded away,
+a kind no node has), the pool consults of `consult_transcripts.txt`,
 and the stderr and exit code of each way reading a spec, a rules file,
 a `pool add` input or a pool fails, byte for byte, and checks that the
 regeneration script reproduces the figure3 goldens that other tests
