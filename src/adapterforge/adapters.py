@@ -158,7 +158,9 @@ def check_adapter(adapter: AdapterSpec) -> list[str]:
     """Why the adapter could not run as its mappings say; empty when it
     can. Each consumer op must be mapped exactly once, onto an op of
     `delegates_to`, with one slot per provider param; the TAKE and
-    CONVERT slots must take each consumer param once, and every CONVERT
+    CONVERT slots must take each consumer param once. A TAKE joins
+    params of equal type and unit, a FILL literal fits its provider
+    param, a PASS return joins equal return types, and every CONVERT
     must bridge the declared types and units of the ends it joins."""
     consumer = {op.name: op for op in adapter.implements.operations}
     provider = {op.name: op for op in adapter.delegates_to.operations}
@@ -181,12 +183,18 @@ def check_adapter(adapter: AdapterSpec) -> list[str]:
         if taken != list(range(len(required.params))):
             problems.append(f"{arrow} takes params {taken} of {len(required.params)}")
         for a, to in zip(m.slots, provided.params):
-            if a.kind == CONVERT and a.index in range(len(required.params)):
+            if a.kind == FILL and not (a.fill.matches_type(to.ty) and a.fill.in_range(to.ty)):
+                problems.append(f"{arrow} fills {to.name}: {to.ty} with {a.fill.canonical_text()}")
+            elif a.index in range(len(required.params)):
                 frm = required.params[a.index]
                 ports = (TypePort(frm.ty, frm.unit), TypePort(to.ty, to.unit))
-                if (a.from_port, a.to_port) != ports:
+                if a.kind == TAKE and ports[0] != ports[1]:
+                    problems.append(f"{arrow} takes {ports[0]} as {ports[1]} for {frm.name}")
+                if a.kind == CONVERT and (a.from_port, a.to_port) != ports:
                     problems.append(f"{arrow} converts {a.from_port} to {a.to_port} for {frm.name}")
         ret = m.return_action
+        if ret.is_pass and provided.returns != required.returns:
+            problems.append(f"{arrow} passes its return {provided.returns} as {required.returns}")
         if not ret.is_pass and (ret.from_port, ret.to_port) != (
             TypePort(provided.returns),
             TypePort(required.returns),

@@ -64,7 +64,11 @@ The goldens:
   - `pool list` on an `index` whose second line is JSON but not an
     entry, on one whose second line is not an entry and whose third is
     not JSON (the third is named), and on one whose two sealed entries
-    are followed by a line that is not JSON.
+    are followed by a line that is not JSON;
+  - `pool add` of three edits of the figure3 descriptor whose slots do
+    not type: a TAKE into a provider param retyped `string`, a FILL of
+    `"yes"` for a `bool`, and a PASS of a provider return retyped
+    `string`.
 
   The inputs are made in a scratch directory, which is the working
   directory of every command, and every path is relative, so the bytes
@@ -266,6 +270,7 @@ def _error_transcripts(descriptor: str) -> str:
         ("pool", "query", "Data..Sort!", "--pool", "pool"),
         ("pool", "query", "data.sorting.sort", "1.2", "--pool", "pool"),
         *(("pool", "list", "--pool", pool) for pool in ("badentry", "badorder", "sealedbad")),
+        *(("pool", "add", f"{probe}.adapter", "--pool", "pool") for probe in _UNTYPED_PROBES),
     ]
     lines = []
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
@@ -299,6 +304,16 @@ _BAD_DOCUMENTS = (
 )
 
 
+# Edits of the figure3 descriptor whose slots do not type: the provider
+# param that a TAKE feeds, the literal of the FILL for `ascending: bool`,
+# and the provider return under a PASS.
+_UNTYPED_PROBES = {
+    "takestring": lambda d: d["delegates"]["interface"]["operations"][0]["params"][0].update(type="string"),
+    "fillstring": lambda d: d["mappings"][0]["slots"][1].update(fill={"kind": "string", "value": "yes"}),
+    "returnstring": lambda d: d["delegates"]["interface"]["operations"][0].update(returns="string"),
+}
+
+
 def _write_error_inputs(root: Path, descriptor: str) -> None:
     """The figure3 case, and beside it each broken input the error
     transcripts read."""
@@ -328,6 +343,10 @@ def _write_error_inputs(root: Path, descriptor: str) -> None:
     unmapped = canonjson.loads(descriptor)
     unmapped["mappings"] = []
     (root / "unmapped.adapter").write_text(canonjson.dumps(unmapped), encoding="utf-8")
+    for probe, edit in _UNTYPED_PROBES.items():
+        doc = canonjson.loads(descriptor)
+        edit(doc)
+        (root / f"{probe}.adapter").write_text(canonjson.dumps(doc), encoding="utf-8")
     planted = b'{"format":"adapter/0"}\n'  # JSON, but no adapter descriptor
     fp = hashlib.sha256(planted).hexdigest()
     line = canonjson.dump_line({

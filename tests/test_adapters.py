@@ -546,3 +546,48 @@ def test_check_adapter_names_what_cannot_run(figure3_adapter, units_adapter, cas
     assert err.value.message == f"adapter {adapter.name} cannot run: {problems}"
     assert (pool / "index").read_bytes() == before
     assert not list((pool / "adapters").iterdir())
+
+
+def _sort_op(doc: dict) -> dict:
+    return doc["delegates"]["interface"]["operations"][0]
+
+
+def _fill_i32(doc: dict, value: int) -> None:
+    _sort_op(doc)["params"][1] = {"name": "ascending", "type": "i32"}
+    doc["mappings"][0]["slots"][1]["fill"] = {"kind": "int", "value": value}
+
+
+# Edits of the committed figure3 descriptor whose slots do not type.
+UNTYPED_PROBES = {
+    "take into a string param": (
+        lambda d: _sort_op(d)["params"][0].update(type="string"),
+        "sortAscending->sort takes list<i32> as string for items",
+    ),
+    "fill a bool with a string": (
+        lambda d: d["mappings"][0]["slots"][1].update(fill={"kind": "string", "value": "yes"}),
+        'sortAscending->sort fills ascending: bool with "yes"',
+    ),
+    "fill an i32 out of range": (
+        lambda d: _fill_i32(d, 2**31),
+        "sortAscending->sort fills ascending: i32 with 2147483648",
+    ),
+    "pass a string return": (
+        lambda d: _sort_op(d).update(returns="string"),
+        "sortAscending->sort passes its return string as list<i32>",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNTYPED_PROBES))
+def test_pool_add_refuses_adapters_whose_slots_do_not_type(case, tmp_path):
+    edit, problem = UNTYPED_PROBES[case]
+    doc = canonjson.loads((GOLDEN / "figure3.adapter").read_text(encoding="utf-8"))
+    edit(doc)
+    text = canonjson.dumps(doc)
+    assert check_adapter(parse_descriptor(text)) == [problem]
+    pool = init_pool(tmp_path / "pool")
+    with pytest.raises(AdapterForgeError) as err:
+        pool_add(pool, text)
+    assert err.value.code == "E_INVALID_SPEC"
+    assert err.value.message == f"adapter adapt_reportgen_sortkit_449e7545 cannot run: {problem}"
+    assert not list((pool / "adapters").iterdir())
