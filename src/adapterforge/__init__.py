@@ -46,10 +46,8 @@ _MODULE_OF = {
         (
             "aslt",
             (
-                "Aslt",
                 "AsltNode",
                 "FoldPattern",
-                "FoldView",
                 "build_aslt",
                 "build_component_aslt",
                 "dump",

@@ -42,7 +42,7 @@ from .model import (
     parse_version,
 )
 from .parser import parse_any, parse_component, parse_project
-from .serializer import serialize, serialize_with_positions
+from .serializer import serialize
 from .validate import validate
 
 # Every public name bound above; the submodules are not API.

@@ -5,6 +5,7 @@ interfaces sorted by (direction, name) with provided first, operations
 and parameters in declaration order, meta entries sorted by key,
 explicit version constraints, trailing newline. Content fingerprints
 are computed over these bytes, so the rendering must stay bit-stable.
+`serialize` is the one entry point, and it returns the text alone.
 """
 
 from __future__ import annotations
@@ -18,85 +19,63 @@ from .model import (
     quote_string,
 )
 
-# Position keys are tuples like ("component", name),
-# ("interface", direction, name), ("op", direction, iface, name),
-# ("param", direction, iface, op, name); values are 1-based lines
-# in the canonical text.
-Positions = dict[tuple, int]
-
 
 def serialize(spec: ComponentSpec | ProjectSpec) -> str:
-    return serialize_with_positions(spec)[0]
-
-
-def serialize_with_positions(spec: ComponentSpec | ProjectSpec) -> tuple[str, Positions]:
     lines: list[str] = []
-    positions: Positions = {}
     if isinstance(spec, ComponentSpec):
-        _emit_component(spec, lines, positions)
+        _emit_component(spec, lines)
     else:
-        _emit_project(spec, lines, positions)
-    return "\n".join(lines) + "\n", positions
+        _emit_project(spec, lines)
+    return "\n".join(lines) + "\n"
 
 
-def _emit_component(spec: ComponentSpec, lines: list[str], positions: Positions) -> None:
-    positions[("component", spec.name)] = len(lines) + 1
+def _emit_component(spec: ComponentSpec, lines: list[str]) -> None:
     lines.append(f'component {quote_string(spec.name)} version "{format_version(spec.version)}" {{')
     for entry in spec.meta:
         lines.append(f"  meta {entry.key} = {quote_string(entry.value)}")
     for iface in spec.provided + spec.required:
-        _emit_interface(iface, lines, positions)
+        _emit_interface(iface, lines)
     lines.append("}")
 
 
-def _emit_interface(iface: InterfaceSpec, lines: list[str], positions: Positions) -> None:
+def _emit_interface(iface: InterfaceSpec, lines: list[str]) -> None:
     keyword = "provides" if iface.direction == "provided" else "requires"
-    positions[("interface", iface.direction, iface.name)] = len(lines) + 1
     lines.append(f"  {keyword} interface {iface.name} {{")
     for op in iface.operations:
-        _emit_op(op, iface, lines, positions)
+        _emit_op(op, lines)
     lines.append("  }")
 
 
-def _emit_op(op: OperationSig, iface: InterfaceSpec, lines: list[str], positions: Positions) -> None:
+def _emit_op(op: OperationSig, lines: list[str]) -> None:
     rendered_params = []
     for p in op.params:
         text = f"{p.name}: {p.ty}"
         if p.default is not None:
             text += f" = {p.default.canonical_text()}"
         rendered_params.append(text)
-    op_line = len(lines) + 1
-    positions[("op", iface.direction, iface.name, op.name)] = op_line
     lines.append(
         f"    op {op.name}({', '.join(rendered_params)}) -> {op.returns} @concept {op.concept}"
     )
     for p in op.params:
-        key = ("param", iface.direction, iface.name, op.name, p.name)
         if p.concept is None and p.unit is None:
-            positions[key] = op_line
             continue
         clause = f"      @param {p.name}"
         if p.concept is not None:
             clause += f" @concept {p.concept}"
         if p.unit is not None:
             clause += f" @unit {p.unit}"
-        positions[key] = len(lines) + 1
         lines.append(clause)
 
 
-def _emit_project(spec: ProjectSpec, lines: list[str], positions: Positions) -> None:
-    positions[("project", spec.name)] = len(lines) + 1
+def _emit_project(spec: ProjectSpec, lines: list[str]) -> None:
     lines.append(f"project {quote_string(spec.name)} {{")
     for use in spec.uses:
-        positions[("uses", use.name)] = len(lines) + 1
         lines.append(f"  uses {quote_string(use.name)} {use.constraint}")
     for conn in spec.connections:
-        positions[("connect", conn.label())] = len(lines) + 1
         lines.append(
             f"  connect {conn.consumer_component}.requires.{conn.consumer_interface}"
             f" -> {conn.provider_component}.provides.{conn.provider_interface}"
         )
     for demand in spec.demands:
-        positions[("demand", str(demand))] = len(lines) + 1
         lines.append(f"  demand {demand}")
     lines.append("}")

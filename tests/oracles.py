@@ -302,64 +302,52 @@ _CHILD_KIND = {
 
 
 def check_integrity(tree) -> None:
-    """Full-walk structural check of an ASLT; raises AssertionError on any defect."""
-    seen: set[int] = set()
-    parents: dict[int, int] = {}
+    """Full-walk structural check of an ASLT; raises AssertionError on
+    any defect, or when `traverse` disagrees with this walk's preorder."""
+    from adapterforge.aslt import traverse
 
-    def walk(node_id: int) -> None:
-        assert node_id not in seen, f"node {node_id} reached twice"
-        seen.add(node_id)
-        node = tree.node(node_id)
+    order = []
+
+    def walk(node, depth: int) -> None:
         assert node.kind in KINDS
-        for child_id in node.meta_children:
-            child = tree.node(child_id)
+        assert (node.kind == "meta") == (node.key is not None)
+        if node.kind == "meta":
+            assert node.label == f"{node.key}={node.value}"
+            assert not node.children and not node.meta_children
+        order.append((node, depth))
+        for child in node.meta_children:
             assert child.kind == "meta", "meta_children must hold meta nodes"
-            assert node.kind != "meta", "meta node cannot carry meta children"
-            parents[child_id] = node_id
-            walk(child_id)
-        for child_id in node.children:
-            child = tree.node(child_id)
+            walk(child, depth + 1)
+        for child in node.children:
             expected = _CHILD_KIND[node.kind]
             assert expected is not None and child.kind == expected, (
                 f"{node.kind} node may not contain {child.kind}"
             )
-            parents[child_id] = node_id
-            walk(child_id)
-        if node.kind == "meta":
-            assert not node.children and not node.meta_children
+            walk(child, depth + 1)
 
-    walk(tree.root)
-    assert seen == set(tree.nodes), "unreachable or dangling nodes"
-    for node_id in tree.nodes:
-        if node_id != tree.root:
-            assert node_id in parents, f"node {node_id} has no parent"
+    walk(tree, 0)
+    assert list(traverse(tree)) == order
 
 
-def subtree_size(tree, node_id: int) -> int:
-    node = tree.node(node_id)
-    return 1 + sum(subtree_size(tree, c) for c in node.meta_children + node.children)
+def subtree_size(node) -> int:
+    return 1 + sum(subtree_size(c) for c in node.meta_children + node.children)
 
 
 def fold_conservation_holds(tree, pattern) -> bool:
-    """Visible nodes plus hidden-subtree sizes must recount to the tree."""
+    """Visible nodes plus hidden-subtree sizes must recount to the tree,
+    and no visible node may match."""
     from adapterforge.aslt import fold, traverse
 
-    view = fold(tree, pattern)
-    visible = len(traverse(view))
+    visible = [node for node, _ in traverse(fold(tree, pattern))]
 
-    def top_hidden(node_id: int, under_hidden: bool) -> list[int]:
-        node = tree.node(node_id)
-        mine = node_id in view.hidden
-        if mine and not under_hidden:
-            roots = [node_id]
-        else:
-            roots = []
-        for child in node.meta_children + node.children:
-            roots.extend(top_hidden(child, under_hidden or mine))
-        return roots
+    def hidden(node) -> int:
+        if pattern.matches(node):
+            return subtree_size(node)
+        return sum(hidden(c) for c in node.meta_children + node.children)
 
-    roots = top_hidden(tree.root, False)
-    return visible + sum(subtree_size(tree, r) for r in roots) == len(tree)
+    if any(pattern.matches(node) for node in visible):
+        return False
+    return len(visible) + hidden(tree) == subtree_size(tree)
 
 
 def oracle_pool_query(

@@ -60,7 +60,6 @@ PUBLIC_API = {
     "adapterforge": [
         "AdapterForgeError",
         "AdapterSpec",
-        "Aslt",
         "AsltNode",
         "ComponentSpec",
         "ConceptId",
@@ -70,7 +69,6 @@ PUBLIC_API = {
         "ConversionTable",
         "Demand",
         "FoldPattern",
-        "FoldView",
         "InterfaceSpec",
         "MatchConfig",
         "MatchReport",
@@ -154,7 +152,6 @@ PUBLIC_API = {
         "parse_project",
         "parse_version",
         "serialize",
-        "serialize_with_positions",
         "validate",
     ],
 }
