@@ -187,10 +187,13 @@ def check_adapter(adapter: AdapterSpec) -> list[str]:
                 problems.append(f"{arrow} fills {to.name}: {to.ty} with {a.fill.canonical_text()}")
             elif a.index in range(len(required.params)):
                 frm = required.params[a.index]
-                ports = (TypePort(frm.ty, frm.unit), TypePort(to.ty, to.unit))
-                if a.kind == TAKE and ports[0] != ports[1]:
+                if a.kind == TAKE and (frm.ty, frm.unit) != (to.ty, to.unit):
+                    ports = TypePort(frm.ty, frm.unit), TypePort(to.ty, to.unit)
                     problems.append(f"{arrow} takes {ports[0]} as {ports[1]} for {frm.name}")
-                if a.kind == CONVERT and (a.from_port, a.to_port) != ports:
+                if a.kind == CONVERT and (a.from_port, a.to_port) != (
+                    TypePort(frm.ty, frm.unit),
+                    TypePort(to.ty, to.unit),
+                ):
                     problems.append(f"{arrow} converts {a.from_port} to {a.to_port} for {frm.name}")
         ret = m.return_action
         if ret.is_pass and provided.returns != required.returns:
