@@ -118,4 +118,5 @@ def traverse(tree: AsltNode | None) -> Iterator[tuple[AsltNode, int]]:
 
 def dump(tree: AsltNode | None) -> str:
     """Line-oriented text: two spaces of indent per depth, `kind label`."""
-    return "\n".join(f"{'  ' * depth}{node.kind} {node.label}" for node, depth in traverse(tree)) + "\n"
+    lines = (f"{'  ' * depth}{node.kind} {node.label}" for node, depth in traverse(tree))
+    return "\n".join(lines) + "\n"
